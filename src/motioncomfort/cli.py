@@ -17,7 +17,7 @@ from .bench import benchmark
 from .config import RunConfig, load_run_config
 from .errors import ComfortError, ConfigError
 from .metrics import full_assessment
-from .report import compare, emit_report
+from .report import compare, emit_report, save_msi_csv
 from .svc import run_svc
 from .traceio import DEMO_COMPONENTS, atomic_write_text, load_trace, save_trace, synth_trace
 
@@ -147,12 +147,8 @@ def _run(args) -> int:
     if args.verb == "svc":
         head = load_trace(_trace_path(args, cfg))
         series = run_svc(head, cfg.svc_params())
-        lines = ["time_s,msi_percent"]
-        lines.extend(
-            f"{t:.17g},{m:.17g}" for t, m in zip(series.time_s, series.msi_percent)
-        )
         out = out_dir / "msi.csv"
-        atomic_write_text(out, "\n".join(lines) + "\n")
+        save_msi_csv(series, out)
         print(f"msi_final={series.final:.6g}")
         print(f"wrote {out}")
         return 0

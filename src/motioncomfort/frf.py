@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -288,13 +288,8 @@ def identity_bundle() -> FrfBundle:
     return FrfBundle(model_id="NHM", channels=channels)
 
 
-def read_frf_csv(path, units: tuple[str, str]) -> FrfCurve:
-    """Load one channel file: CSV with header ``freq_hz,gain,phase_deg``.
-
-    Lines starting with ``#`` are comments.  Phase is converted to radians
-    and unwrapped by the curve constructor.
-    """
-    path = Path(path)
+def read_csv_table(path, columns: Sequence[str]) -> np.ndarray:
+    """Rows of a numeric CSV table with the exact header `columns` (# comments)."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -304,18 +299,28 @@ def read_frf_csv(path, units: tuple[str, str]) -> FrfCurve:
                 continue
             if header is None:
                 header = [c.strip() for c in row]
-                if header != ["freq_hz", "gain", "phase_deg"]:
-                    raise DataError(f"{path}: expected header freq_hz,gain,phase_deg, got {header}")
+                if header != list(columns):
+                    raise DataError(f"{path}: expected header {','.join(columns)}, got {header}")
                 continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+            if len(row) != len(columns):
+                raise DataError(f"{path}:{lineno}: expected {len(columns)} columns, got {len(row)}")
             try:
                 rows.append([float(c) for c in row])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
-    if header is None or not rows:
+    if not rows:
         raise DataError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=np.float64)
+    return np.asarray(rows, dtype=np.float64)
+
+
+def read_frf_csv(path, units: tuple[str, str]) -> FrfCurve:
+    """Load one channel file: CSV with header ``freq_hz,gain,phase_deg``.
+
+    Lines starting with ``#`` are comments.  Phase is converted to radians
+    and unwrapped by the curve constructor.
+    """
+    path = Path(path)
+    data = read_csv_table(path, ("freq_hz", "gain", "phase_deg"))
     freq = data[:, 0]
     if freq.size > 1 and not np.all(np.diff(freq) > 0.0):
         raise DataError(f"{path}: frequency column is not strictly increasing")

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from . import spectral
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .frf import AXES, CHANNEL_IDS, FrfBundle, evaluate_grid
 from .svc import MsiSeries, SvcParams, run_svc
 from .transmission import MotionTrace, transmit, _warn_if_undersampled
@@ -46,17 +46,21 @@ def rms(signal, sample_rate_hz: float | None = None) -> float:
 
 
 def combine(per_axis: Mapping[str, float], k_factors: Mapping[str, float]) -> float:
-    """Overall metric sqrt(sum_i k_i^2 v_i^2) over the six axes."""
+    """Overall metric sqrt(sum_i k_i^2 v_i^2) over the six axes; NumericError if not finite."""
     acc = 0.0
     for axis in AXES:
         try:
             v = float(per_axis[axis])
             k = float(k_factors[axis])
+            acc += (k * v) ** 2
         except KeyError as exc:
             raise DataError(f"missing axis {exc} in per-axis values or k factors") from exc
+        except OverflowError:
+            acc = float("inf")
         if v < 0.0 or k < 0.0:
             raise DataError(f"negative value for axis {axis}: v={v}, k={k}")
-        acc += (k * v) ** 2
+    if not np.isfinite(acc):  # every assessment path checks its values here
+        raise NumericError(f"non-finite weighted RMS values {dict(per_axis)}")
     return float(np.sqrt(acc))
 
 
@@ -183,7 +187,8 @@ def full_assessment(
     head = MotionTrace(sample_rate_hz=fs, channels=head_channels, frame_label="head")
     t1 = time.perf_counter()
 
-    head_power = {axis: np.abs(head_spectra[axis]) ** 2 for axis in AXES}
+    with np.errstate(over="ignore"):  # an overflow is reported by combine()
+        head_power = {axis: np.abs(head_spectra[axis]) ** 2 for axis in AXES}
 
     def spectral_assess(regime: MetricRegime, curves) -> RegimeResult:
         per_axis = {}

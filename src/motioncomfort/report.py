@@ -13,8 +13,8 @@ import numpy as np
 from .errors import ConfigError
 from .frf import AXES, builtin_bundle
 from .metrics import ComfortReport, full_assessment
-from .svc import SvcParams
-from .traceio import atomic_write_text
+from .svc import MsiSeries, SvcParams
+from .traceio import atomic_write_text, format_rows
 from .transmission import MotionTrace
 from .weighting import MetricRegime, WeightingCurve
 
@@ -55,7 +55,7 @@ def render_report_svg(report: ComfortReport, width: int = 900, height: int = 520
     """A static overview figure: MSI curve on top, per-axis bars below.
 
     Presentation only; the JSON report carries the authoritative numbers.
-    The MSI series is drawn as a single polyline with one point per sample.
+    The MSI series is one polyline, one point per sample, formatted in row blocks.
     """
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -73,7 +73,7 @@ def render_report_svg(report: ComfortReport, width: int = 900, height: int = 520
         m_max = max(float(np.max(m)), 1.0)
         xs = top["x0"] + (t - t[0]) / t_span * top["w"]
         ys = top["y0"] + top["h"] - (m / m_max) * top["h"]
-        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        points = "".join(format_rows((xs, ys), "%.2f,%.2f "))[:-1]
         parts.append(
             f'<polyline fill="none" stroke="#1f6fb2" stroke-width="1.5" points="{points}"/>'
         )
@@ -116,6 +116,12 @@ def render_report_svg(report: ComfortReport, width: int = 900, height: int = 520
     return "\n".join(parts)
 
 
+def save_msi_csv(series: MsiSeries, path) -> None:
+    """Write an MSI series as ``time_s,msi_percent`` rows (17 significant digits)."""
+    columns = (series.time_s, series.msi_percent)
+    atomic_write_text(path, format_rows(columns, "%.17g,%.17g\n", "time_s,msi_percent\n"))
+
+
 def emit_report(
     report: ComfortReport,
     out_dir,
@@ -125,25 +131,20 @@ def emit_report(
 ) -> dict[str, Path]:
     """Write report JSON, the MSI CSV (when present) and the SVG figure.
 
-    All writes are atomic.  Returns the paths that were written.
+    All writes are atomic; the MSI CSV is written by `save_msi_csv`.  The
+    JSON is strict (no NaN or Infinity).  Returns the paths that were written.
     """
     out_dir = Path(out_dir)
     written: dict[str, Path] = {}
 
     msi_name = f"{msi_basename}.csv" if report.msi is not None else None
     if report.msi is not None:
-        lines = ["time_s,msi_percent"]
-        lines.extend(
-            f"{t:.17g},{m:.17g}"
-            for t, m in zip(report.msi.time_s, report.msi.msi_percent)
-        )
-        msi_path = out_dir / msi_name
-        atomic_write_text(msi_path, "\n".join(lines) + "\n")
-        written["msi_csv"] = msi_path
+        written["msi_csv"] = out_dir / msi_name
+        save_msi_csv(report.msi, written["msi_csv"])
 
     doc = report_to_dict(report, msi_name)
     json_path = out_dir / f"{basename}.json"
-    atomic_write_text(json_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(json_path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     written["report_json"] = json_path
 
     svg_path = out_dir / f"{basename}.svg"

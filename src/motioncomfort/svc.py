@@ -118,14 +118,18 @@ def svc_states(head: MotionTrace, params: SvcParams | None = None) -> Mapping[st
     p = params if params is not None else SvcParams()
     fs = head.sample_rate_hz
     dt = 1.0 / fs
-    if dt >= p.tau_s:
-        raise DataError(
-            f"sample interval {dt:g} s is too coarse for tau_s={p.tau_s:g} s; "
-            "the explicit integration needs sample_rate_hz * tau_s >> 1"
-        )
+    # Every Euler stage needs decay in [0, 1): stable, no overshoot, so MSI stays in [0, 100].
+    step = {name: dt / getattr(p, name) for name in ("orientation_leak_s", "tau_s", "mu_s")}
+    decay = {name: 1.0 - s for name, s in step.items()}
+    for name, d in decay.items():
+        if not 0.0 <= d < 1.0:
+            raise DataError(
+                f"sample interval {dt:g} s is too coarse for {name}={getattr(p, name):g} s; "
+                "each explicit integration stage needs sample_rate_hz * time constant >= 1"
+            )
     n = head.n_samples
 
-    leak = 1.0 - dt / p.orientation_leak_s
+    leak = decay["orientation_leak_s"]
     roll_rate = _euler_stage(head.channels["roll"], dt, leak, 0.0)
     pitch_rate = _euler_stage(head.channels["pitch"], dt, leak, 0.0)
     roll_angle = _euler_stage(roll_rate, dt, leak, 0.0)
@@ -146,17 +150,15 @@ def svc_states(head: MotionTrace, params: SvcParams | None = None) -> Mapping[st
 
     vertical = np.empty((3, n))
     rest = (0.0, 0.0, p.g)
-    alpha = dt / p.tau_s
     for i in range(3):
-        vertical[i] = _euler_stage(sensed[i], alpha, 1.0 - alpha, rest[i])
+        vertical[i] = _euler_stage(sensed[i], step["tau_s"], decay["tau_s"], rest[i])
 
     conflict = np.sqrt(np.sum(np.square(sensed - vertical), axis=0))
     cn = conflict**p.n
     squashed = cn / (p.b**p.n + cn)
 
-    beta = dt / p.mu_s
-    stage1 = _euler_stage(squashed, beta, 1.0 - beta, 0.0)
-    stage2 = _euler_stage(stage1, beta, 1.0 - beta, 0.0)
+    stage1 = _euler_stage(squashed, step["mu_s"], decay["mu_s"], 0.0)
+    stage2 = _euler_stage(stage1, step["mu_s"], decay["mu_s"], 0.0)
     msi = 100.0 * np.maximum.accumulate(stage2)
 
     for name, arr in (("conflict", conflict), ("msi", msi)):

@@ -8,10 +8,10 @@ written with 17 significant digits so a save/load round trip is bit exact.
 from __future__ import annotations
 
 import os
-import tempfile
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import fft as _fft
@@ -24,20 +24,35 @@ TRACE_HEADER = "t_s,ax,ay,az,aroll,apitch,ayaw"
 _COLUMN_AXES = ("x", "y", "z", "roll", "pitch", "yaw")
 
 UNIFORMITY_TOL = 1e-6  # max relative deviation of the time step
+_BLOCK_ROWS = 65536  # rows per formatted chunk; bounds the temporary argument tuple
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write a file via a temp file and rename, so readers never see partials."""
+def format_rows(columns: Sequence[np.ndarray], row_format: str, header: str = "") -> Iterator[str]:
+    """Yield `header`, then the rows of equal-length float columns as text.
+
+    One ``%`` per block of rows on Python floats: the bytes of an f-string per value.
+    """
+    yield header
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
+        yield (row_format * len(block)) % tuple(block.ravel().tolist())
+
+
+def atomic_write_text(path, text: str | Iterable[str]) -> None:
+    """Write `text` (a string or string chunks) via a temp file and rename.
+
+    Readers never see partials.  The mode is what ``open()`` gives under the umask.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{uuid.uuid4().hex}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -85,13 +100,10 @@ def load_trace(path, fmt: str = "csv") -> MotionTrace:
 
 
 def save_trace(trace: MotionTrace, path) -> None:
-    """Write a trace in the load_trace format (17 significant digits)."""
-    n = trace.n_samples
+    """Write a trace in the load_trace format (17 significant digits), streamed."""
     cols = [trace.time_s] + [trace.channels[axis] for axis in _COLUMN_AXES]
-    body = np.column_stack(cols)
-    rows = [TRACE_HEADER]
-    rows.extend(",".join(f"{v:.17g}" for v in row) for row in body)
-    atomic_write_text(path, "\n".join(rows) + "\n")
+    row_format = ",".join(["%.17g"] * len(cols)) + "\n"
+    atomic_write_text(path, format_rows(cols, row_format, TRACE_HEADER + "\n"))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ files can be replaced without code changes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import spectral
 from .errors import ConfigError, DataError
-from .frf import AXES
+from .frf import AXES, read_csv_table
 
 WEIGHTING_NAMES = ("Wk", "We", "Wf", "Wfx", "Wfy", "Wfr", "Unity")
 
@@ -99,27 +98,7 @@ def apply_weighting(signal, curve: WeightingCurve, sample_rate_hz: float) -> np.
 def load_weighting_csv(path, name: str | None = None) -> WeightingCurve:
     """Load a curve from CSV with header ``freq_hz,magnitude`` (# comments)."""
     path = Path(path)
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = None
-        for lineno, row in enumerate(reader, start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = [c.strip() for c in row]
-                if header != ["freq_hz", "magnitude"]:
-                    raise DataError(f"{path}: expected header freq_hz,magnitude, got {header}")
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=np.float64)
+    data = read_csv_table(path, ("freq_hz", "magnitude"))
     return WeightingCurve(name=name or path.stem, freq_hz=data[:, 0], magnitude=data[:, 1])
 
 

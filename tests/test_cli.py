@@ -3,9 +3,11 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from motioncomfort.cli import main
-from motioncomfort import load_trace
+from motioncomfort import load_trace, save_trace
+from conftest import random_trace
 
 
 def _synth(tmp_path, duration="30"):
@@ -80,6 +82,19 @@ def test_malformed_trace_is_data_error(tmp_path, capsys):
     rc = main(["assess", "--trace", str(bad), "--out", str(tmp_path)])
     assert rc == 3
     assert capsys.readouterr().err.startswith("error[data]:")
+
+
+@pytest.mark.parametrize("extra", [[], ["--no-svc"]])
+def test_overflowing_trace_is_single_line_numeric_error(tmp_path, capsys, extra):
+    trace = tmp_path / "big.csv"
+    save_trace(random_trace(41, n=3000, scale=1e160), trace)
+    out = tmp_path / "out"
+    rc = main(["assess", "--trace", str(trace), "--model", "EXP", "--out", str(out), *extra])
+    assert rc == 4
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error[numeric]:")
+    assert not (out / "report.json").exists()
 
 
 def test_unknown_model_is_config_error(tmp_path, capsys):

@@ -7,6 +7,7 @@ from motioncomfort import (
     AXES,
     DataError,
     MotionTrace,
+    NumericError,
     assess,
     builtin_bundle,
     builtin_weightings,
@@ -67,6 +68,24 @@ def test_combine_rejects_negative():
     values["x"] = -0.1
     with pytest.raises(DataError, match="negative"):
         combine(values, dict.fromkeys(AXES, 1.0))
+
+
+@pytest.mark.parametrize("value, k", [(float("nan"), 1.0), (float("inf"), 1.0), (1e154, 2.0)])
+def test_combine_non_finite_is_numeric_error(value, k):
+    values = dict.fromkeys(AXES, 1.0)
+    values["z"] = value
+    with pytest.raises(NumericError, match="non-finite"):
+        combine(values, dict.fromkeys(AXES, k))
+
+
+@pytest.mark.parametrize("path", ["spectral", "time_domain"])
+def test_overflowing_trace_is_numeric_error(path):
+    seat = random_trace(40, n=500, scale=1e160)
+    with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
+        if path == "spectral":
+            full_assessment(seat, builtin_bundle("EXP"), include_svc=False)
+        else:
+            assess(seat, ride_comfort_regime())
 
 
 def test_combine_monotone_in_each_argument():

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from motioncomfort import (
     AXES,
@@ -180,6 +183,41 @@ def test_step_must_resolve_time_constant():
     head = _head({"z": np.ones(10)}, fs=0.1)  # dt = 10 s >= tau_s
     with pytest.raises(DataError, match="coarse"):
         run_svc(head, SvcParams(tau_s=5.0))
+
+
+@pytest.mark.parametrize(
+    "name, value", [("orientation_leak_s", 0.001), ("tau_s", 0.005), ("mu_s", 0.006)]
+)
+def test_every_euler_stage_must_resolve_its_time_constant(name, value):
+    head = _head({"z": np.ones(10)}, fs=100.0)  # dt = 0.01 s > value
+    with pytest.raises(DataError, match=f"coarse for {name}"):
+        run_svc(head, SvcParams(**{name: value}))
+
+
+@st.composite
+def _accepted_run(draw):
+    """A sample rate, SvcParams whose every time constant is >= the sample
+    interval (the accepted range), and a head trace at that rate."""
+    fs = draw(st.floats(min_value=0.5, max_value=2000.0))
+    steps = st.floats(min_value=1.0, max_value=1e4)  # time constant / sample interval
+    params = SvcParams(
+        tau_s=draw(steps) / fs,
+        mu_s=draw(steps) / fs,
+        orientation_leak_s=draw(steps) / fs,
+        b=draw(st.floats(min_value=1e-3, max_value=10.0)),
+        n=draw(st.floats(min_value=1.0, max_value=8.0)),
+        g=draw(st.floats(min_value=0.1, max_value=20.0)),
+    )
+    n = draw(st.integers(min_value=2, max_value=300))
+    data = draw(arrays(np.float64, (6, n), elements=st.floats(-1e4, 1e4)))
+    return _head(dict(zip(AXES, data)), fs=fs), params
+
+
+@settings(max_examples=150, deadline=None)
+@given(_accepted_run())
+def test_msi_bounded_and_monotone_for_accepted_params(run):
+    head, params = run
+    _assert_series_contract(run_svc(head, params))
 
 
 def test_series_time_matches_trace():

@@ -1,18 +1,34 @@
 from __future__ import annotations
 
+import os
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import fft as _fft
 
 from motioncomfort import (
     AXES,
     DataError,
+    MotionTrace,
     SynthComponent,
     load_trace,
     save_trace,
     synth_trace,
 )
+from motioncomfort.traceio import _BLOCK_ROWS, atomic_write_text, format_rows
 from conftest import random_trace
+
+# Values whose text form is easy to get wrong: signed zero, the smallest
+# subnormal, the largest double, integers, and values at or near a .2f tie.
+AWKWARD = np.array([
+    -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.0, 3.0, -42.0,
+    0.125, 0.375, 1.005, 2.675, -0.005, 0.015, 1e16, 123456789.0, 1 / 3, -2.5e-300,
+])
 
 
 def test_load_small_well_formed_file(tmp_path):
@@ -139,3 +155,72 @@ def test_dict_components_accepted():
         [{"axis": "z", "kind": "sine", "amplitude": 2.0, "f0": 0.5}], 10.0, 50.0
     )
     assert np.max(np.abs(trace.channels["z"])) == pytest.approx(2.0, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "n_rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
+)
+def test_format_rows_matches_fstring_oracle(n_rows):
+    a = np.resize(AWKWARD, n_rows)
+    b = np.resize(-AWKWARD[::-1], n_rows) * 0.5
+    # Oracle: an f-string per numpy scalar, one sample at a time.
+    csv_oracle = "h\n" + "".join(f"{t:.17g},{m:.17g}\n" for t, m in zip(a, b))
+    svg_oracle = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(a, b))
+    assert "".join(format_rows((a, b), "%.17g,%.17g\n", "h\n")) == csv_oracle
+    assert "".join(format_rows((a, b), "%.2f,%.2f "))[:-1] == svg_oracle
+
+
+def test_save_trace_matches_fstring_oracle(tmp_path):
+    n = _BLOCK_ROWS + 3
+    channels = {axis: np.resize(np.roll(AWKWARD, i), n) for i, axis in enumerate(AXES)}
+    trace = MotionTrace(sample_rate_hz=100.0, channels=channels)
+    body = np.column_stack([trace.time_s] + [trace.channels[a] for a in AXES])
+    rows = ["t_s,ax,ay,az,aroll,apitch,ayaw"]
+    rows.extend(",".join(f"{v:.17g}" for v in row) for row in body)
+    save_trace(trace, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_text() == "\n".join(rows) + "\n"
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fs=st.integers(min_value=1, max_value=5000),
+    data=st.integers(min_value=2, max_value=40).flatmap(
+        lambda n: arrays(np.float64, (6, n), elements=FINITE)
+    ),
+)
+def test_round_trip_bit_exact_property(fs, data):
+    trace = MotionTrace(sample_rate_hz=float(fs), channels=dict(zip(AXES, data)))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_trace(trace, Path(tmp) / "t.csv")
+        back = load_trace(Path(tmp) / "t.csv")
+    assert back.sample_rate_hz == trace.sample_rate_hz
+    for axis in AXES:
+        assert back.channels[axis].tobytes() == trace.channels[axis].tobytes()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_honours_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "out.txt", "x\n")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out.txt").stat().st_mode & 0o777 == mode
+
+
+def test_atomic_write_chunks_and_failure_leaves_old_file(tmp_path):
+    path = tmp_path / "out.txt"
+    atomic_write_text(path, iter(["a,", "b\n", ""]))
+    assert path.read_text() == "a,b\n"
+
+    def failing():
+        yield "partial"
+        raise RuntimeError("formatter failed")
+
+    with pytest.raises(RuntimeError):
+        atomic_write_text(path, failing())
+    assert path.read_text() == "a,b\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
