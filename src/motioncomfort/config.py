@@ -77,6 +77,10 @@ def load_run_config(path) -> RunConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
 
+    for key in ("k_factors", "weighting_files", "svc"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise ConfigError(f"{path}: {key} must be a JSON object")
+
     base = path.parent
 
     def resolve(p) -> Path:
@@ -98,7 +102,7 @@ def load_run_config(path) -> RunConfig:
             raise ConfigError(f"{path}: bundle manifest not found: {bundle_manifest}")
 
     k_factors: dict[str, float] = {}
-    for axis, value in dict(raw.get("k_factors", {})).items():
+    for axis, value in raw.get("k_factors", {}).items():
         if axis not in AXES:
             raise ConfigError(f"{path}: unknown axis {axis!r} in k_factors")
         if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
@@ -106,14 +110,14 @@ def load_run_config(path) -> RunConfig:
         k_factors[axis] = float(value)
 
     weighting_files: dict[str, Path] = {}
-    for name, ref in dict(raw.get("weighting_files", {})).items():
+    for name, ref in raw.get("weighting_files", {}).items():
         p = resolve(ref)
         if not p.exists():
             raise ConfigError(f"{path}: weighting file for {name!r} not found: {p}")
         weighting_files[str(name)] = p
 
     svc_overrides: dict[str, float] = {}
-    for name, value in dict(raw.get("svc", {})).items():
+    for name, value in raw.get("svc", {}).items():
         if name not in _SVC_FIELDS:
             raise ConfigError(f"{path}: unknown svc parameter {name!r}")
         if not isinstance(value, (int, float)) or isinstance(value, bool):

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import spectral
 from .errors import ConfigError, DataError, NumericError
-from .frf import AXES, CHANNEL_IDS, FrfBundle, evaluate_grid
+from .frf import AXES, FrfBundle
 from .svc import MsiSeries, SvcParams, run_svc
-from .transmission import MotionTrace, transmit, _warn_if_undersampled
+from .transmission import MotionTrace, head_motion, seat_spectra
 from .weighting import (
     MetricRegime,
     WeightingCurve,
@@ -30,12 +30,11 @@ from .weighting import (
 )
 
 
-def rms(signal, sample_rate_hz: float | None = None) -> float:
-    """Root mean square, sqrt(mean(s^2)).
+def rms(signal) -> float:
+    """Root mean square, sqrt(mean(s^2)), of a non-empty finite signal.
 
     The discrete mean of squares already realizes the time-average of the
-    squared signal, so the sample rate does not enter; the argument is
-    accepted for interface symmetry with the weighting operations.
+    squared signal, so no sample rate enters.
     """
     x = np.asarray(signal, dtype=np.float64)
     if x.size == 0:
@@ -80,6 +79,16 @@ class RegimeResult:
         object.__setattr__(self, "k_factors", MappingProxyType(dict(self.k_factors)))
 
 
+def _regime_result(regime: MetricRegime, per_axis: Mapping[str, float]) -> RegimeResult:
+    return RegimeResult(
+        kind=regime.kind,
+        per_axis=per_axis,
+        total=combine(per_axis, regime.k_factors),
+        weighting_names=regime.axis_weighting,
+        k_factors=regime.k_factors,
+    )
+
+
 def _resolve_curves(regime: MetricRegime, registry) -> dict[str, WeightingCurve]:
     curves = registry if registry is not None else builtin_weightings()
     resolved = {}
@@ -99,16 +108,10 @@ def assess(
 ) -> RegimeResult:
     """Weighted RMS per axis plus combined total for one regime."""
     curves = _resolve_curves(regime, registry)
-    per_axis = {}
-    for axis in AXES:
-        weighted = apply_weighting(trace.channels[axis], curves[axis], trace.sample_rate_hz)
-        per_axis[axis] = rms(weighted)
-    return RegimeResult(
-        kind=regime.kind,
-        per_axis=per_axis,
-        total=combine(per_axis, regime.k_factors),
-        weighting_names=dict(regime.axis_weighting),
-        k_factors=dict(regime.k_factors),
+    fs = trace.sample_rate_hz
+    return _regime_result(
+        regime,
+        {axis: rms(apply_weighting(trace.channels[axis], curves[axis], fs)) for axis in AXES},
     )
 
 
@@ -151,42 +154,34 @@ def full_assessment(
 ) -> ComfortReport:
     """Transmit seat motion to the head, then assess both regimes plus MSI.
 
-    This is the batch path: each seat channel is transformed once, channel
-    responses are accumulated per head axis in the spectral domain, and the
-    weighted RMS values are read off the head spectra (Parseval), which is
-    arithmetically equivalent to weighting in the time domain followed by a
-    time-domain RMS.  Results match `transmit` + `assess` to fp round-off.
+    This is the batch path: the head spectra come from the spectral core in
+    `transmission` (one forward FFT per seat channel, one inverse FFT per
+    head axis), and the weighted RMS values are read off the head spectra
+    (Parseval), which is arithmetically equivalent to weighting in the time
+    domain followed by a time-domain RMS.  MSI runs on the head trace.
+    Results match `transmit` + `assess` + `run_svc` to fp round-off.
     Pass a dict as `timings` to collect per-stage wall times in seconds.
     """
+    return _assess_spectra(seat, bundle, None, rc, ms, svc_params, registry, include_svc, timings)
+
+
+def _assess_spectra(seat, bundle, spectra, rc, ms, svc_params, registry, include_svc, timings):
+    """`full_assessment` that reuses `spectra`, the seat's `seat_spectra`, unless None."""
     rc = rc if rc is not None else ride_comfort_regime()
     ms = ms if ms is not None else motion_sickness_regime()
     svc_params = svc_params if svc_params is not None else SvcParams()
     rc_curves = _resolve_curves(rc, registry)
     ms_curves = _resolve_curves(ms, registry)
-
     fs = seat.sample_rate_hz
     n = seat.n_samples
-    _warn_if_undersampled(fs, bundle.max_freq_hz, f"bundle {bundle.model_id}")
 
     t0 = time.perf_counter()
-    freqs = spectral.bin_frequencies(n, fs)
-    head_spectra = {axis: None for axis in AXES}
-    input_spectra: dict[str, np.ndarray] = {}
-    for cid in CHANNEL_IDS:
-        if cid.input_axis not in input_spectra:
-            input_spectra[cid.input_axis] = spectral.rfft(
-                spectral.check_signal(seat.channels[cid.input_axis])
-            )
-        response = spectral.force_real_endpoints(
-            evaluate_grid(bundle.channels[cid], freqs), n
-        )
-        part = input_spectra[cid.input_axis] * response
-        prev = head_spectra[cid.output_axis]
-        head_spectra[cid.output_axis] = part if prev is None else prev + part
-    head_channels = {axis: spectral.irfft(head_spectra[axis], n=n) for axis in AXES}
-    head = MotionTrace(sample_rate_hz=fs, channels=head_channels, frame_label="head")
+    head, head_spectra = head_motion(
+        seat, bundle, seat_spectra(seat) if spectra is None else spectra
+    )
     t1 = time.perf_counter()
 
+    freqs = spectral.bin_frequencies(n, fs)
     with np.errstate(over="ignore"):  # an overflow is reported by combine()
         head_power = {axis: np.abs(head_spectra[axis]) ** 2 for axis in AXES}
 
@@ -197,13 +192,7 @@ def full_assessment(
             per_axis[axis] = float(
                 np.sqrt(spectral.spectrum_mean_square(w * w * head_power[axis], n))
             )
-        return RegimeResult(
-            kind=regime.kind,
-            per_axis=per_axis,
-            total=combine(per_axis, regime.k_factors),
-            weighting_names=dict(regime.axis_weighting),
-            k_factors=dict(regime.k_factors),
-        )
+        return _regime_result(regime, per_axis)
 
     rc_result = spectral_assess(rc, rc_curves)
     t2 = time.perf_counter()

@@ -12,10 +12,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .frf import AXES, builtin_bundle
-from .metrics import ComfortReport, full_assessment
+from .metrics import ComfortReport, _assess_spectra
 from .svc import MsiSeries, SvcParams
 from .traceio import atomic_write_text, format_rows
-from .transmission import MotionTrace
+from .transmission import MotionTrace, seat_spectra
 from .weighting import MetricRegime, WeightingCurve
 
 REPORT_SCHEMA = 1
@@ -155,14 +155,38 @@ def emit_report(
 
 @dataclass(frozen=True)
 class ComparisonRow:
+    """One model's totals.  A `*_vs_nhm` ratio is None when the NHM total is 0,
+    written as an empty CSV cell and as ``-`` in the text table, like an absent MSI.
+    """
+
     model_id: str
     rc_per_axis: Mapping[str, float]
     rc_total: float
     ms_per_axis: Mapping[str, float]
     ms_total: float
     msi_final: float | None
-    rc_total_vs_nhm: float
-    ms_total_vs_nhm: float
+    rc_total_vs_nhm: float | None
+    ms_total_vs_nhm: float | None
+
+    def _values(self) -> list[float | None]:
+        """The numbers after the model id, in column order."""
+        return (
+            [self.rc_per_axis[a] for a in AXES] + [self.rc_total]
+            + [self.ms_per_axis[a] for a in AXES] + [self.ms_total, self.msi_final]
+            + [self.rc_total_vs_nhm, self.ms_total_vs_nhm]
+        )
+
+
+def _ratio(total: float, baseline: float) -> float | None:
+    return total / baseline if baseline > 0.0 else None
+
+
+def _csv_cell(value: float | None) -> str:
+    return "" if value is None else f"{value:.17g}"
+
+
+def _text_cell(value: float | None, width: int) -> str:
+    return f"{'-':>{width}}" if value is None else f"{value:>{width}.4f}"
 
 
 @dataclass(frozen=True)
@@ -181,15 +205,7 @@ class ComparisonTable:
         )
         lines = [",".join(cols)]
         for row in self.rows:
-            cells = [row.model_id]
-            cells += [f"{row.rc_per_axis[a]:.17g}" for a in AXES]
-            cells.append(f"{row.rc_total:.17g}")
-            cells += [f"{row.ms_per_axis[a]:.17g}" for a in AXES]
-            cells.append(f"{row.ms_total:.17g}")
-            cells.append("" if row.msi_final is None else f"{row.msi_final:.17g}")
-            cells.append(f"{row.rc_total_vs_nhm:.17g}")
-            cells.append(f"{row.ms_total_vs_nhm:.17g}")
-            lines.append(",".join(cells))
+            lines.append(",".join([row.model_id] + [_csv_cell(v) for v in row._values()]))
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
@@ -201,15 +217,10 @@ class ComparisonTable:
             + f"{'ms_tot':>10}{'msi%':>10}{'rc/nhm':>9}{'ms/nhm':>9}"
         )
         lines = [header]
+        widths = [10] * (2 * len(AXES) + 3) + [9, 9]
         for row in self.rows:
-            line = f"{row.model_id:<6}"
-            line += "".join(f"{row.rc_per_axis[a]:>10.4f}" for a in AXES)
-            line += f"{row.rc_total:>10.4f}"
-            line += "".join(f"{row.ms_per_axis[a]:>10.4f}" for a in AXES)
-            line += f"{row.ms_total:>10.4f}"
-            line += f"{row.msi_final:>10.4f}" if row.msi_final is not None else f"{'-':>10}"
-            line += f"{row.rc_total_vs_nhm:>9.4f}{row.ms_total_vs_nhm:>9.4f}"
-            lines.append(line)
+            cells = (_text_cell(v, w) for v, w in zip(row._values(), widths))
+            lines.append(f"{row.model_id:<6}" + "".join(cells))
         return "\n".join(lines)
 
 
@@ -234,26 +245,18 @@ def compare(
     if len(model_ids) < 2:
         raise ConfigError("compare needs at least 2 models")
 
-    reports: dict[str, ComfortReport] = {}
-
-    def get_report(model_id: str) -> ComfortReport:
-        if model_id not in reports:
-            bundle = resolve_bundle(model_id)
-            reports[model_id] = full_assessment(
-                trace,
-                bundle,
-                rc=rc,
-                ms=ms,
-                svc_params=svc_params,
-                registry=registry,
-                include_svc=include_svc,
-            )
-        return reports[model_id]
-
-    baseline = get_report("NHM")
+    spectra = seat_spectra(trace)
+    reports = {
+        model_id: _assess_spectra(
+            trace, resolve_bundle(model_id), spectra, rc, ms, svc_params, registry, include_svc,
+            None,
+        )
+        for model_id in dict.fromkeys(["NHM", *model_ids])
+    }
+    baseline = reports["NHM"]
     rows = []
     for model_id in model_ids:
-        rep = get_report(model_id)
+        rep = reports[model_id]
         rows.append(
             ComparisonRow(
                 model_id=model_id,
@@ -262,12 +265,8 @@ def compare(
                 ms_per_axis=dict(rep.ms.per_axis),
                 ms_total=rep.ms.total,
                 msi_final=None if rep.msi is None else rep.msi.final,
-                rc_total_vs_nhm=rep.rc.total / baseline.rc.total
-                if baseline.rc.total > 0.0
-                else float("nan"),
-                ms_total_vs_nhm=rep.ms.total / baseline.ms.total
-                if baseline.ms.total > 0.0
-                else float("nan"),
+                rc_total_vs_nhm=_ratio(rep.rc.total, baseline.rc.total),
+                ms_total_vs_nhm=_ratio(rep.ms.total, baseline.ms.total),
             )
         )
     return ComparisonTable(rows=tuple(rows))

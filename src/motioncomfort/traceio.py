@@ -7,9 +7,10 @@ written with 17 significant digits so a save/load round trip is bit exact.
 
 from __future__ import annotations
 
+import numbers
 import os
 import uuid
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -56,10 +57,8 @@ def atomic_write_text(path, text: str | Iterable[str]) -> None:
         raise
 
 
-def load_trace(path, fmt: str = "csv") -> MotionTrace:
-    """Load a trace file, inferring the sample rate from the time column."""
-    if fmt != "csv":
-        raise ConfigError(f"unsupported trace format {fmt!r}")
+def load_trace(path) -> MotionTrace:
+    """Load a trace CSV (the module's format), inferring the sample rate from the time column."""
     path = Path(path)
     try:
         with open(path) as fh:
@@ -129,10 +128,28 @@ class SynthComponent:
             raise DataError(f"unknown component kind {self.kind!r}")
         if self.kind in ("sweep", "noise") and self.f1 is None:
             raise DataError(f"{self.kind} component needs f1")
-        for name in ("amplitude", "f0"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or v < 0.0:
-                raise DataError(f"{name} must be finite and >= 0")
+        for name in ("amplitude", "f0", "f1"):
+            v = getattr(self, name)
+            if name == "f1" and v is None:
+                continue
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v < np.inf:
+                raise DataError(f"{name} must be finite and >= 0, got {v!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise DataError(f"seed must be an integer >= 0, got {seed!r}")
+
+
+def _component(spec) -> SynthComponent:
+    """A SynthComponent, or one built from a JSON object with its field names."""
+    if isinstance(spec, SynthComponent):
+        return spec
+    if not isinstance(spec, dict):
+        raise ConfigError(f"a synth component must be an object, got {spec!r}")
+    names = [f.name for f in fields(SynthComponent)]
+    required = [f.name for f in fields(SynthComponent) if f.default is MISSING]
+    if not set(required) <= set(spec) <= set(names):
+        raise ConfigError(f"synth component {spec!r} needs keys {required}, allows {names}")
+    return SynthComponent(**spec)
 
 
 def _component_signal(comp: SynthComponent, t: np.ndarray, fs: float) -> np.ndarray:
@@ -173,14 +190,15 @@ def synth_trace(
     fs = float(sample_rate_hz)
     if not np.isfinite(fs) or fs <= 0.0:
         raise DataError("sample rate must be positive")
-    n = int(round(float(duration_s) * fs))
+    samples = float(duration_s) * fs
+    if not np.isfinite(samples):
+        raise DataError(f"duration must be finite, got {duration_s!r}")
+    n = int(round(samples))
     if n < 2:
         raise DataError("duration too short for the sample rate")
     t = np.arange(n) / fs
     channels = {axis: np.zeros(n) for axis in AXES}
-    for comp in components:
-        if isinstance(comp, dict):
-            comp = SynthComponent(**comp)
+    for comp in map(_component, components):
         channels[comp.axis] = channels[comp.axis] + _component_signal(comp, t, fs)
     return MotionTrace(sample_rate_hz=fs, channels=channels, frame_label=frame_label)
 

@@ -9,15 +9,18 @@ Each head channel is the sum of the bundle channels feeding it:
     pitch_h = (pitch->pitch) + (z->pitch) + (x->pitch)
     yaw_h   = (yaw->yaw)     + (y->yaw)   + (roll->yaw)
 
-with every term computed by frequency-domain multiplication of the seat
-channel spectrum with the tabulated response.  The whole pipeline is linear
-and deterministic.
+One spectral core serves `transmit`, `metrics.full_assessment` and
+`report.compare`: `seat_spectra` transforms each seat channel once at the
+exact length, `_channel_products` multiplies those spectra by the 14
+tabulated responses, and `head_motion` sums the products per head axis and
+inverts each sum once.  The whole pipeline is linear and deterministic.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -98,20 +101,6 @@ class MotionTrace:
         return cls(sample_rate_hz=sample_rate_hz, channels=full, frame_label=frame_label)
 
 
-@dataclass(frozen=True)
-class ContributionBreakdown:
-    """Per head axis, the time-domain contribution of each feeding channel."""
-
-    contributions: Mapping[str, Mapping[FrfChannelId, np.ndarray]]
-
-    def total(self, axis: str) -> np.ndarray:
-        parts = list(self.contributions[axis].values())
-        out = np.zeros_like(parts[0])
-        for part in parts:
-            out = out + part
-        return out
-
-
 def _warn_if_undersampled(sample_rate_hz: float, max_tabulated_hz: float, what: str) -> None:
     # Guard: the trace should resolve the full tabulated band, fs > 2*f_max.
     if max_tabulated_hz > 0.0 and sample_rate_hz <= 2.0 * max_tabulated_hz:
@@ -135,37 +124,69 @@ def fft_apply(signal, curve: FrfCurve, sample_rate_hz: float) -> np.ndarray:
     )
 
 
+def seat_spectra(seat: MotionTrace) -> dict[str, np.ndarray]:
+    """The exact-length real FFT of each seat channel, one transform per axis."""
+    return {axis: spectral.rfft(seat.channels[axis]) for axis in AXES}
+
+
+def _channel_products(seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str, np.ndarray]):
+    """Yield (channel id, input spectrum * channel response) in CHANNEL_IDS order."""
+    n = seat.n_samples
+    freqs = spectral.bin_frequencies(n, seat.sample_rate_hz)
+    for cid in CHANNEL_IDS:
+        response = spectral.force_real_endpoints(evaluate_grid(bundle.channels[cid], freqs), n)
+        yield cid, spectra[cid.input_axis] * response
+
+
+def head_motion(seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str, np.ndarray]):
+    """(head trace, head spectra) for `seat`, given its `seat_spectra`.
+
+    A head spectrum sums the channel products feeding that axis; one inverse
+    FFT per head axis gives the head trace.
+    """
+    _warn_if_undersampled(seat.sample_rate_hz, bundle.max_freq_hz, f"bundle {bundle.model_id}")
+    head_spectra = dict.fromkeys(AXES)
+    for cid, part in _channel_products(seat, bundle, spectra):
+        prev = head_spectra[cid.output_axis]
+        head_spectra[cid.output_axis] = part if prev is None else prev + part
+    n = seat.n_samples
+    head = MotionTrace(
+        sample_rate_hz=seat.sample_rate_hz,
+        channels={axis: spectral.irfft(head_spectra[axis], n=n) for axis in AXES},
+        frame_label="head",
+    )
+    return head, head_spectra
+
+
+@dataclass(frozen=True)
+class ContributionBreakdown:
+    """Per head axis, the time-domain contribution of each feeding channel.
+
+    `contributions` is computed on first access (one inverse FFT per channel)
+    and then cached.  Each axis's contributions sum to the head channel of
+    `transmit` to floating-point round-off.
+    """
+
+    seat: MotionTrace
+    bundle: FrfBundle
+
+    @cached_property
+    def contributions(self) -> Mapping[str, Mapping[FrfChannelId, np.ndarray]]:
+        parts: dict[str, dict[FrfChannelId, np.ndarray]] = {axis: {} for axis in AXES}
+        products = _channel_products(self.seat, self.bundle, seat_spectra(self.seat))
+        for cid, product in products:
+            parts[cid.output_axis][cid] = spectral.irfft(product, n=self.seat.n_samples)
+        return MappingProxyType({axis: MappingProxyType(parts[axis]) for axis in AXES})
+
+    def total(self, axis: str) -> np.ndarray:
+        return sum(self.contributions[axis].values())
+
+
 def transmit(seat: MotionTrace, bundle: FrfBundle) -> tuple[MotionTrace, ContributionBreakdown]:
     """Predict head motion from seat motion through one bundle.
 
-    Returns the head trace and the per-channel breakdown; summing each
-    axis's contributions reproduces the head channel exactly (same arrays,
-    same additions).
+    Returns the head trace (six forward and six inverse FFTs) and the
+    per-channel breakdown, which costs nothing until `contributions` is read.
     """
-    fs = seat.sample_rate_hz
-    n = seat.n_samples
-    _warn_if_undersampled(fs, bundle.max_freq_hz, f"bundle {bundle.model_id}")
-    freqs = spectral.bin_frequencies(n, fs)
-    input_spectra = {
-        axis: spectral.rfft(spectral.check_signal(seat.channels[axis])) for axis in AXES
-    }
-
-    contributions: dict[str, dict[FrfChannelId, np.ndarray]] = {axis: {} for axis in AXES}
-    for cid in CHANNEL_IDS:
-        response = evaluate_grid(bundle.channels[cid], freqs)
-        response = spectral.force_real_endpoints(response, n)
-        part = spectral.irfft(input_spectra[cid.input_axis] * response, n=n)
-        contributions[cid.output_axis][cid] = part
-
-    head_channels = {}
-    for axis in AXES:
-        total = np.zeros(n)
-        for part in contributions[axis].values():
-            total = total + part
-        head_channels[axis] = total
-
-    head = MotionTrace(sample_rate_hz=fs, channels=head_channels, frame_label="head")
-    frozen = MappingProxyType(
-        {axis: MappingProxyType(dict(contributions[axis])) for axis in AXES}
-    )
-    return head, ContributionBreakdown(contributions=frozen)
+    head, _ = head_motion(seat, bundle, seat_spectra(seat))
+    return head, ContributionBreakdown(seat=seat, bundle=bundle)

@@ -170,3 +170,42 @@ def test_synth_spec_file(tmp_path):
     trace = load_trace(tmp_path / "trace.csv")
     assert trace.n_samples == 500
     assert abs(np.sqrt(np.mean(trace.channels["z"] ** 2)) - 2**-0.5) < 1e-6
+
+
+_SINE = {"axis": "z", "kind": "sine", "amplitude": 1.0, "f0": 1.0}
+_NOISE = {"axis": "x", "kind": "noise", "amplitude": 1.0, "f0": 0.1, "f1": 2.0}
+
+
+@pytest.mark.parametrize(
+    "config, spec, duration, kind, code",
+    [
+        ({"k_factors": 5}, None, "1", "config", 2),
+        ({"svc": [1, 2]}, None, "1", "config", 2),
+        ({"weighting_files": "wk.csv"}, None, "1", "config", 2),
+        (None, [5], "1", "config", 2),
+        (None, [dict(_SINE, phase=0.3)], "1", "config", 2),
+        (None, [{"axis": "z", "kind": "sine"}], "1", "config", 2),
+        (None, [dict(_NOISE, f1="abc")], "1", "data", 3),
+        (None, [dict(_SINE, amplitude="1.5")], "1", "data", 3),
+        (None, [dict(_NOISE, seed=-1)], "1", "data", 3),
+        (None, [dict(_NOISE, seed=1.5)], "1", "data", 3),
+        (None, None, "nan", "data", 3),
+        (None, None, "inf", "data", 3),
+    ],
+    ids=["k_factors", "svc", "weighting_files", "entry", "unknown_key", "missing_key",
+         "f1", "amplitude", "seed", "seed_float", "duration_nan", "duration_inf"],
+)
+def test_malformed_config_or_synth_input_is_one_line_error(
+    tmp_path, capsys, config, spec, duration, kind, code
+):
+    argv = ["synth", "--duration", duration, "--rate", "10", "--out", str(tmp_path)]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    if spec is not None:
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        argv += ["--spec", str(tmp_path / "spec.json")]
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error[{kind}]:")
+    assert not (tmp_path / "trace.csv").exists()

@@ -4,10 +4,12 @@ import json
 import xml.etree.ElementTree as ET
 
 import jsonschema
+import numpy as np
 import pytest
 
 from motioncomfort import (
     AXES,
+    MotionTrace,
     builtin_bundle,
     compare,
     emit_report,
@@ -144,6 +146,18 @@ def test_compare_table_schema():
                 "rc_total_vs_nhm", "ms_total_vs_nhm"):
         assert col in header
     assert len(table.to_text().splitlines()) == 3
+
+
+def test_compare_zero_nhm_baseline_has_no_ratio():
+    zero = MotionTrace(sample_rate_hz=100.0, channels={a: np.zeros(300) for a in AXES})
+    table = compare(zero, ["EXP", "NHM"])
+    for row in table.rows:
+        assert row.rc_total == row.ms_total == 0.0
+        assert row.rc_total_vs_nhm is None and row.ms_total_vs_nhm is None
+    for line in table.to_csv().splitlines()[1:]:
+        assert line.endswith(",,") and "nan" not in line
+    for line in table.to_text().splitlines()[1:]:
+        assert line.split()[-2:] == ["-", "-"]
 
 
 def test_compare_needs_two_models():

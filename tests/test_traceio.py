@@ -83,13 +83,6 @@ def test_nan_rejected(tmp_path):
         load_trace(path)
 
 
-def test_unknown_format_rejected():
-    from motioncomfort.errors import ConfigError
-
-    with pytest.raises(ConfigError, match="format"):
-        load_trace("whatever.mat", fmt="mat")
-
-
 def test_synth_sine_rms():
     trace = synth_trace(
         [SynthComponent(axis="z", kind="sine", amplitude=1.0, f0=1.0)], 60.0, 100.0

@@ -4,18 +4,28 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motioncomfort import (
     AXES,
+    MODEL_IDS,
     DataError,
     FrfChannelId,
     FrfCurve,
     FrfBundle,
     MotionTrace,
+    assess,
+    builtin_bundle,
+    compare,
     fft_apply,
+    full_assessment,
     identity_bundle,
+    motion_sickness_regime,
+    ride_comfort_regime,
     transmit,
 )
+from motioncomfort import spectral
 from conftest import random_trace, rel_err
 
 
@@ -184,3 +194,50 @@ def test_circular_time_invariance():
     m = 137
     y_shifted = fft_apply(np.roll(x, m), curve, fs)
     assert rel_err(y_shifted, np.roll(y, m)) < 1e-6
+
+
+_LENGTHS = st.one_of(st.integers(2, 600), st.sampled_from([2, 3, 5, 7, 97, 251, 509, 601]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=_LENGTHS, seed=st.integers(0, 2**32 - 1))
+def test_compare_full_assessment_and_transmit_agree(n, seed):
+    seat = random_trace(seed, n=n)
+    table = compare(seat, list(MODEL_IDS))
+    for row in table.rows:
+        bundle = builtin_bundle(row.model_id)
+        report = full_assessment(seat, bundle)
+        assert row.rc_per_axis == dict(report.rc.per_axis)
+        assert row.ms_per_axis == dict(report.ms.per_axis)
+        assert (row.rc_total, row.ms_total) == (report.rc.total, report.ms.total)
+        assert row.msi_final == report.msi.final
+
+        head, breakdown = transmit(seat, bundle)
+        regimes = (ride_comfort_regime(), motion_sickness_regime())
+        for got, want in zip((report.rc, report.ms), (assess(head, r) for r in regimes)):
+            got_axes = [got.per_axis[a] for a in AXES]
+            assert rel_err(got_axes, [want.per_axis[a] for a in AXES]) < 1e-9
+            assert rel_err(got.total, want.total) < 1e-9
+        for axis in AXES:
+            assert rel_err(breakdown.total(axis), head.channels[axis]) < 1e-9
+
+
+def test_transform_counts(monkeypatch):
+    calls = dict.fromkeys(("rfft", "irfft"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(spectral, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, name, counted)
+    seat = random_trace(8, n=301)
+    _, breakdown = transmit(seat, builtin_bundle("EXP"))
+    assert calls == {"rfft": 6, "irfft": 6}
+    assert len(breakdown.contributions["pitch"]) == 3
+    assert calls["irfft"] == 6 + 14
+    breakdown.total("pitch")
+    assert calls["irfft"] == 6 + 14
+
+    calls.update(rfft=0, irfft=0)
+    compare(seat, list(MODEL_IDS))
+    assert calls == {"rfft": 6, "irfft": 4 * 6}
