@@ -7,12 +7,14 @@ written with 17 significant digits so a save/load round trip is bit exact.
 
 from __future__ import annotations
 
+import io
 import numbers
 import os
 import uuid
+import warnings
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy import fft as _fft
@@ -26,6 +28,8 @@ _COLUMN_AXES = ("x", "y", "z", "roll", "pitch", "yaw")
 
 UNIFORMITY_TOL = 1e-6  # max relative deviation of the time step
 _BLOCK_ROWS = 65536  # rows per formatted chunk; bounds the temporary argument tuple
+_MIN_CHUNK_BYTES = 16 << 20  # smallest range load_trace gives a worker process
+MAX_SYNTH_SAMPLES = 50_000_000  # about 139 h at 100 Hz, 400 MB per float64 channel
 
 
 def format_rows(columns: Sequence[np.ndarray], row_format: str, header: str = "") -> Iterator[str]:
@@ -57,25 +61,138 @@ def atomic_write_text(path, text: str | Iterable[str]) -> None:
         raise
 
 
+class _BadLine(NamedTuple):
+    """The first line of a chunk that is not 7 numbers: its 0-based index there, and why."""
+
+    index: int
+    reason: str
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _as_array(lines) -> np.ndarray | None:
+    """`lines` (a list or a byte stream) as an (n, 7) array; None unless each row is 7 numbers."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    return data.reshape(-1, 7) if data.shape[1] == 7 or data.size == 0 else None
+
+
+def _row_error(line: str) -> str:
+    """Why one row is not 7 numbers."""
+    try:
+        return f"expected 7 columns, got {np.loadtxt([line], delimiter=',', ndmin=2).shape[1]}"
+    except ValueError:
+        return f"malformed numeric data {line.strip()[:80]!r}"
+
+
+def _parse_chunk(path, start: int, stop: int) -> np.ndarray | _BadLine:
+    """Parse bytes [start, stop) of a trace file, which begin and end on line boundaries."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        raw = fh.read(stop - start)
+    data = _as_array(io.BytesIO(raw))
+    if data is not None:
+        return data
+    # numpy reads a whitespace-only line as a 1-column row and a lone CR as an
+    # embedded newline: drop blank and comment lines as text, then parse again.
+    lines = [ln.decode(errors="replace") for ln in raw.splitlines()]
+    keep = [i for i, ln in enumerate(lines) if ln.strip() and not ln.lstrip().startswith("#")]
+    rows = [lines[i] for i in keep]
+    data = _as_array(rows)
+    if data is not None:
+        return data
+    lo, hi = 0, len(rows)  # the first bad row is in rows[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _as_array(rows[lo:mid]) is not None else (lo, mid)
+    return _BadLine(keep[lo], _row_error(rows[lo]))
+
+
+def _parse_chunks(path, bounds: list[int]) -> list[np.ndarray | _BadLine]:
+    """Parse the ranges between consecutive `bounds`: in forked workers when there are several."""
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+    if len(ranges) > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Only fork: spawn and forkserver would make every caller's script need a
+        # __main__ guard.
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(len(ranges), mp_context=context) as pool:
+                return list(pool.map(_parse_chunk, [path] * len(ranges), *zip(*ranges)))
+    return [_parse_chunk(path, lo, hi) for lo, hi in ranges]
+
+
+def _find_header(fh) -> tuple[str | None, int, int]:
+    """The first line neither blank nor a comment, its line number and the offset after it."""
+    lines = offset = 0
+    for block in fh:  # blocks end at LF; a lone CR ends a line too
+        for line in block.splitlines(keepends=True):
+            lines += 1
+            offset += len(line)
+            text = line.decode(errors="replace").strip()
+            if text and not text.startswith("#"):
+                return text, lines, offset
+    return None, lines, offset
+
+
+def _next_line_start(fh, pos: int) -> int:
+    """The first offset at or after `pos` that follows an LF, or the end of the file."""
+    fh.seek(pos - 1)
+    fh.readline()
+    return fh.tell()
+
+
+def _count_lines(fh, start: int, stop: int) -> int:
+    """The number of lines in bytes [start, stop) of `fh`; `stop` follows an LF."""
+    fh.seek(start)
+    n = 0
+    while fh.tell() < stop:
+        n += len(fh.readline().splitlines())
+    return n
+
+
 def load_trace(path) -> MotionTrace:
-    """Load a trace CSV (the module's format), inferring the sample rate from the time column."""
+    """Load a trace CSV (the module's format), inferring the sample rate from the time column.
+
+    Blank lines and ``#`` comments may appear anywhere, and LF, CRLF and CR
+    line endings are all read.  When the data after the header spans at least
+    two 16 MiB chunks and more than one CPU is usable, it is cut at line
+    boundaries into one byte range per CPU (at most one per 16 MiB), and forked
+    worker processes parse the ranges in parallel; otherwise, and where the
+    platform cannot fork, one range is parsed inline.  The result is
+    bit-identical either way.  A row that is not 7 numbers is a DataError that
+    names its 1-based line in the file.
+    """
     path = Path(path)
     try:
-        with open(path) as fh:
-            lines = [ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+        with open(path, "rb") as fh:
+            header, header_line, start = _find_header(fh)
+            if header is None:
+                raise DataError(f"{path}: empty trace file")
+            if header != TRACE_HEADER:
+                raise DataError(f"{path}: expected header {TRACE_HEADER!r}, got {header[:80]!r}")
+            stop = os.fstat(fh.fileno()).st_size
+            k = max(1, min(_usable_cpus(), (stop - start) // _MIN_CHUNK_BYTES))
+            cuts = [_next_line_start(fh, start + (stop - start) * i // k) for i in range(1, k)]
+            bounds = [start, *sorted(set(cuts) - {stop}), stop]
+            parts = _parse_chunks(path, bounds)
+            for lo, part in zip(bounds, parts):
+                if isinstance(part, _BadLine):
+                    line = header_line + _count_lines(fh, start, lo) + part.index + 1
+                    raise DataError(f"{path}: line {line}: {part.reason}")
     except OSError as exc:
         raise ConfigError(f"cannot read trace file {path}: {exc}") from exc
-    if not lines:
-        raise DataError(f"{path}: empty trace file")
-    header = lines[0].strip()
-    if header != TRACE_HEADER:
-        raise DataError(f"{path}: expected header {TRACE_HEADER!r}, got {header!r}")
-    try:
-        data = np.loadtxt(lines[1:], delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed numeric data ({exc})") from exc
-    if data.shape[1] != 7:
-        raise DataError(f"{path}: expected 7 columns, got {data.shape[1]}")
+    data = np.concatenate(parts) if len(parts) > 1 else parts[0]
     if data.shape[0] < 2:
         raise DataError(f"{path}: a trace needs at least 2 samples")
     if not np.all(np.isfinite(data)):
@@ -193,6 +310,8 @@ def synth_trace(
     samples = float(duration_s) * fs
     if not np.isfinite(samples):
         raise DataError(f"duration must be finite, got {duration_s!r}")
+    if samples > MAX_SYNTH_SAMPLES:
+        raise DataError(f"duration x rate is {samples:.3g} samples, above {MAX_SYNTH_SAMPLES:,}")
     n = int(round(samples))
     if n < 2:
         raise DataError("duration too short for the sample rate")

@@ -191,9 +191,11 @@ _NOISE = {"axis": "x", "kind": "noise", "amplitude": 1.0, "f0": 0.1, "f1": 2.0}
         (None, [dict(_NOISE, seed=1.5)], "1", "data", 3),
         (None, None, "nan", "data", 3),
         (None, None, "inf", "data", 3),
+        (None, None, "1e12", "data", 3),
     ],
     ids=["k_factors", "svc", "weighting_files", "entry", "unknown_key", "missing_key",
-         "f1", "amplitude", "seed", "seed_float", "duration_nan", "duration_inf"],
+         "f1", "amplitude", "seed", "seed_float", "duration_nan", "duration_inf",
+         "duration_too_long"],
 )
 def test_malformed_config_or_synth_input_is_one_line_error(
     tmp_path, capsys, config, spec, duration, kind, code

@@ -20,6 +20,7 @@ from motioncomfort import (
     save_trace,
     synth_trace,
 )
+from motioncomfort import traceio
 from motioncomfort.traceio import _BLOCK_ROWS, atomic_write_text, format_rows
 from conftest import random_trace
 
@@ -72,6 +73,14 @@ def test_missing_columns_rejected(tmp_path):
     path.write_text("t_s,ax,ay,az\n0,0,0,0\n0.01,0,0,0\n")
     with pytest.raises(DataError, match="header"):
         load_trace(path)
+
+
+def test_header_error_quotes_a_bounded_prefix(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x," * 100_000)  # no line break: the whole file is the first line
+    with pytest.raises(DataError, match="header") as err:
+        load_trace(path)
+    assert len(str(err.value)) < 300
 
 
 def test_nan_rejected(tmp_path):
@@ -217,3 +226,143 @@ def test_atomic_write_chunks_and_failure_leaves_old_file(tmp_path):
         atomic_write_text(path, failing())
     assert path.read_text() == "a,b\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def _load(path, cpus: int = 1, spy: list | None = None) -> MotionTrace:
+    """load_trace with `cpus` usable CPUs and a 1-byte minimum chunk, so every CPU gets a range."""
+    parse_chunks = traceio._parse_chunks
+
+    def spied(path, bounds):
+        if spy is not None:
+            spy.append(len(bounds) - 1)
+        return parse_chunks(path, bounds)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(traceio, "_MIN_CHUNK_BYTES", 1)
+        mp.setattr(traceio, "_usable_cpus", lambda: cpus)
+        mp.setattr(traceio, "_parse_chunks", spied)
+        return load_trace(path)
+
+
+def _assert_same_trace(got: MotionTrace, want: MotionTrace) -> None:
+    assert got.sample_rate_hz == want.sample_rate_hz
+    for axis in AXES:
+        assert got.channels[axis].tobytes() == want.channels[axis].tobytes()
+
+
+def _trace_text(trace: MotionTrace, tmp_path) -> str:
+    save_trace(trace, tmp_path / "plain.csv")
+    return (tmp_path / "plain.csv").read_text()
+
+
+def _decorate(text: str, every: int, extra: str) -> str:
+    """Put `extra` lines after the header and after every `every`-th data row."""
+    lines = text.splitlines()
+    out = [lines[0], extra]
+    for i, row in enumerate(lines[1:]):
+        out.append(row)
+        if i % every == every - 1:
+            out.append(extra)
+    return "\n".join(out) + "\n"
+
+
+# Every form load_trace has always read: (name, rewrite of save_trace's text).
+ACCEPTED_FORMS = {
+    "comment_lines": lambda t: _decorate(t, 3, "# a comment, 1,2,3"),
+    "inline_comments": lambda t: t.replace("\n", " # note\n").replace(" # note", "", 1),
+    "leading_comments_and_blanks": lambda t: "# made by hand\n\n   \n  # indented\n" + t,
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "cr": lambda t: t.replace("\n", "\r"),
+    "no_final_newline": lambda t: t[:-1],
+    "whitespace_lines": lambda t: _decorate(t, 2, " \t  "),
+    "blank_lines": lambda t: _decorate(t, 4, ""),
+    "indented_comment_lines": lambda t: _decorate(t, 5, "   # indented"),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("form", ACCEPTED_FORMS)
+def test_accepted_input_forms(tmp_path, form, cpus):
+    trace = random_trace(21, n=97, fs=50.0)
+    path = tmp_path / "t.csv"
+    path.write_bytes(ACCEPTED_FORMS[form](_trace_text(trace, tmp_path)).encode())
+    _assert_same_trace(_load(path, cpus), trace)
+
+
+LINE_DECORATIONS = ["", " # inline", "\n# comment", "\n", "\n  \t ", "\n   # indented"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=12, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    lead=st.sampled_from(["", "# c\n", "\n \n# c\n"]),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final_newline=st.booleans(),
+    data=st.data(),
+)
+def test_parallel_parse_equals_one_chunk_and_original(n, seed, lead, newline, final_newline, data):
+    trace = random_trace(seed, n=n, fs=100.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = _trace_text(trace, Path(tmp)).splitlines()
+        extra = data.draw(st.lists(st.sampled_from(LINE_DECORATIONS), min_size=n, max_size=n))
+        body = [lines[0]] + [row + tail for row, tail in zip(lines[1:], extra)]
+        text = (lead + "\n".join(body) + ("\n" if final_newline else "")).replace("\n", newline)
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(text.encode())
+        chunks: list[int] = []
+        parallel = _load(path, cpus=4, spy=chunks)
+        serial = _load(path, cpus=1)
+    assert chunks[0] >= 3
+    _assert_same_trace(parallel, serial)
+    _assert_same_trace(parallel, trace)
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [("0.5,1,2,3,x,5,6", "malformed numeric data"), ("0.5,1,2", "expected 7 columns, got 3")],
+)
+def test_bad_row_names_its_file_line_in_any_chunk(tmp_path, bad, reason):
+    text = _decorate(_trace_text(random_trace(22, n=60), tmp_path), 7, "# comment\n")
+    lines = text.splitlines()
+    line = len(lines) - 3  # in the last of four chunks
+    lines[line - 1] = bad
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(lines) + "\n")
+    messages = []
+    for cpus in (1, 4):
+        chunks: list[int] = []
+        with pytest.raises(DataError) as err:
+            _load(path, cpus, spy=chunks)
+        messages.append(str(err.value))
+    assert chunks == [4]
+    assert messages[0] == messages[1]
+    assert f": line {line}: {reason}" in messages[0]
+
+
+@pytest.mark.parametrize("body", ["", "# only a comment\n\n", "0,0,0,0,0,0,0\n"])
+def test_fewer_than_two_samples_rejected(tmp_path, body):
+    path = tmp_path / "t.csv"
+    path.write_text("t_s,ax,ay,az,aroll,apitch,ayaw\n" + body)
+    with pytest.raises(DataError, match="at least 2 samples"):
+        load_trace(path)
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+
+def test_small_file_or_no_fork_starts_no_process(tmp_path, monkeypatch):
+    import concurrent.futures
+    import multiprocessing
+
+    trace = random_trace(23, n=200)
+    path = tmp_path / "t.csv"
+    save_trace(trace, path)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    _assert_same_trace(load_trace(path), trace)
+    with pytest.raises(AssertionError, match="pool was started"):
+        _load(path, cpus=3)  # the stub is the pool a large file would use
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    _assert_same_trace(_load(path, cpus=3), trace)
