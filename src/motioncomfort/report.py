@@ -51,11 +51,31 @@ def _jsonable(value):
     return value
 
 
+def _pixel_extremes(x: np.ndarray, y: np.ndarray, columns: int) -> np.ndarray:
+    """Indices of the points to draw, in order: all up to ``2 * columns``, else the first, the
+    last and each pixel column's first lowest and highest `y`.  `x` (non-decreasing, in
+    [0, `columns`]) gives the column ``min(floor(x), columns - 1)``."""
+    n = len(y)
+    if n <= 2 * columns:
+        return np.arange(n)
+    column = np.minimum(x.astype(np.intp), columns - 1)
+    new = np.diff(column, prepend=-1) != 0
+    starts = np.flatnonzero(new)  # each occupied column's first index
+    segment = np.cumsum(new) - 1
+    keep = [np.array([0, n - 1])]
+    for reduce in (np.minimum, np.maximum):
+        hits = np.flatnonzero(y == reduce.reduceat(y, starts)[segment])
+        keep.append(hits[np.searchsorted(hits, starts)])
+    return np.unique(np.concatenate(keep))
+
+
 def render_report_svg(report: ComfortReport, width: int = 900, height: int = 520) -> str:
     """A static overview figure: MSI curve on top, per-axis bars below.
 
     Presentation only; the JSON report carries the authoritative numbers.
-    The MSI series is one polyline, one point per sample, formatted in row blocks.
+    The MSI series is one polyline drawn at screen resolution: one point per
+    sample up to two per pixel column of the plot, otherwise each column's
+    lowest and highest point plus the first and last sample.
     """
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -71,9 +91,12 @@ def render_report_svg(report: ComfortReport, width: int = 900, height: int = 520
         m = report.msi.msi_percent
         t_span = max(float(t[-1] - t[0]), 1e-12)
         m_max = max(float(np.max(m)), 1.0)
-        xs = top["x0"] + (t - t[0]) / t_span * top["w"]
+        frac = (t - t[0]) / t_span
         ys = top["y0"] + top["h"] - (m / m_max) * top["h"]
-        points = "".join(format_rows((xs, ys), "%.2f,%.2f "))[:-1]
+        columns = max(int(top["w"]), 1)
+        keep = _pixel_extremes(frac * columns, ys, columns)
+        xs = top["x0"] + frac[keep] * top["w"]
+        points = "".join(format_rows((xs, ys[keep]), "%.2f,%.2f "))[:-1]
         parts.append(
             f'<polyline fill="none" stroke="#1f6fb2" stroke-width="1.5" points="{points}"/>'
         )

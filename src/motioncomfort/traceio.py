@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import numbers
 import os
+import re
 import uuid
 import warnings
 from dataclasses import MISSING, dataclass, fields
@@ -28,19 +29,30 @@ _COLUMN_AXES = ("x", "y", "z", "roll", "pitch", "yaw")
 
 UNIFORMITY_TOL = 1e-6  # max relative deviation of the time step
 _BLOCK_ROWS = 65536  # rows per formatted chunk; bounds the temporary argument tuple
+_MIN_WORKER_ROWS = 4 * _BLOCK_ROWS  # fewest rows format_rows gives a worker process
 _MIN_CHUNK_BYTES = 16 << 20  # smallest range load_trace gives a worker process
 MAX_SYNTH_SAMPLES = 50_000_000  # about 139 h at 100 Hz, 400 MB per float64 channel
+# A blank, ASCII-whitespace (as ``str.strip`` sees it) or comment line, and the LF before it.
+_SKIPPED_LINE = re.compile(rb"\n[ \t\v\f\x1c-\x1f]*(?:#[^\n]*)?(?=\n|\Z)")
+
+
+def _format_block(row_format: str, *columns: np.ndarray) -> str:
+    """Rows of equal-length float columns as text: one ``%`` on Python floats."""
+    block = np.column_stack(columns)
+    return (row_format * len(block)) % tuple(block.ravel().tolist())
 
 
 def format_rows(columns: Sequence[np.ndarray], row_format: str, header: str = "") -> Iterator[str]:
-    """Yield `header`, then the rows of equal-length float columns as text.
-
-    One ``%`` per block of rows on Python floats: the bytes of an f-string per value.
+    """Yield `header`, then the rows of equal-length float columns as text (the bytes of an
+    f-string per value) in row blocks.  With two or more usable CPUs and at least two
+    workers' worth of rows (`_MIN_WORKER_ROWS` each), forked workers format the blocks,
+    yielded in order; otherwise they are formatted inline.  The text is the same either way.
     """
     yield header
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
-        yield (row_format * len(block)) % tuple(block.ravel().tolist())
+    n = len(columns[0])
+    starts = range(0, n, _BLOCK_ROWS)
+    blocks = [(row_format, *(c[s : s + _BLOCK_ROWS] for c in columns)) for s in starts]
+    yield from _fork_map(min(_usable_cpus(), n // _MIN_WORKER_ROWS), _format_block, blocks)
 
 
 def atomic_write_text(path, text: str | Iterable[str]) -> None:
@@ -58,6 +70,8 @@ def atomic_write_text(path, text: str | Iterable[str]) -> None:
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        if hasattr(text, "close"):
+            text.close()  # a generator's worker processes end now, not when it is collected
         raise
 
 
@@ -99,10 +113,13 @@ def _parse_chunk(path, start: int, stop: int) -> np.ndarray | _BadLine:
         fh.seek(start)
         raw = fh.read(stop - start)
     data = _as_array(io.BytesIO(raw))
+    if data is None and raw.isascii():
+        # numpy reads a whitespace-only line as a 1-column row and a lone CR as an embedded
+        # newline.  (numpy reads bytes as Latin-1, the line list below as UTF-8: only ASCII.)
+        lf = b"\n" + raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        data = _as_array(io.BytesIO(_SKIPPED_LINE.sub(b"", lf)))
     if data is not None:
         return data
-    # numpy reads a whitespace-only line as a 1-column row and a lone CR as an
-    # embedded newline: drop blank and comment lines as text, then parse again.
     lines = [ln.decode(errors="replace") for ln in raw.splitlines()]
     keep = [i for i, ln in enumerate(lines) if ln.strip() and not ln.lstrip().startswith("#")]
     rows = [lines[i] for i in keep]
@@ -116,10 +133,11 @@ def _parse_chunk(path, start: int, stop: int) -> np.ndarray | _BadLine:
     return _BadLine(keep[lo], _row_error(rows[lo]))
 
 
-def _parse_chunks(path, bounds: list[int]) -> list[np.ndarray | _BadLine]:
-    """Parse the ranges between consecutive `bounds`: in forked workers when there are several."""
-    ranges = list(zip(bounds[:-1], bounds[1:]))
-    if len(ranges) > 1:
+def _fork_map(workers: int, fn, tasks: list[tuple]) -> Iterator:
+    """``fn(*args)`` for each tuple in `tasks`, yielded in order: in up to `workers` forked
+    processes when that and the number of tasks are above one, inline otherwise."""
+    workers = min(workers, len(tasks))
+    if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
@@ -127,9 +145,16 @@ def _parse_chunks(path, bounds: list[int]) -> list[np.ndarray | _BadLine]:
         # __main__ guard.
         if "fork" in multiprocessing.get_all_start_methods():
             context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(len(ranges), mp_context=context) as pool:
-                return list(pool.map(_parse_chunk, [path] * len(ranges), *zip(*ranges)))
-    return [_parse_chunk(path, lo, hi) for lo, hi in ranges]
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                yield from pool.map(fn, *zip(*tasks))
+            return
+    yield from (fn(*args) for args in tasks)
+
+
+def _parse_chunks(path, bounds: list[int]) -> list[np.ndarray | _BadLine]:
+    """Parse the ranges between consecutive `bounds`: in forked workers when there are several."""
+    ranges = [(path, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return list(_fork_map(len(ranges), _parse_chunk, ranges))
 
 
 def _find_header(fh) -> tuple[str | None, int, int]:

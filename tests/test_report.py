@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
@@ -17,6 +18,8 @@ from motioncomfort import (
     identity_bundle,
 )
 from motioncomfort.errors import ConfigError
+from motioncomfort.report import render_report_svg
+from motioncomfort.svc import MsiSeries
 from conftest import random_trace
 
 REPORT_SCHEMA = {
@@ -97,6 +100,51 @@ def test_svg_has_one_polyline_with_n_points(tmp_path, report):
     assert len(polylines) == 1
     points = polylines[0].attrib["points"].split()
     assert len(points) == report.msi.time_s.size
+
+
+PLOT_X0, PLOT_Y0, PLOT_W, PLOT_H = 60.0, 40.0, 810.0, 200.0  # the MSI plot at the default size
+
+
+def _with_msi(report, t: np.ndarray, m: np.ndarray):
+    return dataclasses.replace(report, msi=MsiSeries(t, m))
+
+
+def _polyline_points(report) -> str:
+    root = ET.fromstring(render_report_svg(report))
+    return root.find(".//{http://www.w3.org/2000/svg}polyline").attrib["points"]
+
+
+def _drawn_y(m: np.ndarray) -> np.ndarray:
+    return PLOT_Y0 + PLOT_H - (m / max(float(np.max(m)), 1.0)) * PLOT_H
+
+
+@pytest.mark.parametrize("n", [1, 2, 600, int(2 * PLOT_W)])
+def test_svg_keeps_every_sample_up_to_two_per_pixel_column(report, n):
+    rng = np.random.default_rng(n)
+    t = np.cumsum(rng.uniform(0.5, 1.5, n))
+    m = rng.uniform(0.0, 100.0, n)
+    x = PLOT_X0 + (t - t[0]) / max(float(t[-1] - t[0]), 1e-12) * PLOT_W
+    oracle = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(x, _drawn_y(m)))
+    assert _polyline_points(_with_msi(report, t, m)) == oracle
+
+
+def test_svg_draws_each_pixel_columns_extremes(report):
+    k = 32  # samples per pixel column, none within 1/64 px of a column edge
+    pos = (np.arange(int(PLOT_W) * k) + 0.5) / k
+    t = np.concatenate([[0.0], pos, [PLOT_W]])  # the plot spans exactly PLOT_W time units
+    m = np.random.default_rng(41).uniform(0.0, 100.0, t.size)
+    points = _polyline_points(_with_msi(report, t, m)).split()
+    drawn = np.array([[float(v) for v in p.split(",")] for p in points])
+    assert len(drawn) <= 2 * PLOT_W + 2
+    y = np.array([float(f"{v:.2f}") for v in _drawn_y(m)])
+    assert tuple(drawn[0]) == (PLOT_X0, y[0])
+    assert tuple(drawn[-1]) == (PLOT_X0 + PLOT_W, y[-1])
+    column = np.minimum(t.astype(int), int(PLOT_W) - 1)
+    drawn_column = np.minimum((drawn[:, 0] - PLOT_X0).astype(int), int(PLOT_W) - 1)
+    assert np.all(np.diff(drawn[:, 0]) > 0)
+    for c in range(int(PLOT_W)):
+        want, got = y[column == c], drawn[drawn_column == c, 1]
+        assert (got.min(), got.max()) == (want.min(), want.max())
 
 
 def test_msi_csv_written(tmp_path, report):

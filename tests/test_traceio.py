@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import errno
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,8 @@ from motioncomfort import (
     synth_trace,
 )
 from motioncomfort import traceio
+from motioncomfort.report import save_msi_csv
+from motioncomfort.svc import MsiSeries
 from motioncomfort.traceio import _BLOCK_ROWS, atomic_write_text, format_rows
 from conftest import random_trace
 
@@ -289,6 +293,18 @@ def test_accepted_input_forms(tmp_path, form, cpus):
     _assert_same_trace(_load(path, cpus), trace)
 
 
+@pytest.mark.parametrize("form", ACCEPTED_FORMS)
+def test_accepted_forms_never_build_a_line_list(tmp_path, monkeypatch, form):
+    trace = random_trace(21, n=97, fs=50.0)
+    path = tmp_path / "t.csv"
+    path.write_bytes(ACCEPTED_FORMS[form](_trace_text(trace, tmp_path)).encode())
+    parsed = []
+    as_array = traceio._as_array
+    monkeypatch.setattr(traceio, "_as_array", lambda lines: parsed.append(lines) or as_array(lines))
+    _assert_same_trace(_load(path, cpus=1), trace)
+    assert parsed and not any(isinstance(lines, list) for lines in parsed)
+
+
 LINE_DECORATIONS = ["", " # inline", "\n# comment", "\n", "\n  \t ", "\n   # indented"]
 
 
@@ -361,8 +377,109 @@ def test_small_file_or_no_fork_starts_no_process(tmp_path, monkeypatch):
     path = tmp_path / "t.csv"
     save_trace(trace, path)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    save_trace(trace, tmp_path / "again.csv")
+    save_msi_csv(MsiSeries(trace.time_s, np.linspace(0.0, 5.0, 200)), tmp_path / "msi.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
     _assert_same_trace(load_trace(path), trace)
     with pytest.raises(AssertionError, match="pool was started"):
         _load(path, cpus=3)  # the stub is the pool a large file would use
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     _assert_same_trace(_load(path, cpus=3), trace)
+
+
+_TINY_BLOCK = 4  # rows per block in the forked-formatter tests
+_TINY_WORKER = 3 * _TINY_BLOCK  # rows per worker there
+
+
+@contextmanager
+def _forking_formatter(cpus: int = 3):
+    """format_rows with `cpus` usable CPUs and tiny blocks and worker shares; yields the
+    worker counts of the pools it starts."""
+    import concurrent.futures
+
+    started: list[int] = []
+
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(traceio, "_BLOCK_ROWS", _TINY_BLOCK)
+        mp.setattr(traceio, "_MIN_WORKER_ROWS", _TINY_WORKER)
+        mp.setattr(traceio, "_usable_cpus", lambda: cpus)
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+        yield started
+
+
+# Row counts at block and worker-share boundaries: one, two, three and four workers' worth.
+BOUNDARY_ROWS = sorted(
+    {k * size + d for size in (_TINY_BLOCK, _TINY_WORKER) for k in range(5) for d in (-1, 0, 1)}
+    - {-1}
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from(BOUNDARY_ROWS), cpus=st.integers(1, 3), data=st.data())
+def test_forked_format_rows_equals_inline_and_oracle(n, cpus, data):
+    a = data.draw(arrays(np.float64, n, elements=FINITE | st.sampled_from(list(AWKWARD))))
+    b = np.resize(AWKWARD, n)
+    inline = "".join(format_rows((a, b), "%.17g,%.17g\n", "h\n"))
+    with _forking_formatter(cpus) as started:
+        forked = "".join(format_rows((a, b), "%.17g,%.17g\n", "h\n"))
+    assert forked == inline
+    assert inline == "h\n" + "".join(f"{t:.17g},{m:.17g}\n" for t, m in zip(a, b))
+    workers = min(cpus, n // _TINY_WORKER)
+    assert started == ([workers] if workers > 1 else [])
+
+
+def test_forked_save_trace_is_byte_identical(tmp_path):
+    trace = random_trace(24, n=5 * _TINY_WORKER + 1)
+    save_trace(trace, tmp_path / "inline.csv")
+    with _forking_formatter() as started:
+        save_trace(trace, tmp_path / "forked.csv")
+    assert started == [3]
+    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
+
+
+class _FailingFile:
+    """A text file whose third chunk fails to write, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def writelines(self, chunks):
+        for i, chunk in enumerate(chunks):
+            if i == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.fh.write(chunk)
+
+
+@pytest.mark.parametrize("where", ["worker", "write"])
+def test_failed_forked_write_keeps_old_file_and_no_child(tmp_path, monkeypatch, where):
+    import multiprocessing
+
+    path = tmp_path / "msi.csv"
+    atomic_write_text(path, "old\n")
+    t = np.arange(8 * _TINY_WORKER, dtype=float)
+    m = t.astype(object)
+    if where == "worker":
+        m[-1] = "not a number"  # "%.17g" fails on it in the last block
+    else:
+        fdopen = os.fdopen
+        monkeypatch.setattr(os, "fdopen", lambda *a, **k: _FailingFile(fdopen(*a, **k)))
+    with _forking_formatter() as started:
+        with pytest.raises(TypeError if where == "worker" else OSError) as failure:
+            atomic_write_text(path, format_rows((t, m), "%.17g,%.17g\n", "time_s,msi_percent\n"))
+    assert started == [3]
+    # `failure` still holds the traceback, and with it the formatter's frames.
+    assert multiprocessing.active_children() == []
+    assert failure.traceback
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["msi.csv"]
