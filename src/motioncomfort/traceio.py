@@ -10,7 +10,6 @@ from __future__ import annotations
 import io
 import numbers
 import os
-import re
 import uuid
 import warnings
 from dataclasses import MISSING, dataclass, fields
@@ -32,8 +31,6 @@ _BLOCK_ROWS = 65536  # rows per formatted chunk; bounds the temporary argument t
 _MIN_WORKER_ROWS = 4 * _BLOCK_ROWS  # fewest rows format_rows gives a worker process
 _MIN_CHUNK_BYTES = 16 << 20  # smallest range load_trace gives a worker process
 MAX_SYNTH_SAMPLES = 50_000_000  # about 139 h at 100 Hz, 400 MB per float64 channel
-# A blank, ASCII-whitespace (as ``str.strip`` sees it) or comment line, and the LF before it.
-_SKIPPED_LINE = re.compile(rb"\n[ \t\v\f\x1c-\x1f]*(?:#[^\n]*)?(?=\n|\Z)")
 
 
 def _format_block(row_format: str, *columns: np.ndarray) -> str:
@@ -113,13 +110,10 @@ def _parse_chunk(path, start: int, stop: int) -> np.ndarray | _BadLine:
         fh.seek(start)
         raw = fh.read(stop - start)
     data = _as_array(io.BytesIO(raw))
-    if data is None and raw.isascii():
-        # numpy reads a whitespace-only line as a 1-column row and a lone CR as an embedded
-        # newline.  (numpy reads bytes as Latin-1, the line list below as UTF-8: only ASCII.)
-        lf = b"\n" + raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        data = _as_array(io.BytesIO(_SKIPPED_LINE.sub(b"", lf)))
     if data is not None:
         return data
+    # numpy reads a whitespace-only line as a 1-column row and a lone CR as an
+    # embedded newline: drop blank and comment lines as text, then parse again.
     lines = [ln.decode(errors="replace") for ln in raw.splitlines()]
     keep = [i for i, ln in enumerate(lines) if ln.strip() and not ln.lstrip().startswith("#")]
     rows = [lines[i] for i in keep]
@@ -135,10 +129,12 @@ def _parse_chunk(path, start: int, stop: int) -> np.ndarray | _BadLine:
 
 def _fork_map(workers: int, fn, tasks: list[tuple]) -> Iterator:
     """``fn(*args)`` for each tuple in `tasks`, yielded in order: in up to `workers` forked
-    processes when that and the number of tasks are above one, inline otherwise."""
+    processes when that and the number of tasks are above one, inline otherwise.  At most
+    two tasks per worker run ahead of the consumer, so a slow one holds a few results, not all."""
     workers = min(workers, len(tasks))
     if workers > 1:
         import multiprocessing
+        from collections import deque
         from concurrent.futures import ProcessPoolExecutor
 
         # Only fork: spawn and forkserver would make every caller's script need a
@@ -146,7 +142,13 @@ def _fork_map(workers: int, fn, tasks: list[tuple]) -> Iterator:
         if "fork" in multiprocessing.get_all_start_methods():
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                yield from pool.map(fn, *zip(*tasks))
+                pending: deque = deque()
+                for args in tasks:
+                    pending.append(pool.submit(fn, *args))
+                    if len(pending) > 2 * workers:
+                        yield pending.popleft().result()
+                while pending:
+                    yield pending.popleft().result()
             return
     yield from (fn(*args) for args in tasks)
 

@@ -293,18 +293,6 @@ def test_accepted_input_forms(tmp_path, form, cpus):
     _assert_same_trace(_load(path, cpus), trace)
 
 
-@pytest.mark.parametrize("form", ACCEPTED_FORMS)
-def test_accepted_forms_never_build_a_line_list(tmp_path, monkeypatch, form):
-    trace = random_trace(21, n=97, fs=50.0)
-    path = tmp_path / "t.csv"
-    path.write_bytes(ACCEPTED_FORMS[form](_trace_text(trace, tmp_path)).encode())
-    parsed = []
-    as_array = traceio._as_array
-    monkeypatch.setattr(traceio, "_as_array", lambda lines: parsed.append(lines) or as_array(lines))
-    _assert_same_trace(_load(path, cpus=1), trace)
-    assert parsed and not any(isinstance(lines, list) for lines in parsed)
-
-
 LINE_DECORATIONS = ["", " # inline", "\n# comment", "\n", "\n  \t ", "\n   # indented"]
 
 
@@ -440,6 +428,23 @@ def test_forked_save_trace_is_byte_identical(tmp_path):
         save_trace(trace, tmp_path / "forked.csv")
     assert started == [3]
     assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
+
+
+def test_forked_formatter_keeps_two_blocks_per_worker_in_flight():
+    import concurrent.futures
+
+    t = np.arange(20 * _TINY_BLOCK, dtype=float)
+    submitted = []
+    with _forking_formatter(cpus=2) as started, pytest.MonkeyPatch.context() as mp:
+        pool_class = concurrent.futures.ProcessPoolExecutor
+        submit = pool_class.submit
+        mp.setattr(pool_class, "submit", lambda pool, *a: submitted.append(a) or submit(pool, *a))
+        chunks = format_rows((t,), "%.17g\n")
+        next(chunks)  # the header
+        ahead = [len(submitted) - i for i, _ in enumerate(chunks)]
+    assert started == [2]
+    assert len(submitted) == 20
+    assert max(ahead) == 2 * 2 + 1  # the block being yielded and two per worker behind it
 
 
 class _FailingFile:
