@@ -24,8 +24,8 @@ from .frf import (
 from .metrics import ComfortReport, RegimeResult, assess, combine, full_assessment, rms
 from .report import ComparisonTable, compare, emit_report
 from .svc import MsiSeries, SvcParams, run_svc, svc_states
-from .traceio import SynthComponent, load_trace, save_trace, synth_trace
-from .transmission import ContributionBreakdown, MotionTrace, fft_apply, transmit
+from .traceio import MotionTrace, SynthComponent, load_trace, save_trace, synth_trace
+from .transmission import ContributionBreakdown, fft_apply, transmit
 from .weighting import (
     DEFAULT_K_FACTORS,
     MetricRegime,

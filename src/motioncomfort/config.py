@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import ConfigError
-from .frf import AXES, FrfBundle, builtin_bundle, load_frf_bundle
+from .frf import AXES, FrfBundle, _is_real, builtin_bundle, load_frf_bundle
 from .svc import SvcParams
 from .weighting import (
     DEFAULT_K_FACTORS,
@@ -105,7 +105,7 @@ def load_run_config(path) -> RunConfig:
     for axis, value in raw.get("k_factors", {}).items():
         if axis not in AXES:
             raise ConfigError(f"{path}: unknown axis {axis!r} in k_factors")
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
+        if not _is_real(value) or value < 0:
             raise ConfigError(f"{path}: k_factors[{axis}] must be a number >= 0")
         k_factors[axis] = float(value)
 
@@ -120,7 +120,7 @@ def load_run_config(path) -> RunConfig:
     for name, value in raw.get("svc", {}).items():
         if name not in _SVC_FIELDS:
             raise ConfigError(f"{path}: unknown svc parameter {name!r}")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_real(value):
             raise ConfigError(f"{path}: svc parameter {name} must be a number")
         svc_overrides[name] = float(value)
 

@@ -1,6 +1,5 @@
 """Exception types and the process exit codes they map to."""
 
-EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4

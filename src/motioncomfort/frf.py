@@ -26,6 +26,7 @@ import csv
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -39,7 +40,6 @@ logger = logging.getLogger(__name__)
 
 AXES = ("x", "y", "z", "roll", "pitch", "yaw")
 TRANSLATIONAL_AXES = frozenset({"x", "y", "z"})
-ROTATIONAL_AXES = frozenset({"roll", "pitch", "yaw"})
 
 TRANSLATIONAL_UNIT = "m/s2"
 ROTATIONAL_UNIT = "rad/s2"
@@ -71,10 +71,28 @@ def axis_unit(axis: str) -> str:
     return TRANSLATIONAL_UNIT if axis in TRANSLATIONAL_AXES else ROTATIONAL_UNIT
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, copy=True)
+def _frozen_array(values) -> np.ndarray:
+    """A read-only float64 copy of `values`."""
+    arr = np.array(values, dtype=np.float64, copy=True)
     arr.flags.writeable = False
     return arr
+
+
+def _is_real(value) -> bool:
+    """True for a real number (int, float, numpy's too), False for a bool or anything else."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _checked_grid(values, what: str) -> np.ndarray:
+    """`values` as a 1-D float grid; DataError unless non-empty, finite, >= 0 and increasing."""
+    grid = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    if grid.ndim != 1 or grid.size == 0:
+        raise DataError(f"{what} must be a non-empty 1-D array")
+    if not np.all(np.isfinite(grid)) or np.any(grid < 0.0):
+        raise DataError(f"{what} must be finite and >= 0")
+    if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
+        raise DataError(f"{what} must be strictly increasing")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -96,6 +114,10 @@ class FrfChannelId:
     def is_diagonal(self) -> bool:
         return self.input_axis == self.output_axis
 
+    @property
+    def units(self) -> tuple[str, str]:
+        return axis_unit(self.input_axis), axis_unit(self.output_axis)
+
     def __str__(self) -> str:
         return f"set{self.set_id}:{self.input_axis}->{self.output_axis}"
 
@@ -104,11 +126,6 @@ class FrfChannelId:
 CHANNEL_IDS = tuple(
     FrfChannelId(input_axis=i, output_axis=o, set_id=s)
     for s, i, o in sorted(LEGAL_CHANNELS)
-)
-
-#: Channels grouped by the head axis they feed, preserving CHANNEL_IDS order.
-CHANNELS_BY_OUTPUT: Mapping[str, tuple[FrfChannelId, ...]] = MappingProxyType(
-    {axis: tuple(c for c in CHANNEL_IDS if c.output_axis == axis) for axis in AXES}
 )
 
 
@@ -137,17 +154,11 @@ class FrfCurve:
     units: tuple[str, str] = (TRANSLATIONAL_UNIT, TRANSLATIONAL_UNIT)
 
     def __post_init__(self):
-        freq = np.atleast_1d(np.asarray(self.freq_hz, dtype=np.float64))
+        freq = _checked_grid(self.freq_hz, "frequency grid")
         gain = np.atleast_1d(np.asarray(self.gain, dtype=np.float64))
         phase = np.atleast_1d(np.asarray(self.phase_rad, dtype=np.float64))
-        if freq.ndim != 1 or freq.size < 1:
-            raise DataError("frequency grid must be a non-empty 1-D array")
         if gain.shape != freq.shape or phase.shape != freq.shape:
             raise DataError("gain and phase must match the frequency grid length")
-        if not np.all(np.isfinite(freq)) or np.any(freq < 0.0):
-            raise DataError("frequencies must be finite and >= 0")
-        if freq.size > 1 and not np.all(np.diff(freq) > 0.0):
-            raise DataError("frequencies must be strictly increasing")
         if not np.all(np.isfinite(gain)) or np.any(gain < 0.0):
             raise DataError("gains must be finite and >= 0")
         if not np.all(np.isfinite(phase)):
@@ -178,11 +189,8 @@ class FrfCurve:
     def max_freq_hz(self) -> float:
         return float(self.freq_hz[-1])
 
-    def is_constant(self, gain: float, phase_rad: float = 0.0, tol: float = 0.0) -> bool:
-        return bool(
-            np.all(np.abs(self.gain - gain) <= tol)
-            and np.all(np.abs(self.phase_rad - phase_rad) <= tol)
-        )
+    def is_constant(self, gain: float, phase_rad: float = 0.0) -> bool:
+        return bool(np.all(self.gain == gain) and np.all(self.phase_rad == phase_rad))
 
 
 def interpolate_frf(curve: FrfCurve, grid) -> FrfCurve:
@@ -194,13 +202,7 @@ def interpolate_frf(curve: FrfCurve, grid) -> FrfCurve:
     than the tabulation can alias rapidly varying phase, which is inherent
     to sampled phase data.
     """
-    grid = np.atleast_1d(np.asarray(grid, dtype=np.float64))
-    if grid.size == 0:
-        raise DataError("interpolation grid is empty")
-    if not np.all(np.isfinite(grid)) or np.any(grid < 0.0):
-        raise DataError("interpolation grid must be finite and >= 0")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
-        raise DataError("interpolation grid must be strictly increasing")
+    grid = _checked_grid(grid, "interpolation grid")
     gain = np.interp(grid, curve.freq_hz, curve.gain)
     phase = np.interp(grid, curve.freq_hz, curve.phase_rad)
     return FrfCurve(freq_hz=grid, gain=gain, phase_rad=phase, units=curve.units)
@@ -248,9 +250,8 @@ class FrfBundle:
             extra = sorted(str(c) for c in present - expected)
             raise DataError(f"bundle channels mismatch: missing={missing} extra={extra}")
         for cid, curve in channels.items():
-            want = (axis_unit(cid.input_axis), axis_unit(cid.output_axis))
-            if curve.units != want:
-                raise DataError(f"channel {cid} units {curve.units} do not match axes {want}")
+            if curve.units != cid.units:
+                raise DataError(f"channel {cid} units {curve.units} do not match axes {cid.units}")
         if self.model_id == "NHM":
             for cid, curve in channels.items():
                 if cid.is_diagonal:
@@ -282,9 +283,8 @@ def identity_bundle() -> FrfBundle:
     """
     channels = {}
     for cid in CHANNEL_IDS:
-        units = (axis_unit(cid.input_axis), axis_unit(cid.output_axis))
         gain = 1.0 if cid.is_diagonal else 0.0
-        channels[cid] = FrfCurve.constant(gain, 0.0, units=units)
+        channels[cid] = FrfCurve.constant(gain, 0.0, units=cid.units)
     return FrfBundle(model_id="NHM", channels=channels)
 
 
@@ -321,11 +321,8 @@ def read_frf_csv(path, units: tuple[str, str]) -> FrfCurve:
     """
     path = Path(path)
     data = read_csv_table(path, ("freq_hz", "gain", "phase_deg"))
-    freq = data[:, 0]
-    if freq.size > 1 and not np.all(np.diff(freq) > 0.0):
-        raise DataError(f"{path}: frequency column is not strictly increasing")
     return FrfCurve(
-        freq_hz=freq,
+        freq_hz=_checked_grid(data[:, 0], f"{path}: frequency column"),
         gain=data[:, 1],
         phase_rad=np.deg2rad(data[:, 2]),
         units=units,
@@ -366,15 +363,16 @@ def load_frf_bundle(manifest_path) -> FrfBundle:
             raise DataError(f"{manifest_path}: malformed channel entry {entry!r}") from exc
         if cid in channels:
             raise DataError(f"{manifest_path}: duplicate channel {cid}")
-        want = (axis_unit(cid.input_axis), axis_unit(cid.output_axis))
-        if tuple(units) != want:
-            raise DataError(f"{manifest_path}: channel {cid} declares units {units}, expected {want}")
+        if tuple(units) != cid.units:
+            raise DataError(
+                f"{manifest_path}: channel {cid} declares units {units}, expected {cid.units}"
+            )
         curve_path = Path(file_ref)
         if not curve_path.is_absolute():
             curve_path = base / curve_path
         if not curve_path.exists():
             raise DataError(f"{manifest_path}: channel {cid} file not found: {curve_path}")
-        channels[cid] = read_frf_csv(curve_path, units=want)
+        channels[cid] = read_frf_csv(curve_path, units=cid.units)
 
     for cid in CHANNEL_IDS:
         if cid in channels:
@@ -386,9 +384,7 @@ def load_frf_bundle(manifest_path) -> FrfBundle:
             manifest_path.name,
             cid,
         )
-        channels[cid] = FrfCurve.constant(
-            0.0, 0.0, units=(axis_unit(cid.input_axis), axis_unit(cid.output_axis))
-        )
+        channels[cid] = FrfCurve.constant(0.0, 0.0, units=cid.units)
 
     return FrfBundle(model_id=str(manifest["model_id"]), channels=channels)
 

@@ -19,7 +19,8 @@ from . import spectral
 from .errors import ConfigError, DataError, NumericError
 from .frf import AXES, FrfBundle
 from .svc import MsiSeries, SvcParams, run_svc
-from .transmission import MotionTrace, head_motion, seat_spectra
+from .traceio import MotionTrace
+from .transmission import head_motion, seat_spectra
 from .weighting import (
     MetricRegime,
     WeightingCurve,

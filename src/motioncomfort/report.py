@@ -14,11 +14,13 @@ from .errors import ConfigError
 from .frf import AXES, builtin_bundle
 from .metrics import ComfortReport, _assess_spectra
 from .svc import MsiSeries, SvcParams
-from .traceio import atomic_write_text, format_rows
-from .transmission import MotionTrace, seat_spectra
+from .traceio import MotionTrace, atomic_write_text, format_rows
+from .transmission import seat_spectra
 from .weighting import MetricRegime, WeightingCurve
 
 REPORT_SCHEMA = 1
+SVG_WIDTH = 900  # report.svg size in pixels
+SVG_HEIGHT = 520
 
 
 def report_to_dict(report: ComfortReport, msi_filename: str | None) -> dict:
@@ -69,8 +71,8 @@ def _pixel_extremes(x: np.ndarray, y: np.ndarray, columns: int) -> np.ndarray:
     return np.unique(np.concatenate(keep))
 
 
-def render_report_svg(report: ComfortReport, width: int = 900, height: int = 520) -> str:
-    """A static overview figure: MSI curve on top, per-axis bars below.
+def render_report_svg(report: ComfortReport) -> str:
+    """A static overview figure, `SVG_WIDTH` by `SVG_HEIGHT`: MSI curve on top, bars below.
 
     Presentation only; the JSON report carries the authoritative numbers.
     The MSI series is one polyline drawn at screen resolution: one point per
@@ -78,14 +80,14 @@ def render_report_svg(report: ComfortReport, width: int = 900, height: int = 520
     lowest and highest point plus the first and last sample.
     """
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
         f'<text x="20" y="24" font-family="sans-serif" font-size="16">'
         f"model {report.model_id}: RC total {report.rc.total:.6g}, "
         f"MS total {report.ms.total:.6g}</text>",
     ]
-    top = {"x0": 60.0, "y0": 40.0, "w": width - 90.0, "h": 200.0}
+    top = {"x0": 60.0, "y0": 40.0, "w": SVG_WIDTH - 90.0, "h": 200.0}
     if report.msi is not None:
         t = report.msi.time_s
         m = report.msi.msi_percent
@@ -114,7 +116,7 @@ def render_report_svg(report: ComfortReport, width: int = 900, height: int = 520
 
     bars_y0 = 300.0
     bars_h = 160.0
-    group_w = (width - 90.0) / (2 * len(AXES))
+    group_w = (SVG_WIDTH - 90.0) / (2 * len(AXES))
     values = [("RC", report.rc, "#d08a26"), ("MS", report.ms, "#4a9a57")]
     peak = max(
         max(res.per_axis[a] for a in AXES) for _, res, _ in values
@@ -145,14 +147,8 @@ def save_msi_csv(series: MsiSeries, path) -> None:
     atomic_write_text(path, format_rows(columns, "%.17g,%.17g\n", "time_s,msi_percent\n"))
 
 
-def emit_report(
-    report: ComfortReport,
-    out_dir,
-    *,
-    basename: str = "report",
-    msi_basename: str = "msi",
-) -> dict[str, Path]:
-    """Write report JSON, the MSI CSV (when present) and the SVG figure.
+def emit_report(report: ComfortReport, out_dir) -> dict[str, Path]:
+    """Write ``report.json``, ``msi.csv`` (when there is an MSI series) and ``report.svg``.
 
     All writes are atomic; the MSI CSV is written by `save_msi_csv`.  The
     JSON is strict (no NaN or Infinity).  Returns the paths that were written.
@@ -160,19 +156,18 @@ def emit_report(
     out_dir = Path(out_dir)
     written: dict[str, Path] = {}
 
-    msi_name = f"{msi_basename}.csv" if report.msi is not None else None
+    msi_name = "msi.csv" if report.msi is not None else None
     if report.msi is not None:
         written["msi_csv"] = out_dir / msi_name
         save_msi_csv(report.msi, written["msi_csv"])
 
     doc = report_to_dict(report, msi_name)
-    json_path = out_dir / f"{basename}.json"
-    atomic_write_text(json_path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    written["report_json"] = json_path
+    written["report_json"] = out_dir / "report.json"
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    atomic_write_text(written["report_json"], text)
 
-    svg_path = out_dir / f"{basename}.svg"
-    atomic_write_text(svg_path, render_report_svg(report) + "\n")
-    written["report_svg"] = svg_path
+    written["report_svg"] = out_dir / "report.svg"
+    atomic_write_text(written["report_svg"], render_report_svg(report) + "\n")
     return written
 
 
@@ -256,7 +251,6 @@ def compare(
     svc_params: SvcParams | None = None,
     registry: Mapping[str, WeightingCurve] | None = None,
     include_svc: bool = True,
-    resolve_bundle=builtin_bundle,
 ) -> ComparisonTable:
     """Assess one trace under several model configurations.
 
@@ -271,7 +265,7 @@ def compare(
     spectra = seat_spectra(trace)
     reports = {
         model_id: _assess_spectra(
-            trace, resolve_bundle(model_id), spectra, rc, ms, svc_params, registry, include_svc,
+            trace, builtin_bundle(model_id), spectra, rc, ms, svc_params, registry, include_svc,
             None,
         )
         for model_id in dict.fromkeys(["NHM", *model_ids])

@@ -14,15 +14,6 @@ from scipy import fft as _fft
 from .errors import DataError
 
 
-def check_signal(signal) -> np.ndarray:
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise DataError("signal must be a 1-D array with at least 2 samples")
-    if not np.all(np.isfinite(x)):
-        raise DataError("signal contains non-finite samples")
-    return x
-
-
 def bin_frequencies(n: int, sample_rate_hz: float) -> np.ndarray:
     return _fft.rfftfreq(n, d=1.0 / float(sample_rate_hz))
 
@@ -48,7 +39,11 @@ def apply_response(signal, sample_rate_hz: float, response_at) -> np.ndarray:
     `response_at` maps an array of frequencies (Hz) to a complex or real
     response array of the same shape.
     """
-    x = check_signal(signal)
+    x = np.asarray(signal, dtype=np.float64)
+    if x.ndim != 1 or x.size < 2:
+        raise DataError("signal must be a 1-D array with at least 2 samples")
+    if not np.all(np.isfinite(x)):
+        raise DataError("signal contains non-finite samples")
     n = x.size
     spectrum = _fft.rfft(x)
     response = np.asarray(response_at(bin_frequencies(n, sample_rate_hz)))

@@ -26,14 +26,15 @@ the defaults give plausible shapes but are not fitted to any dataset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 import numpy as np
 from scipy.signal import lfilter
 
 from .errors import DataError, NumericError
-from .transmission import MotionTrace
+from .frf import _frozen_array, _is_real
+from .traceio import MotionTrace
 
 
 @dataclass(frozen=True)
@@ -57,22 +58,15 @@ class SvcParams:
 
     def __post_init__(self):
         for name in ("tau_s", "b", "n", "mu_s", "g", "orientation_leak_s"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value) or value <= 0.0:
+            value = getattr(self, name)
+            if not _is_real(value) or not 0.0 < value < np.inf:
                 raise DataError(f"SVC parameter {name} must be finite and > 0, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, float(value))
         if self.n < 1.0:
             raise DataError(f"Hill exponent must be >= 1, got {self.n}")
 
     def as_dict(self) -> dict:
-        return {
-            "tau_s": self.tau_s,
-            "b": self.b,
-            "n": self.n,
-            "mu_s": self.mu_s,
-            "g": self.g,
-            "orientation_leak_s": self.orientation_leak_s,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -83,14 +77,10 @@ class MsiSeries:
     msi_percent: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        t = np.asarray(self.time_s, dtype=np.float64)
-        m = np.asarray(self.msi_percent, dtype=np.float64)
+        t = _frozen_array(self.time_s)
+        m = _frozen_array(self.msi_percent)
         if t.ndim != 1 or t.shape != m.shape or t.size == 0:
             raise DataError("time and MSI arrays must be matching non-empty 1-D arrays")
-        t = t.copy()
-        m = m.copy()
-        t.flags.writeable = False
-        m.flags.writeable = False
         object.__setattr__(self, "time_s", t)
         object.__setattr__(self, "msi_percent", m)
 
@@ -122,6 +112,8 @@ def svc_states(head: MotionTrace, params: SvcParams | None = None) -> Mapping[st
     step = {name: dt / getattr(p, name) for name in ("orientation_leak_s", "tau_s", "mu_s")}
     decay = {name: 1.0 - s for name, s in step.items()}
     for name, d in decay.items():
+        if d == 1.0:  # dt / time constant rounds away against 1: the stage never moves
+            raise DataError(f"{name}={getattr(p, name):g} s is too long to resolve at {fs:g} Hz")
         if not 0.0 <= d < 1.0:
             raise DataError(
                 f"sample interval {dt:g} s is too coarse for {name}={getattr(p, name):g} s; "

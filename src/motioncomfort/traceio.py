@@ -1,4 +1,7 @@
-"""Reading, writing and synthesizing 6-DOF motion traces.
+"""The 6-DOF motion trace type, and reading, writing and synthesizing traces.
+
+`MotionTrace` lives here, below `transmission` (which imports it back), so
+trace I/O and the sickness-incidence model import nothing from that layer.
 
 Trace files are CSV with header ``t_s,ax,ay,az,aroll,apitch,ayaw`` and a
 uniform time column (relative step deviation at most 1 ppm).  Values are
@@ -12,25 +15,90 @@ import numbers
 import os
 import uuid
 import warnings
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import fft as _fft
 
 from .errors import ConfigError, DataError
-from .frf import AXES
-from .transmission import MotionTrace
+from .frf import AXES, _frozen_array, _is_real
 
-TRACE_HEADER = "t_s,ax,ay,az,aroll,apitch,ayaw"
-_COLUMN_AXES = ("x", "y", "z", "roll", "pitch", "yaw")
+TRACE_HEADER = "t_s,ax,ay,az,aroll,apitch,ayaw"  # time, then the AXES in order
 
 UNIFORMITY_TOL = 1e-6  # max relative deviation of the time step
 _BLOCK_ROWS = 65536  # rows per formatted chunk; bounds the temporary argument tuple
 _MIN_WORKER_ROWS = 4 * _BLOCK_ROWS  # fewest rows format_rows gives a worker process
 _MIN_CHUNK_BYTES = 16 << 20  # smallest range load_trace gives a worker process
 MAX_SYNTH_SAMPLES = 50_000_000  # about 139 h at 100 Hz, 400 MB per float64 channel
+
+
+@dataclass(frozen=True)
+class MotionTrace:
+    """Uniformly sampled 6-DOF acceleration time series.
+
+    Channels x, y, z are translational accelerations in m/s^2; roll, pitch,
+    yaw are rotational accelerations in rad/s^2.  All six arrays must be
+    present, equal length (>= 2) and finite.
+    """
+
+    sample_rate_hz: float
+    channels: Mapping[str, np.ndarray] = field(repr=False)
+    frame_label: str = "seat"
+
+    def __post_init__(self):
+        fs = float(self.sample_rate_hz)
+        if not np.isfinite(fs) or fs <= 0.0:
+            raise DataError(f"sample rate must be positive, got {fs!r}")
+        incoming = dict(self.channels)
+        missing = [a for a in AXES if a not in incoming]
+        if missing:
+            raise DataError(f"trace is missing channels {missing}")
+        extra = [a for a in incoming if a not in AXES]
+        if extra:
+            raise DataError(f"trace has unknown channels {extra}")
+        arrays = {}
+        n = None
+        for axis in AXES:
+            arr = np.asarray(incoming[axis], dtype=np.float64)
+            if arr.ndim != 1:
+                raise DataError(f"channel {axis} must be 1-D")
+            if n is None:
+                n = arr.size
+            elif arr.size != n:
+                raise DataError("trace channels have inconsistent lengths")
+            if not np.all(np.isfinite(arr)):
+                raise DataError(f"channel {axis} contains non-finite samples")
+            arrays[axis] = _frozen_array(arr)
+        if n is None or n < 2:
+            raise DataError("trace must have at least 2 samples")
+        object.__setattr__(self, "sample_rate_hz", fs)
+        object.__setattr__(self, "channels", MappingProxyType(arrays))
+        object.__setattr__(self, "frame_label", str(self.frame_label))
+
+    @property
+    def n_samples(self) -> int:
+        return int(self.channels["x"].size)
+
+    @property
+    def duration_s(self) -> float:
+        return self.n_samples / self.sample_rate_hz
+
+    @property
+    def time_s(self) -> np.ndarray:
+        return np.arange(self.n_samples) / self.sample_rate_hz
+
+    @classmethod
+    def from_channels(cls, sample_rate_hz, frame_label="seat", **channels) -> "MotionTrace":
+        """Build a trace from keyword channels, zero-filling absent axes."""
+        given = {k: np.asarray(v, dtype=np.float64) for k, v in channels.items()}
+        if not given:
+            raise DataError("at least one channel is required")
+        n = len(next(iter(given.values())))
+        full = {axis: given.get(axis, np.zeros(n)) for axis in AXES}
+        return cls(sample_rate_hz=sample_rate_hz, channels=full, frame_label=frame_label)
 
 
 def _format_block(row_format: str, *columns: np.ndarray) -> str:
@@ -238,13 +306,13 @@ def load_trace(path) -> MotionTrace:
     if abs(fs - round(fs)) <= 1e-9 * fs and round(fs) > 0:
         fs = float(round(fs))
 
-    channels = {axis: data[:, 1 + i] for i, axis in enumerate(_COLUMN_AXES)}
+    channels = {axis: data[:, 1 + i] for i, axis in enumerate(AXES)}
     return MotionTrace(sample_rate_hz=fs, channels=channels, frame_label=path.stem)
 
 
 def save_trace(trace: MotionTrace, path) -> None:
     """Write a trace in the load_trace format (17 significant digits), streamed."""
-    cols = [trace.time_s] + [trace.channels[axis] for axis in _COLUMN_AXES]
+    cols = [trace.time_s] + [trace.channels[axis] for axis in AXES]
     row_format = ",".join(["%.17g"] * len(cols)) + "\n"
     atomic_write_text(path, format_rows(cols, row_format, TRACE_HEADER + "\n"))
 
@@ -276,7 +344,7 @@ class SynthComponent:
             v = getattr(self, name)
             if name == "f1" and v is None:
                 continue
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v < np.inf:
+            if not _is_real(v) or not 0.0 <= v < np.inf:
                 raise DataError(f"{name} must be finite and >= 0, got {v!r}")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:

@@ -14,12 +14,14 @@ One spectral core serves `transmit`, `metrics.full_assessment` and
 exact length, `_channel_products` multiplies those spectra by the 14
 tabulated responses, and `head_motion` sums the products per head axis and
 inverts each sum once.  The whole pipeline is linear and deterministic.
+
+The trace type, `MotionTrace`, is defined in `traceio` and imported here.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
@@ -27,78 +29,10 @@ from typing import Mapping
 import numpy as np
 
 from . import spectral
-from .errors import DataError
 from .frf import AXES, CHANNEL_IDS, FrfBundle, FrfChannelId, FrfCurve, evaluate_grid
+from .traceio import MotionTrace
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class MotionTrace:
-    """Uniformly sampled 6-DOF acceleration time series.
-
-    Channels x, y, z are translational accelerations in m/s^2; roll, pitch,
-    yaw are rotational accelerations in rad/s^2.  All six arrays must be
-    present, equal length (>= 2) and finite.
-    """
-
-    sample_rate_hz: float
-    channels: Mapping[str, np.ndarray] = field(repr=False)
-    frame_label: str = "seat"
-
-    def __post_init__(self):
-        fs = float(self.sample_rate_hz)
-        if not np.isfinite(fs) or fs <= 0.0:
-            raise DataError(f"sample rate must be positive, got {fs!r}")
-        incoming = dict(self.channels)
-        missing = [a for a in AXES if a not in incoming]
-        if missing:
-            raise DataError(f"trace is missing channels {missing}")
-        extra = [a for a in incoming if a not in AXES]
-        if extra:
-            raise DataError(f"trace has unknown channels {extra}")
-        arrays = {}
-        n = None
-        for axis in AXES:
-            arr = np.asarray(incoming[axis], dtype=np.float64)
-            if arr.ndim != 1:
-                raise DataError(f"channel {axis} must be 1-D")
-            if n is None:
-                n = arr.size
-            elif arr.size != n:
-                raise DataError("trace channels have inconsistent lengths")
-            if not np.all(np.isfinite(arr)):
-                raise DataError(f"channel {axis} contains non-finite samples")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            arrays[axis] = arr
-        if n is None or n < 2:
-            raise DataError("trace must have at least 2 samples")
-        object.__setattr__(self, "sample_rate_hz", fs)
-        object.__setattr__(self, "channels", MappingProxyType(arrays))
-        object.__setattr__(self, "frame_label", str(self.frame_label))
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.channels["x"].size)
-
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate_hz
-
-    @property
-    def time_s(self) -> np.ndarray:
-        return np.arange(self.n_samples) / self.sample_rate_hz
-
-    @classmethod
-    def from_channels(cls, sample_rate_hz, frame_label="seat", **channels) -> "MotionTrace":
-        """Build a trace from keyword channels, zero-filling absent axes."""
-        given = {k: np.asarray(v, dtype=np.float64) for k, v in channels.items()}
-        if not given:
-            raise DataError("at least one channel is required")
-        n = len(next(iter(given.values())))
-        full = {axis: given.get(axis, np.zeros(n)) for axis in AXES}
-        return cls(sample_rate_hz=sample_rate_hz, channels=full, frame_label=frame_label)
 
 
 def _warn_if_undersampled(sample_rate_hz: float, max_tabulated_hz: float, what: str) -> None:

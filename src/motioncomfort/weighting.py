@@ -36,7 +36,7 @@ import numpy as np
 
 from . import spectral
 from .errors import ConfigError, DataError
-from .frf import AXES, read_csv_table
+from .frf import AXES, _checked_grid, _frozen_array, _is_real, read_csv_table
 
 WEIGHTING_NAMES = ("Wk", "We", "Wf", "Wfx", "Wfy", "Wfr", "Unity")
 
@@ -63,23 +63,15 @@ class WeightingCurve:
     magnitude: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        freq = np.atleast_1d(np.asarray(self.freq_hz, dtype=np.float64))
+        freq = _checked_grid(self.freq_hz, "weighting grid")
         mag = np.atleast_1d(np.asarray(self.magnitude, dtype=np.float64))
-        if freq.ndim != 1 or freq.size < 1 or mag.shape != freq.shape:
-            raise DataError("weighting grid and magnitude must be matching 1-D arrays")
-        if not np.all(np.isfinite(freq)) or np.any(freq < 0.0):
-            raise DataError("weighting frequencies must be finite and >= 0")
-        if freq.size > 1 and not np.all(np.diff(freq) > 0.0):
-            raise DataError("weighting frequencies must be strictly increasing")
+        if mag.shape != freq.shape:
+            raise DataError("weighting magnitude must match the weighting grid length")
         if not np.all(np.isfinite(mag)) or np.any(mag < 0.0):
             raise DataError("weighting magnitudes must be finite and >= 0")
-        freq = freq.copy()
-        mag = mag.copy()
-        freq.flags.writeable = False
-        mag.flags.writeable = False
         object.__setattr__(self, "name", str(self.name))
-        object.__setattr__(self, "freq_hz", freq)
-        object.__setattr__(self, "magnitude", mag)
+        object.__setattr__(self, "freq_hz", _frozen_array(freq))
+        object.__setattr__(self, "magnitude", _frozen_array(mag))
 
     @classmethod
     def unity(cls) -> "WeightingCurve":
@@ -135,14 +127,15 @@ class MetricRegime:
         if self.kind not in ("RC", "MS"):
             raise ConfigError(f"regime kind must be 'RC' or 'MS', got {self.kind!r}")
         weighting = dict(self.axis_weighting)
-        factors = {axis: float(v) for axis, v in dict(self.k_factors).items()}
+        factors = dict(self.k_factors)
         if set(weighting) != set(AXES):
             raise ConfigError("axis_weighting must name a curve for each of the six axes")
         if set(factors) != set(AXES):
             raise ConfigError("k_factors must provide a factor for each of the six axes")
         for axis, k in factors.items():
-            if not np.isfinite(k) or k < 0.0:
-                raise ConfigError(f"k factor for {axis} must be finite and >= 0, got {k}")
+            if not _is_real(k) or not 0.0 <= k < np.inf:
+                raise ConfigError(f"k factor for {axis} must be finite and >= 0, got {k!r}")
+            factors[axis] = float(k)
         object.__setattr__(self, "axis_weighting", MappingProxyType(weighting))
         object.__setattr__(self, "k_factors", MappingProxyType(factors))
 

@@ -177,6 +177,14 @@ def test_params_validation():
         SvcParams(b=-1.0)
     with pytest.raises(DataError):
         SvcParams(n=0.5)
+    # One numeric rule with the config loader: no bools, no strings.
+    for name in ("tau_s", "b", "n", "mu_s", "g", "orientation_leak_s"):
+        for bad in (True, "5", None, np.nan):
+            with pytest.raises(DataError, match=f"SVC parameter {name}"):
+                SvcParams(**{name: bad})
+    params = SvcParams(tau_s=5, mu_s=np.float32(600.0), g=np.float64(9.8))
+    assert (params.tau_s, params.mu_s, params.g) == (5.0, 600.0, 9.8)
+    assert all(type(v) is float for v in params.as_dict().values())
 
 
 def test_step_must_resolve_time_constant():
@@ -186,11 +194,20 @@ def test_step_must_resolve_time_constant():
 
 
 @pytest.mark.parametrize(
-    "name, value", [("orientation_leak_s", 0.001), ("tau_s", 0.005), ("mu_s", 0.006)]
+    "name, value",
+    [
+        ("orientation_leak_s", 0.001),
+        ("tau_s", 0.005),
+        ("mu_s", 0.006),
+        ("tau_s", 1e300),  # dt / value rounds away against 1: the decay is exactly 1
+        ("mu_s", 1e308),
+    ],
 )
 def test_every_euler_stage_must_resolve_its_time_constant(name, value):
-    head = _head({"z": np.ones(10)}, fs=100.0)  # dt = 0.01 s > value
-    with pytest.raises(DataError, match=f"coarse for {name}"):
+    head = _head({"z": np.ones(10)}, fs=100.0)
+    # dt = 0.01 s is longer than the short constants and negligible against the long ones
+    match = f"coarse for {name}" if value < 0.01 else f"{name}=.* too long to resolve at 100 Hz"
+    with pytest.raises(DataError, match=match):
         run_svc(head, SvcParams(**{name: value}))
 
 

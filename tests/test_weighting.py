@@ -117,6 +117,15 @@ def test_regime_validation():
     with pytest.raises(ConfigError):
         MetricRegime(kind="RC", axis_weighting=dict.fromkeys(AXES, "Unity"),
                      k_factors=dict.fromkeys(AXES, -1.0))
+    # One numeric rule with the config loader: no bools, no strings.
+    for bad in (True, "2", None, np.inf):
+        with pytest.raises(ConfigError, match="k factor"):
+            MetricRegime(kind="RC", axis_weighting=dict.fromkeys(AXES, "Unity"),
+                         k_factors={**dict.fromkeys(AXES, 1.0), "z": bad})
+    for good in (2, np.float32(0.5), np.float64(1.5), np.int64(3)):
+        regime = MetricRegime(kind="RC", axis_weighting=dict.fromkeys(AXES, "Unity"),
+                              k_factors={**dict.fromkeys(AXES, 1.0), "z": good})
+        assert type(regime.k_factors["z"]) is float and regime.k_factors["z"] == float(good)
 
 
 def test_curve_validation():
