@@ -185,6 +185,7 @@ def _assess_spectra(seat, bundle, spectra, rc, ms, svc_params, registry, include
     freqs = spectral.bin_frequencies(n, fs)
     with np.errstate(over="ignore"):  # an overflow is reported by combine()
         head_power = {axis: np.abs(head_spectra[axis]) ** 2 for axis in AXES}
+    del head_spectra  # RC and MS read only the power; SVC reads the head trace
 
     def spectral_assess(regime: MetricRegime, curves) -> RegimeResult:
         per_axis = {}
@@ -198,6 +199,7 @@ def _assess_spectra(seat, bundle, spectra, rc, ms, svc_params, registry, include
     rc_result = spectral_assess(rc, rc_curves)
     t2 = time.perf_counter()
     ms_result = spectral_assess(ms, ms_curves)
+    del head_power  # not held through SVC
     t3 = time.perf_counter()
 
     msi = run_svc(head, svc_params) if include_svc else None

@@ -22,12 +22,15 @@ Integration is explicit Euler at the trace sample rate; the recurrences are
 evaluated with `scipy.signal.lfilter`, which reproduces the Euler update
 exactly.  All parameters are exposed on `SvcParams` and can be substituted;
 the defaults give plausible shapes but are not fitted to any dataset.
+
+One generator runs the model stage by stage and drops each array once no
+later stage needs it: `svc_states` keeps every stage, `run_svc` only the MSI.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 from scipy.signal import lfilter
@@ -64,6 +67,10 @@ class SvcParams:
             object.__setattr__(self, name, float(value))
         if self.n < 1.0:
             raise DataError(f"Hill exponent must be >= 1, got {self.n}")
+        with np.errstate(over="ignore", under="ignore"):  # b**n that no float holds: inf or 0
+            b_n = np.float64(self.b) ** self.n
+        if not 0.0 < b_n < np.inf:  # else the Hill squash divides 0 by 0 or inf by inf
+            raise DataError(f"Hill constant b**n = {self.b:g}**{self.n:g} under- or overflows")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -97,14 +104,8 @@ def _euler_stage(x: np.ndarray, gain_dt: float, decay: float, y0: float) -> np.n
     return y
 
 
-def svc_states(head: MotionTrace, params: SvcParams | None = None) -> Mapping[str, np.ndarray]:
-    """All intermediate trajectories of the model, keyed by name.
-
-    Returns arrays aligned with the trace timeline: ``roll_angle``,
-    ``pitch_angle`` (rad), ``sensed`` and ``subjective_vertical`` (3, n)
-    specific forces, ``conflict`` (m/s^2), ``squashed`` (unitless), the two
-    accumulator stages ``stage1`` and ``stage2``, and ``msi_percent``.
-    """
+def _stages(head: MotionTrace, params: SvcParams | None) -> Iterator[tuple[str, np.ndarray]]:
+    """Yield (name, trajectory) in model order; drop each array once no later stage needs it."""
     p = params if params is not None else SvcParams()
     fs = head.sample_rate_hz
     dt = 1.0 / fs
@@ -119,58 +120,73 @@ def svc_states(head: MotionTrace, params: SvcParams | None = None) -> Mapping[st
                 f"sample interval {dt:g} s is too coarse for {name}={getattr(p, name):g} s; "
                 "each explicit integration stage needs sample_rate_hz * time constant >= 1"
             )
-    n = head.n_samples
+    channels = head.channels
 
     leak = decay["orientation_leak_s"]
-    roll_rate = _euler_stage(head.channels["roll"], dt, leak, 0.0)
-    pitch_rate = _euler_stage(head.channels["pitch"], dt, leak, 0.0)
-    roll_angle = _euler_stage(roll_rate, dt, leak, 0.0)
-    pitch_angle = _euler_stage(pitch_rate, dt, leak, 0.0)
+    roll = _euler_stage(_euler_stage(channels["roll"], dt, leak, 0.0), dt, leak, 0.0)
+    yield "roll_angle", roll
+    pitch = _euler_stage(_euler_stage(channels["pitch"], dt, leak, 0.0), dt, leak, 0.0)
+    yield "pitch_angle", pitch
 
-    # Gravity in the tilted head frame; magnitude stays g for any angles.
-    sin_r, cos_r = np.sin(roll_angle), np.cos(roll_angle)
-    sin_p, cos_p = np.sin(pitch_angle), np.cos(pitch_angle)
-    gravity = np.empty((3, n))
-    gravity[0] = p.g * sin_p
-    gravity[1] = -p.g * cos_p * sin_r
-    gravity[2] = p.g * cos_p * cos_r
+    # Head acceleration plus gravity in the tilted head frame (magnitude g for any angles).
+    sensed = np.empty((3, head.n_samples))
+    sensed[0] = p.g * np.sin(pitch)
+    cos_p = np.cos(pitch)
+    sensed[1] = -p.g * cos_p * np.sin(roll)
+    sensed[2] = p.g * cos_p * np.cos(roll)
+    del roll, pitch, cos_p
+    for i, axis in enumerate(("x", "y", "z")):
+        sensed[i] += channels[axis]
+    yield "sensed", sensed
 
-    sensed = np.empty((3, n))
-    sensed[0] = head.channels["x"] + gravity[0]
-    sensed[1] = head.channels["y"] + gravity[1]
-    sensed[2] = head.channels["z"] + gravity[2]
+    vertical = np.empty_like(sensed)
+    for i, rest in enumerate((0.0, 0.0, p.g)):
+        vertical[i] = _euler_stage(sensed[i], step["tau_s"], decay["tau_s"], rest)
+    yield "subjective_vertical", vertical
 
-    vertical = np.empty((3, n))
-    rest = (0.0, 0.0, p.g)
+    # |sensed - vertical|, summed axis by axis so only two 1-D buffers are live.
+    conflict = np.zeros(head.n_samples)
+    diff = np.empty_like(conflict)
     for i in range(3):
-        vertical[i] = _euler_stage(sensed[i], step["tau_s"], decay["tau_s"], rest[i])
+        conflict += np.square(np.subtract(sensed[i], vertical[i], out=diff), out=diff)
+    del sensed, vertical, diff
+    np.sqrt(conflict, out=conflict)
+    if not np.all(np.isfinite(conflict)):
+        raise NumericError("SVC produced non-finite conflict values")
+    yield "conflict", conflict
 
-    conflict = np.sqrt(np.sum(np.square(sensed - vertical), axis=0))
     cn = conflict**p.n
-    squashed = cn / (p.b**p.n + cn)
+    stage = cn / (p.b**p.n + cn)
+    del conflict, cn
+    yield "squashed", stage
+    for name in ("stage1", "stage2"):  # rebinding `stage` drops the stage before
+        stage = _euler_stage(stage, step["mu_s"], decay["mu_s"], 0.0)
+        yield name, stage
 
-    stage1 = _euler_stage(squashed, step["mu_s"], decay["mu_s"], 0.0)
-    stage2 = _euler_stage(stage1, step["mu_s"], decay["mu_s"], 0.0)
-    msi = 100.0 * np.maximum.accumulate(stage2)
+    msi = 100.0 * np.maximum.accumulate(stage)
+    del stage
+    if not np.all(np.isfinite(msi)):
+        raise NumericError("SVC produced non-finite msi values")
+    yield "msi_percent", msi
 
-    for name, arr in (("conflict", conflict), ("msi", msi)):
-        if not np.all(np.isfinite(arr)):
-            raise NumericError(f"SVC produced non-finite {name} values")
 
-    return {
-        "roll_angle": roll_angle,
-        "pitch_angle": pitch_angle,
-        "sensed": sensed,
-        "subjective_vertical": vertical,
-        "conflict": conflict,
-        "squashed": squashed,
-        "stage1": stage1,
-        "stage2": stage2,
-        "msi_percent": msi,
-    }
+def svc_states(head: MotionTrace, params: SvcParams | None = None) -> Mapping[str, np.ndarray]:
+    """All intermediate trajectories of the model, keyed by name.
+
+    Returns arrays aligned with the trace timeline: ``roll_angle``,
+    ``pitch_angle`` (rad), ``sensed`` and ``subjective_vertical`` (3, n)
+    specific forces, ``conflict`` (m/s^2), ``squashed`` (unitless), the two
+    accumulator stages ``stage1`` and ``stage2``, and ``msi_percent``.
+    All of them are kept, 13 arrays of the trace's length.
+    """
+    return dict(_stages(head, params))
 
 
 def run_svc(head: MotionTrace, params: SvcParams | None = None) -> MsiSeries:
-    """Run the model over a head trace and return the incidence time series."""
-    states = svc_states(head, params)
-    return MsiSeries(time_s=head.time_s, msi_percent=states["msi_percent"])
+    """Run the model over a head trace and return the incidence time series.
+
+    Keeps only the incidence: at most 8 arrays of the trace's length are live at once.
+    """
+    for _, msi in _stages(head, params):
+        pass
+    return MsiSeries(time_s=head.time_s, msi_percent=msi)

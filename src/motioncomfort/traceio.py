@@ -35,6 +35,13 @@ _MIN_CHUNK_BYTES = 16 << 20  # smallest range load_trace gives a worker process
 MAX_SYNTH_SAMPLES = 50_000_000  # about 139 h at 100 Hz, 400 MB per float64 channel
 
 
+class _Owned(dict):
+    """Channels whose float64 arrays a `MotionTrace` keeps, made read-only, instead of copying.
+
+    Only for fresh arrays that nothing else holds, such as inverse FFT output.
+    """
+
+
 @dataclass(frozen=True)
 class MotionTrace:
     """Uniformly sampled 6-DOF acceleration time series.
@@ -52,6 +59,7 @@ class MotionTrace:
         fs = float(self.sample_rate_hz)
         if not np.isfinite(fs) or fs <= 0.0:
             raise DataError(f"sample rate must be positive, got {fs!r}")
+        owned = isinstance(self.channels, _Owned)
         incoming = dict(self.channels)
         missing = [a for a in AXES if a not in incoming]
         if missing:
@@ -71,7 +79,7 @@ class MotionTrace:
                 raise DataError("trace channels have inconsistent lengths")
             if not np.all(np.isfinite(arr)):
                 raise DataError(f"channel {axis} contains non-finite samples")
-            arrays[axis] = _frozen_array(arr)
+            arrays[axis] = _frozen_array(arr, copy=not owned)
         if n is None or n < 2:
             raise DataError("trace must have at least 2 samples")
         object.__setattr__(self, "sample_rate_hz", fs)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import spectral
 from .frf import AXES, CHANNEL_IDS, FrfBundle, FrfChannelId, FrfCurve, evaluate_grid
-from .traceio import MotionTrace
+from .traceio import MotionTrace, _Owned
 
 logger = logging.getLogger(__name__)
 
@@ -64,32 +64,30 @@ def seat_spectra(seat: MotionTrace) -> dict[str, np.ndarray]:
 
 
 def _channel_products(seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str, np.ndarray]):
-    """Yield (channel id, input spectrum * channel response) in CHANNEL_IDS order."""
+    """Yield (channel id, input spectrum * channel response), a fresh array, in CHANNEL_IDS order."""
     n = seat.n_samples
     freqs = spectral.bin_frequencies(n, seat.sample_rate_hz)
     for cid in CHANNEL_IDS:
         response = spectral.force_real_endpoints(evaluate_grid(bundle.channels[cid], freqs), n)
-        yield cid, spectra[cid.input_axis] * response
+        yield cid, np.multiply(spectra[cid.input_axis], response, out=response)
 
 
 def head_motion(seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str, np.ndarray]):
     """(head trace, head spectra) for `seat`, given its `seat_spectra`.
 
     A head spectrum sums the channel products feeding that axis; one inverse
-    FFT per head axis gives the head trace.
+    FFT per head axis gives the head trace, which keeps the inverse FFT output
+    without copying it.
     """
     _warn_if_undersampled(seat.sample_rate_hz, bundle.max_freq_hz, f"bundle {bundle.model_id}")
     head_spectra = dict.fromkeys(AXES)
     for cid, part in _channel_products(seat, bundle, spectra):
         prev = head_spectra[cid.output_axis]
-        head_spectra[cid.output_axis] = part if prev is None else prev + part
+        # Products are fresh arrays, so each axis sums into its first product in place.
+        head_spectra[cid.output_axis] = part if prev is None else np.add(prev, part, out=prev)
     n = seat.n_samples
-    head = MotionTrace(
-        sample_rate_hz=seat.sample_rate_hz,
-        channels={axis: spectral.irfft(head_spectra[axis], n=n) for axis in AXES},
-        frame_label="head",
-    )
-    return head, head_spectra
+    channels = {axis: spectral.irfft(head_spectra[axis], n=n) for axis in AXES}
+    return MotionTrace(seat.sample_rate_hz, _Owned(channels), "head"), head_spectra
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,8 @@ def load_weighting_csv(path, name: str | None = None) -> WeightingCurve:
     """Load a curve from CSV with header ``freq_hz,magnitude`` (# comments)."""
     path = Path(path)
     data = read_csv_table(path, ("freq_hz", "magnitude"))
-    return WeightingCurve(name=name or path.stem, freq_hz=data[:, 0], magnitude=data[:, 1])
+    freq = _checked_grid(data[:, 0], f"{path}: frequency column")
+    return WeightingCurve(name=name or path.stem, freq_hz=freq, magnitude=data[:, 1])
 
 
 _DATA_DIR = Path(__file__).resolve().parent / "data" / "weightings"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,27 @@ def test_report_echoes_config():
     assert echo["svc"]["tau_s"] == 5.0
     assert report.model_id == "NHM"
     assert report.sample_rate_hz == 100.0
+
+
+def _traced_peak_bytes(run) -> int:
+    """The most bytes `run()` holds at once (tracemalloc) above what was live before it."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start
+
+
+def test_peak_memory_stays_a_small_multiple_of_the_trace():
+    # full_assessment peaks in head_motion at about 3.2x the seat's bytes: seat spectra,
+    # head spectra and head trace, plus one channel's temporaries; head spectra held
+    # through SVC reach 3.9x.  run_svc peaks at 8 arrays of the trace's length (1.33x);
+    # keeping every stage reaches 2.2x.
+    seat = random_trace(7, n=200_000)
+    bundle = builtin_bundle("EXP")
+    trace_bytes = sum(channel.nbytes for channel in seat.channels.values())
+    assert _traced_peak_bytes(lambda: full_assessment(seat, bundle)) < 3.5 * trace_bytes
+    assert _traced_peak_bytes(lambda: run_svc(seat)) < 1.75 * trace_bytes

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.signal import lfilter
 
 from motioncomfort import (
     AXES,
@@ -182,9 +184,23 @@ def test_params_validation():
         for bad in (True, "5", None, np.nan):
             with pytest.raises(DataError, match=f"SVC parameter {name}"):
                 SvcParams(**{name: bad})
+    # b**n must be a positive finite float, or the Hill squash divides 0 by 0 (or inf by inf).
+    for bad in ({"b": 1e-300}, {"n": 1e300}, {"b": 2.0, "n": 1e300}, {"b": 1e200, "n": 2.0}):
+        with pytest.raises(DataError, match=r"Hill constant b\*\*n"):
+            SvcParams(**bad)
     params = SvcParams(tau_s=5, mu_s=np.float32(600.0), g=np.float64(9.8))
     assert (params.tau_s, params.mu_s, params.g) == (5.0, 600.0, 9.8)
     assert all(type(v) is float for v in params.as_dict().values())
+
+
+def test_degenerate_hill_constants_fail_before_any_warning():
+    head = _head({}, fs=100.0, n=100)  # at rest, so the conflict is exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ({"b": 1e-300}, {"n": 1e300}, {"b": 2.0, "n": 1e300}):
+            with pytest.raises(DataError):
+                run_svc(head, SvcParams(**bad))
+        assert np.all(run_svc(head, SvcParams(b=1e-150)).msi_percent == 0.0)
 
 
 def test_step_must_resolve_time_constant():
@@ -235,6 +251,53 @@ def _accepted_run(draw):
 def test_msi_bounded_and_monotone_for_accepted_params(run):
     head, params = run
     _assert_series_contract(run_svc(head, params))
+
+
+def _states_all_at_once(head: MotionTrace, p: SvcParams) -> dict:
+    """The model written as one block that keeps every intermediate, (3, n) arrays included."""
+    dt = 1.0 / head.sample_rate_hz
+
+    def euler(x, gain_dt, time_constant, y0):
+        return lfilter([0.0, gain_dt], [1.0, -(1.0 - dt / time_constant)], x, zi=[y0])[0]
+
+    leak = p.orientation_leak_s
+    roll = euler(euler(head.channels["roll"], dt, leak, 0.0), dt, leak, 0.0)
+    pitch = euler(euler(head.channels["pitch"], dt, leak, 0.0), dt, leak, 0.0)
+    gravity = np.stack(
+        [p.g * np.sin(pitch), -p.g * np.cos(pitch) * np.sin(roll), p.g * np.cos(pitch) * np.cos(roll)]
+    )
+    sensed = np.stack([head.channels[a] for a in ("x", "y", "z")]) + gravity
+    vertical = np.stack(
+        [euler(sensed[i], dt / p.tau_s, p.tau_s, rest) for i, rest in enumerate((0.0, 0.0, p.g))]
+    )
+    conflict = np.sqrt(np.sum(np.square(sensed - vertical), axis=0))
+    squashed = conflict**p.n / (p.b**p.n + conflict**p.n)
+    stage1 = euler(squashed, dt / p.mu_s, p.mu_s, 0.0)
+    stage2 = euler(stage1, dt / p.mu_s, p.mu_s, 0.0)
+    return {
+        "roll_angle": roll,
+        "pitch_angle": pitch,
+        "sensed": sensed,
+        "subjective_vertical": vertical,
+        "conflict": conflict,
+        "squashed": squashed,
+        "stage1": stage1,
+        "stage2": stage2,
+        "msi_percent": 100.0 * np.maximum.accumulate(stage2),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(_accepted_run())
+def test_streamed_stages_are_bit_equal_to_keeping_every_stage(run):
+    head, params = run
+    states = svc_states(head, params)
+    want = _states_all_at_once(head, params)
+    assert list(states) == list(want)
+    for name, trajectory in want.items():
+        assert states[name].shape == trajectory.shape
+        assert states[name].tobytes() == trajectory.tobytes(), name
+    assert run_svc(head, params).msi_percent.tobytes() == states["msi_percent"].tobytes()
 
 
 def test_series_time_matches_trace():

@@ -26,6 +26,7 @@ from motioncomfort import (
     transmit,
 )
 from motioncomfort import spectral
+from motioncomfort.traceio import _Owned
 from conftest import random_trace, rel_err
 
 
@@ -49,6 +50,31 @@ def test_trace_channels_immutable():
     trace = random_trace(0, n=16)
     with pytest.raises(ValueError):
         trace.channels["x"][0] = 1.0
+
+
+def test_head_trace_keeps_its_fft_output_read_only_and_public_traces_copy(monkeypatch):
+    outputs = []
+    inverse = spectral.irfft
+
+    def recording_irfft(*args, **kwargs):
+        outputs.append(inverse(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(spectral, "irfft", recording_irfft)
+    head, _ = transmit(random_trace(3, n=64), builtin_bundle("EXP"))
+    for axis in AXES:
+        assert not head.channels[axis].flags.writeable
+        assert any(head.channels[axis] is out for out in outputs)  # kept, not copied
+    fresh = {axis: np.arange(8.0) for axis in AXES}
+    owned = MotionTrace(50.0, _Owned(fresh), "head")
+    assert all(owned.channels[axis] is fresh[axis] for axis in AXES)
+    assert not fresh["x"].flags.writeable
+    given_channels = {axis: np.arange(8.0) for axis in AXES}
+    trace = MotionTrace(sample_rate_hz=50.0, channels=given_channels)
+    given_channels["z"][3] = -1.0
+    assert trace.channels["z"][3] == 3.0  # the public constructor copied
+    assert given_channels["z"].flags.writeable  # and left the caller's array alone
+    assert not np.shares_memory(trace.channels["z"], given_channels["z"])
 
 
 def test_fft_apply_identity():

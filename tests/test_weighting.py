@@ -14,7 +14,7 @@ from motioncomfort import (
     motion_sickness_regime,
     ride_comfort_regime,
 )
-from motioncomfort.weighting import DEFAULT_K_FACTORS, WEIGHTING_NAMES
+from motioncomfort.weighting import DEFAULT_K_FACTORS, WEIGHTING_NAMES, load_weighting_csv
 from conftest import rel_err
 
 
@@ -133,3 +133,11 @@ def test_curve_validation():
         WeightingCurve(name="bad", freq_hz=[1.0, 2.0], magnitude=[-0.1, 0.5])
     with pytest.raises(DataError):
         WeightingCurve(name="bad", freq_hz=[2.0, 1.0], magnitude=[0.1, 0.5])
+
+
+def test_weighting_file_grid_error_names_the_file(tmp_path):
+    path = tmp_path / "wk_decreasing.csv"
+    path.write_text("freq_hz,magnitude\n2.0,0.5\n1.0,0.4\n")
+    with pytest.raises(DataError, match="strictly increasing") as err:
+        load_weighting_csv(path)
+    assert str(path) in str(err.value)
