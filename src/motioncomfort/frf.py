@@ -71,9 +71,9 @@ def axis_unit(axis: str) -> str:
     return TRANSLATIONAL_UNIT if axis in TRANSLATIONAL_AXES else ROTATIONAL_UNIT
 
 
-def _frozen_array(values, copy: bool = True) -> np.ndarray:
-    """A read-only float64 copy of `values`, or `values` itself if not `copy` and it is float64."""
-    arr = np.array(values, dtype=np.float64, copy=copy or None)
+def _frozen_array(values) -> np.ndarray:
+    """A read-only float64 copy of `values`."""
+    arr = np.array(values, dtype=np.float64, copy=True)
     arr.flags.writeable = False
     return arr
 

@@ -79,7 +79,9 @@ class MotionTrace:
                 raise DataError("trace channels have inconsistent lengths")
             if not np.all(np.isfinite(arr)):
                 raise DataError(f"channel {axis} contains non-finite samples")
-            arrays[axis] = _frozen_array(arr, copy=not owned)
+            if owned:
+                arr.flags.writeable = False
+            arrays[axis] = arr if owned else _frozen_array(arr)
         if n is None or n < 2:
             raise DataError("trace must have at least 2 samples")
         object.__setattr__(self, "sample_rate_hz", fs)
