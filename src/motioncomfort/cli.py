@@ -16,6 +16,7 @@ from pathlib import Path
 from .bench import benchmark
 from .config import RunConfig, load_run_config
 from .errors import ComfortError, ConfigError
+from .frf import read_json_file
 from .metrics import full_assessment
 from .report import compare, emit_report, save_msi_csv
 from .svc import run_svc
@@ -105,14 +106,13 @@ def _run(args) -> int:
     if args.verb == "assess":
         seat = load_trace(_trace_path(args, cfg))
         bundle = cfg.resolve_bundle(args.model)
-        rc, ms = cfg.regimes()
         report = full_assessment(
             seat,
             bundle,
-            rc=rc,
-            ms=ms,
-            svc_params=cfg.svc_params(),
-            registry=cfg.registry(),
+            rc=cfg.rc,
+            ms=cfg.ms,
+            svc_params=cfg.svc_params,
+            registry=cfg.registry,
             include_svc=not args.no_svc,
         )
         written = emit_report(report, out_dir)
@@ -125,18 +125,17 @@ def _run(args) -> int:
         return 0
 
     if args.verb == "compare":
-        if cfg.bundle_manifest is not None:
+        if cfg.bundle is not None:
             raise ConfigError("compare works on named model configurations, not a fixed manifest")
         seat = load_trace(_trace_path(args, cfg))
         model_ids = [m.strip() for m in args.models.split(",") if m.strip()]
-        rc, ms = cfg.regimes()
         table = compare(
             seat,
             model_ids,
-            rc=rc,
-            ms=ms,
-            svc_params=cfg.svc_params(),
-            registry=cfg.registry(),
+            rc=cfg.rc,
+            ms=cfg.ms,
+            svc_params=cfg.svc_params,
+            registry=cfg.registry,
         )
         out = out_dir / "comparison.csv"
         atomic_write_text(out, table.to_csv())
@@ -146,7 +145,7 @@ def _run(args) -> int:
 
     if args.verb == "svc":
         head = load_trace(_trace_path(args, cfg))
-        series = run_svc(head, cfg.svc_params())
+        series = run_svc(head, cfg.svc_params)
         out = out_dir / "msi.csv"
         save_msi_csv(series, out)
         print(f"msi_final={series.final:.6g}")
@@ -155,12 +154,7 @@ def _run(args) -> int:
 
     if args.verb == "synth":
         if args.spec:
-            try:
-                components = json.loads(Path(args.spec).read_text())
-            except OSError as exc:
-                raise ConfigError(f"cannot read synth spec {args.spec}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"malformed synth spec {args.spec}: {exc}") from exc
+            components = read_json_file(args.spec, "synth spec", ConfigError)
             if not isinstance(components, list):
                 raise ConfigError("synth spec must be a JSON list of components")
         else:

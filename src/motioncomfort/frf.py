@@ -27,6 +27,7 @@ import json
 import logging
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -34,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ComfortError, ConfigError, DataError
 
 logger = logging.getLogger(__name__)
 
@@ -288,13 +289,34 @@ def identity_bundle() -> FrfBundle:
     return FrfBundle(model_id="NHM", channels=channels)
 
 
+@contextmanager
+def _input_file(path, what: str, error: type[ComfortError]):
+    """`path` open as UTF-8 text, read in the block.  A file that cannot be read is a
+    ConfigError; text that is not UTF-8, or JSON that does not parse, is `error`."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"malformed {what} {path}: {exc}") from exc
+
+
+def read_json_file(path, what: str, error: type[ComfortError]):
+    """The JSON document in `path`; errors name it as `what` (see `_input_file`)."""
+    with _input_file(path, what, error) as fh:
+        return json.load(fh)
+
+
 def read_csv_table(path, columns: Sequence[str]) -> np.ndarray:
-    """Rows of a numeric CSV table with the exact header `columns` (# comments)."""
+    """Rows of a numeric CSV table with the exact header `columns` (# comments).
+
+    A file that cannot be read is a ConfigError; one that is not UTF-8 a DataError.
+    """
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _input_file(path, "table", DataError) as fh:
         header = None
-        for lineno, row in enumerate(reader, start=1):
+        for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].lstrip().startswith("#"):
                 continue
             if header is None:
@@ -337,14 +359,7 @@ def load_frf_bundle(manifest_path) -> FrfBundle:
     logged warning; missing diagonal channels are an error.
     """
     manifest_path = Path(manifest_path)
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read bundle manifest {manifest_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed bundle manifest {manifest_path}: {exc}") from exc
-
+    manifest = read_json_file(manifest_path, "bundle manifest", DataError)
     if not isinstance(manifest, dict) or "model_id" not in manifest or "channels" not in manifest:
         raise DataError(f"{manifest_path}: manifest must contain 'model_id' and 'channels'")
     if not isinstance(manifest["channels"], list):
@@ -370,8 +385,6 @@ def load_frf_bundle(manifest_path) -> FrfBundle:
         curve_path = Path(file_ref)
         if not curve_path.is_absolute():
             curve_path = base / curve_path
-        if not curve_path.exists():
-            raise DataError(f"{manifest_path}: channel {cid} file not found: {curve_path}")
         channels[cid] = read_frf_csv(curve_path, units=cid.units)
 
     for cid in CHANNEL_IDS:
@@ -404,8 +417,5 @@ def builtin_bundle(model_id: str) -> FrfBundle:
     if model_id == "NHM":
         return identity_bundle()
     if model_id in MODEL_IDS:
-        manifest = _DATA_DIR / "bundles" / model_id.lower() / "manifest.json"
-        if not manifest.exists():
-            raise ConfigError(f"packaged bundle for {model_id} not found at {manifest}")
-        return load_frf_bundle(manifest)
+        return load_frf_bundle(_DATA_DIR / "bundles" / model_id.lower() / "manifest.json")
     raise ConfigError(f"unknown model id {model_id!r}, expected one of {MODEL_IDS}")

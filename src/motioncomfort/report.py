@@ -35,22 +35,12 @@ def report_to_dict(report: ComfortReport, msi_filename: str | None) -> dict:
         "rc": {"per_axis": {a: report.rc.per_axis[a] for a in AXES}, "total": report.rc.total},
         "ms": {"per_axis": {a: report.ms.per_axis[a] for a in AXES}, "total": report.ms.total},
         "msi": None,
-        "config_echo": _jsonable(report.config_echo),
+        "config_echo": dict(report.config_echo),
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     if report.msi is not None:
         doc["msi"] = {"final": report.msi.final, "series_path": msi_filename}
     return doc
-
-
-def _jsonable(value):
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
 
 
 def _pixel_extremes(x: np.ndarray, y: np.ndarray, columns: int) -> np.ndarray:
@@ -256,34 +246,30 @@ def compare(
 
     Ratios are taken against the NHM baseline, which is computed even when
     NHM is not among the requested models.  Requesting a model twice yields
-    two identical rows.
+    two identical rows.  Each model's report, MSI series included, is dropped
+    once its row is built, before the next model runs.
     """
     model_ids = [str(m).upper() for m in model_ids]
     if len(model_ids) < 2:
         raise ConfigError("compare needs at least 2 models")
 
     spectra = seat_spectra(trace)
-    reports = {
-        model_id: _assess_spectra(
+    rows: dict[str, ComparisonRow] = {}
+    for model_id in dict.fromkeys(["NHM", *model_ids]):  # NHM first: the baseline
+        rep = _assess_spectra(
             trace, builtin_bundle(model_id), spectra, rc, ms, svc_params, registry, include_svc,
             None,
         )
-        for model_id in dict.fromkeys(["NHM", *model_ids])
-    }
-    baseline = reports["NHM"]
-    rows = []
-    for model_id in model_ids:
-        rep = reports[model_id]
-        rows.append(
-            ComparisonRow(
-                model_id=model_id,
-                rc_per_axis=dict(rep.rc.per_axis),
-                rc_total=rep.rc.total,
-                ms_per_axis=dict(rep.ms.per_axis),
-                ms_total=rep.ms.total,
-                msi_final=None if rep.msi is None else rep.msi.final,
-                rc_total_vs_nhm=_ratio(rep.rc.total, baseline.rc.total),
-                ms_total_vs_nhm=_ratio(rep.ms.total, baseline.ms.total),
-            )
+        nhm = rows.get("NHM")  # None while NHM itself runs: its ratios are to itself
+        rows[model_id] = ComparisonRow(
+            model_id=model_id,
+            rc_per_axis=dict(rep.rc.per_axis),
+            rc_total=rep.rc.total,
+            ms_per_axis=dict(rep.ms.per_axis),
+            ms_total=rep.ms.total,
+            msi_final=None if rep.msi is None else rep.msi.final,
+            rc_total_vs_nhm=_ratio(rep.rc.total, nhm.rc_total if nhm else rep.rc.total),
+            ms_total_vs_nhm=_ratio(rep.ms.total, nhm.ms_total if nhm else rep.ms.total),
         )
-    return ComparisonTable(rows=tuple(rows))
+        del rep  # keep only the row's numbers, not the MSI series
+    return ComparisonTable(rows=tuple(rows[m] for m in model_ids))

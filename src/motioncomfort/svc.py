@@ -144,19 +144,22 @@ def _stages(head: MotionTrace, params: SvcParams | None) -> Iterator[tuple[str, 
         vertical[i] = _euler_stage(sensed[i], step["tau_s"], decay["tau_s"], rest)
     yield "subjective_vertical", vertical
 
-    # |sensed - vertical|, summed axis by axis so only two 1-D buffers are live.
+    # |sensed - vertical|, summed axis by axis so only two 1-D buffers are live.  An overflow
+    # here or in the squash leaves inf or NaN, which the finiteness checks report.
     conflict = np.zeros(head.n_samples)
     diff = np.empty_like(conflict)
-    for i in range(3):
-        conflict += np.square(np.subtract(sensed[i], vertical[i], out=diff), out=diff)
-    del sensed, vertical, diff
-    np.sqrt(conflict, out=conflict)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(3):
+            conflict += np.square(np.subtract(sensed[i], vertical[i], out=diff), out=diff)
+        del sensed, vertical, diff
+        np.sqrt(conflict, out=conflict)
     if not np.all(np.isfinite(conflict)):
         raise NumericError("SVC produced non-finite conflict values")
     yield "conflict", conflict
 
-    cn = conflict**p.n
-    stage = cn / (p.b**p.n + cn)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cn = conflict**p.n
+        stage = cn / (p.b**p.n + cn)
     del conflict, cn
     yield "squashed", stage
     for name in ("stage1", "stage2"):  # rebinding `stage` drops the stage before

@@ -276,7 +276,10 @@ def load_trace(path) -> MotionTrace:
     worker processes parse the ranges in parallel; otherwise, and where the
     platform cannot fork, one range is parsed inline.  The result is
     bit-identical either way.  A row that is not 7 numbers is a DataError that
-    names its 1-based line in the file.
+    names its 1-based line in the file.  The sample rate is 1/dt, snapped to an
+    integer within 1e-9 relative, else the double within 4 ulp of it whose
+    ``np.arange(n) / rate`` is exactly the time column, if one is: so a saved
+    trace loads at its own rate (a non-integer one from about 16 samples on).
     """
     path = Path(path)
     try:
@@ -311,10 +314,19 @@ def load_trace(path) -> MotionTrace:
     if np.max(np.abs(steps - dt)) > UNIFORMITY_TOL * dt:
         raise DataError(f"{path}: non-uniform sampling (time step varies by more than 1 ppm)")
     fs = 1.0 / dt
-    # Snap to an integer rate when the residual is far below the 1 ppm contract,
-    # so rates like 100 Hz survive the text round trip exactly.
+    # Snap to an integer rate when the residual is far below the 1 ppm contract.
     if abs(fs - round(fs)) <= 1e-9 * fs and round(fs) > 0:
         fs = float(round(fs))
+    else:  # the double nearest 1/dt, within 4 ulp, whose arange(n) / rate is this time column
+        near, up, down = [fs], fs, fs
+        for _ in range(4):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+            near += [up, down]
+        n = len(t)
+        for rate in sorted(near, key=lambda r: abs(r - near[0])):
+            if (n - 1) / rate == t[-1] and np.array_equal(np.arange(n) / rate, t):
+                fs = float(rate)
+                break
 
     channels = {axis: data[:, 1 + i] for i, axis in enumerate(AXES)}
     return MotionTrace(sample_rate_hz=fs, channels=channels, frame_label=path.stem)

@@ -104,10 +104,7 @@ def _builtin() -> Mapping[str, WeightingCurve]:
     for name in WEIGHTING_NAMES:
         if name == "Unity":
             continue
-        path = _DATA_DIR / f"{name.lower()}.csv"
-        if not path.exists():
-            raise DataError(f"bundled weighting table missing: {path}")
-        curves[name] = load_weighting_csv(path, name=name)
+        curves[name] = load_weighting_csv(_DATA_DIR / f"{name.lower()}.csv", name=name)
     return MappingProxyType(curves)
 
 
@@ -132,7 +129,7 @@ class MetricRegime:
         if set(weighting) != set(AXES):
             raise ConfigError("axis_weighting must name a curve for each of the six axes")
         if set(factors) != set(AXES):
-            raise ConfigError("k_factors must provide a factor for each of the six axes")
+            raise ConfigError(f"k_factors must give exactly the axes {AXES}, got {list(factors)}")
         for axis, k in factors.items():
             if not _is_real(k) or not 0.0 <= k < np.inf:
                 raise ConfigError(f"k factor for {axis} must be finite and >= 0, got {k!r}")

@@ -182,6 +182,13 @@ _NOISE = {"axis": "x", "kind": "noise", "amplitude": 1.0, "f0": 0.1, "f1": 2.0}
         ({"k_factors": 5}, None, "1", "config", 2),
         ({"svc": [1, 2]}, None, "1", "config", 2),
         ({"weighting_files": "wk.csv"}, None, "1", "config", 2),
+        ({"k_factors": {"pitch": -1}}, None, "1", "config", 2),
+        ({"k_factors": {"heave": 1}}, None, "1", "config", 2),
+        ({"svc": {"tau": 5}}, None, "1", "config", 2),
+        ({"svc": {"tau_s": "5"}}, None, "1", "config", 2),
+        ({"svc": {"b": 1e200}}, None, "1", "config", 2),
+        (b'{"svc": {"\xff": 1}}', None, "1", "config", 2),
+        (None, b'[{"axis": "\xff"}]', "1", "config", 2),
         (None, [5], "1", "config", 2),
         (None, [dict(_SINE, phase=0.3)], "1", "config", 2),
         (None, [{"axis": "z", "kind": "sine"}], "1", "config", 2),
@@ -193,7 +200,9 @@ _NOISE = {"axis": "x", "kind": "noise", "amplitude": 1.0, "f0": 0.1, "f1": 2.0}
         (None, None, "inf", "data", 3),
         (None, None, "1e12", "data", 3),
     ],
-    ids=["k_factors", "svc", "weighting_files", "entry", "unknown_key", "missing_key",
+    ids=["k_factors", "svc", "weighting_files", "k_negative", "k_unknown_axis",
+         "svc_unknown", "svc_string", "svc_hill_overflow", "config_not_utf8",
+         "spec_not_utf8", "entry", "unknown_key", "missing_key",
          "f1", "amplitude", "seed", "seed_float", "duration_nan", "duration_inf",
          "duration_too_long"],
 )
@@ -201,13 +210,80 @@ def test_malformed_config_or_synth_input_is_one_line_error(
     tmp_path, capsys, config, spec, duration, kind, code
 ):
     argv = ["synth", "--duration", duration, "--rate", "10", "--out", str(tmp_path)]
-    if config is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
-        argv += ["--config", str(tmp_path / "cfg.json")]
-    if spec is not None:
-        (tmp_path / "spec.json").write_text(json.dumps(spec))
-        argv += ["--spec", str(tmp_path / "spec.json")]
+    for flag, name, doc in (("--config", "cfg.json", config), ("--spec", "spec.json", spec)):
+        if doc is not None:
+            text = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+            (tmp_path / name).write_bytes(text)
+            argv += [flag, str(tmp_path / name)]
     assert main(argv) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error[{kind}]:")
     assert not (tmp_path / "trace.csv").exists()
+
+
+def _exp_manifest(first_file) -> dict:
+    """The packaged EXP manifest with absolute channel paths, the first one `first_file`."""
+    from motioncomfort import frf
+
+    packaged = frf._DATA_DIR / "bundles" / "exp"
+    manifest = json.loads((packaged / "manifest.json").read_text())
+    for entry in manifest["channels"]:
+        entry["file"] = str(packaged / entry["file"])
+    manifest["channels"][0]["file"] = str(first_file)
+    return manifest
+
+
+def _bad_input(tmp_path, case: str) -> list[str]:
+    """Write the config of one bad-input case and the files it names; return its flags."""
+    cfg = tmp_path / "cfg.json"
+    table = tmp_path / "tables"
+    table.mkdir()
+    if case == "weighting_dir":
+        config = {"weighting_files": {"Wk": "tables"}}
+    elif case == "weighting_not_utf8":
+        (table / "wk.csv").write_bytes(b"freq_hz,magnitude\n0,1\n# \xff\n1,1\n")
+        config = {"weighting_files": {"Wk": "tables/wk.csv"}}
+    elif case in ("manifest_channel_dir", "manifest_not_utf8"):
+        manifest = tmp_path / "manifest.json"
+        if case == "manifest_channel_dir":
+            manifest.write_text(json.dumps(_exp_manifest(first_file=table)))
+        else:
+            manifest.write_bytes(b'{"model_id": "\xff"}')
+        config = {"bundle_manifest": str(manifest)}
+    elif case == "svc_tau_negative":
+        config = {"svc": {"tau_s": -1}}
+    cfg.write_text(json.dumps(config))
+    return ["--config", str(cfg)]
+
+
+@pytest.mark.parametrize("verb", ["transmit", "assess", "synth"])
+@pytest.mark.parametrize(
+    "case, kind, code",
+    [
+        ("weighting_dir", "config", 2),
+        ("weighting_not_utf8", "data", 3),
+        ("manifest_channel_dir", "config", 2),
+        ("manifest_not_utf8", "data", 3),
+        ("svc_tau_negative", "config", 2),
+    ],
+)
+def test_bad_input_file_is_one_line_error_before_the_trace_is_read(
+    tmp_path, capsys, monkeypatch, verb, case, kind, code
+):
+    trace = tmp_path / "seat.csv"
+    save_trace(random_trace(5, n=400), trace)
+    read = []
+    monkeypatch.setattr("motioncomfort.cli.load_trace", lambda path: read.append(path))
+    argv = [verb, "--trace", str(trace)] if verb != "synth" else ["synth", "--duration", "1"]
+    assert main([*argv, "--out", str(tmp_path / "out"), *_bad_input(tmp_path, case)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error[{kind}]:")
+    assert read == [] and not (tmp_path / "out").exists()
+
+
+def test_bad_svc_override_names_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"svc": {"tau_s": -1}}))
+    assert main(["svc", "--trace", str(tmp_path / "absent.csv"), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[config]: {cfg}: SVC parameter tau_s")

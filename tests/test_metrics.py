@@ -14,6 +14,7 @@ from motioncomfort import (
     builtin_bundle,
     builtin_weightings,
     combine,
+    compare,
     full_assessment,
     identity_bundle,
     ride_comfort_regime,
@@ -248,9 +249,12 @@ def test_peak_memory_stays_a_small_multiple_of_the_trace():
     # full_assessment peaks in head_motion at about 3.2x the seat's bytes: seat spectra,
     # head spectra and head trace, plus one channel's temporaries; head spectra held
     # through SVC reach 3.9x.  run_svc peaks at 8 arrays of the trace's length (1.33x);
-    # keeping every stage reaches 2.2x.
+    # keeping every stage reaches 2.2x.  compare adds the shared seat spectra and the
+    # rows, about 3.6x; keeping each model's report (and MSI series) to the end, 4.6x.
     seat = random_trace(7, n=200_000)
     bundle = builtin_bundle("EXP")
     trace_bytes = sum(channel.nbytes for channel in seat.channels.values())
     assert _traced_peak_bytes(lambda: full_assessment(seat, bundle)) < 3.5 * trace_bytes
     assert _traced_peak_bytes(lambda: run_svc(seat)) < 1.75 * trace_bytes
+    models = ["EXP", "AHM", "EHM", "NHM"]
+    assert _traced_peak_bytes(lambda: compare(seat, models)) < 4.0 * trace_bytes

@@ -15,6 +15,7 @@ from motioncomfort import (
     DataError,
     MotionTrace,
     MsiSeries,
+    NumericError,
     SvcParams,
     SynthComponent,
     run_svc,
@@ -196,6 +197,17 @@ def test_params_validation():
     params = SvcParams(tau_s=5, mu_s=np.float32(600.0), g=np.float64(9.8))
     assert (params.tau_s, params.mu_s, params.g) == (5.0, 600.0, 9.8)
     assert all(type(v) is float for v in params.as_dict().values())
+
+
+@pytest.mark.parametrize("params", [{"b": 1.0, "n": 1e300}, {"g": 1e300}, {"g": 1e200}])
+def test_overflowing_conflict_or_squash_is_numeric_error(params):
+    # conflict**n overflows (then inf / inf) or the squared conflict does: the finiteness
+    # checks report it as a NumericError, and no RuntimeWarning escapes on the way.
+    head = _head({"z": np.full(100, 3.0), "roll": np.full(100, 0.5)}, fs=100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="non-finite"):
+            run_svc(head, SvcParams(**params))
 
 
 def test_step_must_resolve_time_constant():

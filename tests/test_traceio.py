@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import fft as _fft
@@ -190,15 +190,27 @@ def test_save_trace_matches_fstring_oracle(tmp_path):
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=60, deadline=None)
+# Integer rates, and rates that load_trace does not snap to an integer (within 1e-9).
+RATES = st.integers(min_value=1, max_value=5000).map(float) | st.floats(
+    min_value=1e-3, max_value=1e7
+).filter(lambda fs: abs(fs - round(fs)) > 1e-9 * fs)
+# Below about 16 samples the time column can fit more than one rate near 1/dt.
+MIN_SAMPLES_FOR_EXACT_RATE = 20
+
+
+@settings(max_examples=120, deadline=None)
 @given(
-    fs=st.integers(min_value=1, max_value=5000),
+    fs=RATES,
     data=st.integers(min_value=2, max_value=40).flatmap(
         lambda n: arrays(np.float64, (6, n), elements=FINITE)
     ),
 )
+@example(fs=0.7, data=np.linspace(-1.0, 1.0, 6000).reshape(6, 1000))
+@example(fs=12345.678, data=np.linspace(-1.0, 1.0, 600).reshape(6, 100))
+@example(fs=1000000.5, data=np.linspace(-1.0, 1.0, 600).reshape(6, 100))
 def test_round_trip_bit_exact_property(fs, data):
-    trace = MotionTrace(sample_rate_hz=float(fs), channels=dict(zip(AXES, data)))
+    assume(fs == round(fs) or data.shape[1] >= MIN_SAMPLES_FOR_EXACT_RATE)
+    trace = MotionTrace(sample_rate_hz=fs, channels=dict(zip(AXES, data)))
     with tempfile.TemporaryDirectory() as tmp:
         save_trace(trace, Path(tmp) / "t.csv")
         back = load_trace(Path(tmp) / "t.csv")
