@@ -177,15 +177,12 @@ def _assess_spectra(seat, bundle, spectra, rc, ms, svc_params, registry, include
     n = seat.n_samples
 
     t0 = time.perf_counter()
-    head, head_spectra = head_motion(
+    head, head_power = head_motion(
         seat, bundle, seat_spectra(seat) if spectra is None else spectra
     )
     t1 = time.perf_counter()
 
     freqs = spectral.bin_frequencies(n, fs)
-    with np.errstate(over="ignore"):  # an overflow is reported by combine()
-        head_power = {axis: np.abs(head_spectra[axis]) ** 2 for axis in AXES}
-    del head_spectra  # RC and MS read only the power; SVC reads the head trace
 
     def spectral_assess(regime: MetricRegime, curves) -> RegimeResult:
         per_axis = {}

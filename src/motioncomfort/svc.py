@@ -29,7 +29,7 @@ later stage needs it: `svc_states` keeps every stage, `run_svc` only the MSI.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -78,14 +78,23 @@ class SvcParams:
 
 @dataclass(frozen=True)
 class MsiSeries:
-    """Motion sickness incidence over time, percent of population, in [0, 100]."""
+    """Motion sickness incidence over time, percent of population, in [0, 100].
+
+    The arrays are kept as read-only copies.  `run_svc` passes ``_owned=True``
+    for its fresh float64 arrays that nothing else holds: those are made
+    read-only and kept, not copied.
+    """
 
     time_s: np.ndarray = field(repr=False)
     msi_percent: np.ndarray = field(repr=False)
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        t = _frozen_array(self.time_s)
-        m = _frozen_array(self.msi_percent)
+    def __post_init__(self, _owned):
+        t, m = self.time_s, self.msi_percent
+        if _owned:
+            t.flags.writeable = m.flags.writeable = False
+        else:
+            t, m = _frozen_array(t), _frozen_array(m)
         if t.ndim != 1 or t.shape != m.shape or t.size == 0:
             raise DataError("time and MSI arrays must be matching non-empty 1-D arrays")
         object.__setattr__(self, "time_s", t)
@@ -128,13 +137,16 @@ def _stages(head: MotionTrace, params: SvcParams | None) -> Iterator[tuple[str, 
     pitch = _euler_stage(_euler_stage(channels["pitch"], dt, leak, 0.0), dt, leak, 0.0)
     yield "pitch_angle", pitch
 
-    # Head acceleration plus gravity in the tilted head frame (magnitude g for any angles).
+    # Head acceleration plus gravity in the tilted head frame (magnitude g for any angles):
+    # g sin(p), (-g cos(p)) sin(r), (g cos(p)) cos(r), built in the rows of `sensed`.
     sensed = np.empty((3, head.n_samples))
-    sensed[0] = p.g * np.sin(pitch)
+    np.multiply(np.sin(pitch, out=sensed[0]), p.g, out=sensed[0])
     cos_p = np.cos(pitch)
-    sensed[1] = -p.g * cos_p * np.sin(roll)
-    sensed[2] = p.g * cos_p * np.cos(roll)
-    del roll, pitch, cos_p
+    del pitch
+    np.multiply(cos_p, -p.g, out=sensed[2])  # row 2 is scratch until row 1 is built
+    np.multiply(sensed[2], np.sin(roll, out=sensed[1]), out=sensed[1])
+    np.multiply(np.multiply(cos_p, p.g, out=cos_p), np.cos(roll, out=sensed[2]), out=sensed[2])
+    del roll, cos_p
     for i, axis in enumerate(("x", "y", "z")):
         sensed[i] += channels[axis]
     yield "sensed", sensed
@@ -192,4 +204,4 @@ def run_svc(head: MotionTrace, params: SvcParams | None = None) -> MsiSeries:
     """
     for _, msi in _stages(head, params):
         pass
-    return MsiSeries(time_s=head.time_s, msi_percent=msi)
+    return MsiSeries(time_s=head.time_s, msi_percent=msi, _owned=True)

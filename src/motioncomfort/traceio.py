@@ -38,7 +38,8 @@ MAX_SYNTH_SAMPLES = 50_000_000  # about 139 h at 100 Hz, 400 MB per float64 chan
 class _Owned(dict):
     """Channels whose float64 arrays a `MotionTrace` keeps, made read-only, instead of copying.
 
-    Only for fresh arrays that nothing else holds, such as inverse FFT output.
+    Only for fresh arrays that nothing else holds, such as the rows `head_motion` fills with
+    inverse FFT output.
     """
 
 

@@ -15,20 +15,26 @@ exact length, `_channel_products` multiplies those spectra by the 14
 tabulated responses, and `head_motion` sums the products per head axis and
 inverts each sum once.  The whole pipeline is linear and deterministic.
 
+The six forward and the six inverse transforms each run on every usable CPU
+(`_fill_rows`): the calling thread and one helper thread per further CPU take
+rows in turn, since pocketfft releases the GIL.  Each transform runs alone at
+the exact length, so the output bits do not depend on the number of threads.
+
 The trace type, `MotionTrace`, is defined in `traceio` and imported here.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import spectral
+from . import spectral, traceio
 from .frf import AXES, CHANNEL_IDS, FrfBundle, FrfChannelId, FrfCurve, evaluate_grid
 from .traceio import MotionTrace, _Owned
 
@@ -58,9 +64,43 @@ def fft_apply(signal, curve: FrfCurve, sample_rate_hz: float) -> np.ndarray:
     )
 
 
+def _fill_rows(out: np.ndarray, transform: Callable, inputs: Sequence) -> None:
+    """Set ``out[i] = transform(inputs[i])`` for every row, on every usable CPU.
+
+    The calling thread takes rows 0, k, 2k, ... and each of the k - 1 helper
+    threads the rows after it.  Each result is copied into `out`, which the
+    caller allocated, and dropped at once, so no thread keeps an array of its
+    own.  Every thread is joined before this returns, and the first exception
+    raised in any row is raised here.
+    """
+    k = min(traceio._usable_cpus(), len(inputs))
+    errors: list[BaseException] = []
+
+    def run(first: int) -> None:
+        try:
+            for i in range(first, len(inputs), k):
+                out[i] = transform(inputs[i])
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run, args=(j,)) for j in range(1, k)]
+    for thread in helpers:
+        thread.start()
+    run(0)
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def seat_spectra(seat: MotionTrace) -> dict[str, np.ndarray]:
-    """The exact-length real FFT of each seat channel, one transform per axis."""
-    return {axis: spectral.rfft(seat.channels[axis]) for axis in AXES}
+    """The exact-length real FFT of each seat channel, one transform per axis.
+
+    The spectra are the rows of one (6, n // 2 + 1) array.
+    """
+    out = np.empty((len(AXES), seat.n_samples // 2 + 1), dtype=np.complex128)
+    _fill_rows(out, spectral.rfft, [seat.channels[axis] for axis in AXES])
+    return dict(zip(AXES, out))
 
 
 def _channel_products(seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str, np.ndarray]):
@@ -73,21 +113,35 @@ def _channel_products(seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str
 
 
 def head_motion(seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str, np.ndarray]):
-    """(head trace, head spectra) for `seat`, given its `seat_spectra`.
+    """(head trace, head power) for `seat`, given its `seat_spectra`.
 
-    A head spectrum sums the channel products feeding that axis; one inverse
-    FFT per head axis gives the head trace, which keeps the inverse FFT output
-    without copying it.
+    A head spectrum sums the channel products feeding that axis, and its
+    power |H|^2 is all that RC and MS read of it.  One inverse FFT per head
+    axis then gives the head trace.  Each axis's spectrum and signal share
+    one row of one array: the signal overwrites the spectrum it came from,
+    and the head trace keeps those rows without copying.  The seat spectra
+    are released once the sums are built, which frees them when the caller
+    handed over its only reference.
     """
     _warn_if_undersampled(seat.sample_rate_hz, bundle.max_freq_hz, f"bundle {bundle.model_id}")
-    head_spectra = dict.fromkeys(AXES)
-    for cid, part in _channel_products(seat, bundle, spectra):
-        prev = head_spectra[cid.output_axis]
-        # Products are fresh arrays, so each axis sums into its first product in place.
-        head_spectra[cid.output_axis] = part if prev is None else np.add(prev, part, out=prev)
     n = seat.n_samples
-    channels = {axis: spectral.irfft(head_spectra[axis], n=n) for axis in AXES}
-    return MotionTrace(seat.sample_rate_hz, _Owned(channels), "head"), head_spectra
+    rows = np.empty((len(AXES), 2 * (n // 2 + 1)))  # n doubles, or n // 2 + 1 complex
+    head_spectra = rows.view(np.complex128)
+    summed = set()
+    for cid, part in _channel_products(seat, bundle, spectra):
+        total = head_spectra[AXES.index(cid.output_axis)]
+        if cid.output_axis in summed:
+            np.add(total, part, out=total)
+        else:  # copied, not added to zeros, which would turn -0.0 into +0.0
+            np.copyto(total, part)
+            summed.add(cid.output_axis)
+    del spectra
+    with np.errstate(over="ignore"):  # an overflow is reported by metrics.combine
+        power = {axis: np.abs(total) ** 2 for axis, total in zip(AXES, head_spectra)}
+    signals = rows[:, :n]
+    _fill_rows(signals, lambda total: spectral.irfft(total, n=n), head_spectra)
+    rows.flags.writeable = False
+    return MotionTrace(seat.sample_rate_hz, _Owned(zip(AXES, signals)), "head"), power
 
 
 @dataclass(frozen=True)

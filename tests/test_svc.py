@@ -21,6 +21,7 @@ from motioncomfort import (
     run_svc,
     synth_trace,
 )
+from motioncomfort import svc
 from motioncomfort.svc import svc_states
 
 
@@ -312,3 +313,28 @@ def test_series_time_matches_trace():
     series = run_svc(head)
     assert series.time_s.shape == (100,)
     assert series.time_s[1] == pytest.approx(1 / 50.0)
+
+
+def test_run_svc_hands_its_arrays_over_and_public_series_copy(monkeypatch):
+    copied, frozen_array = [], svc._frozen_array
+    monkeypatch.setattr(svc, "_frozen_array", lambda v: copied.append(v) or frozen_array(v))
+    stages = svc._stages
+    yielded = {}
+
+    def recorded(*args):
+        for name, trajectory in stages(*args):
+            yielded[name] = trajectory
+            yield name, trajectory
+
+    monkeypatch.setattr(svc, "_stages", recorded)
+    series = run_svc(_head({"z": np.ones(100)}, fs=50.0))
+    assert copied == []  # kept, not copied
+    assert series.msi_percent is yielded["msi_percent"]
+    assert not series.time_s.flags.writeable and not series.msi_percent.flags.writeable
+    t, m = np.arange(4.0), np.zeros(4)
+    given_series = MsiSeries(t, m)
+    assert len(copied) == 2  # the public constructor copied
+    t[1] = m[1] = 7.0
+    assert given_series.time_s[1] == 1.0 and given_series.msi_percent[1] == 0.0
+    assert t.flags.writeable and m.flags.writeable  # and left the caller's arrays alone
+    assert not given_series.time_s.flags.writeable

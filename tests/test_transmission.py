@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import logging
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import fft as scipy_fft
 
 from motioncomfort import (
     AXES,
@@ -25,8 +28,9 @@ from motioncomfort import (
     ride_comfort_regime,
     transmit,
 )
-from motioncomfort import spectral
+from motioncomfort import spectral, traceio
 from motioncomfort.traceio import _Owned
+from motioncomfort.transmission import _channel_products, head_motion, seat_spectra
 from conftest import random_trace, rel_err
 
 
@@ -52,19 +56,14 @@ def test_trace_channels_immutable():
         trace.channels["x"][0] = 1.0
 
 
-def test_head_trace_keeps_its_fft_output_read_only_and_public_traces_copy(monkeypatch):
-    outputs = []
-    inverse = spectral.irfft
-
-    def recording_irfft(*args, **kwargs):
-        outputs.append(inverse(*args, **kwargs))
-        return outputs[-1]
-
-    monkeypatch.setattr(spectral, "irfft", recording_irfft)
+def test_head_trace_keeps_its_fft_output_read_only_and_public_traces_copy():
     head, _ = transmit(random_trace(3, n=64), builtin_bundle("EXP"))
-    for axis in AXES:
+    rows = head.channels["x"].base  # the one array head_motion filled; a copy has no base
+    assert rows is not None and rows.shape == (len(AXES), 66) and not rows.flags.writeable
+    for i, axis in enumerate(AXES):
         assert not head.channels[axis].flags.writeable
-        assert any(head.channels[axis] is out for out in outputs)  # kept, not copied
+        assert head.channels[axis].base is rows  # kept, not copied
+        assert np.shares_memory(head.channels[axis], rows[i])
     fresh = {axis: np.arange(8.0) for axis in AXES}
     owned = MotionTrace(50.0, _Owned(fresh), "head")
     assert all(owned.channels[axis] is fresh[axis] for axis in AXES)
@@ -267,3 +266,104 @@ def test_transform_counts(monkeypatch):
     calls.update(rfft=0, irfft=0)
     compare(seat, list(MODEL_IDS))
     assert calls == {"rfft": 6, "irfft": 4 * 6}
+
+
+def _sequential_core(seat, bundle):
+    """Seat spectra, head signals and head power from one scipy.fft call per channel, in turn."""
+    spectra = {axis: scipy_fft.rfft(seat.channels[axis]) for axis in AXES}
+    sums = dict.fromkeys(AXES)
+    for cid, part in _channel_products(seat, bundle, spectra):
+        prev = sums[cid.output_axis]
+        sums[cid.output_axis] = part if prev is None else prev + part
+    head = {axis: scipy_fft.irfft(sums[axis], n=seat.n_samples) for axis in AXES}
+    return spectra, head, {axis: np.abs(sums[axis]) ** 2 for axis in AXES}
+
+
+# 683 and 6007 are prime, so pocketfft takes its Bluestein path for 1366 and 6007.
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.one_of(st.integers(2, 400), st.sampled_from([2, 3, 1366, 6007])),
+    cpus=st.sampled_from([1, 2, 3]),
+    model=st.sampled_from(MODEL_IDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, cpus=2, model="EXP", seed=0)
+@example(n=3, cpus=3, model="AHM", seed=1)
+@example(n=301, cpus=2, model="EHM", seed=2)
+@example(n=400, cpus=3, model="NHM", seed=3)
+@example(n=6007, cpus=2, model="EXP", seed=4)
+def test_threaded_core_is_bit_equal_to_sequential_scipy_calls(n, cpus, model, seed):
+    seat, bundle = random_trace(seed, n=n), builtin_bundle(model)
+    want_spectra, want_head, want_power = _sequential_core(seat, bundle)
+    threads = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(traceio, "_usable_cpus", lambda: cpus)
+        spectra = seat_spectra(seat)
+        assert threading.active_count() == threads
+        head, power = head_motion(seat, bundle, spectra)
+        assert threading.active_count() == threads
+    for axis in AXES:
+        assert np.array_equal(spectra[axis], want_spectra[axis])
+        assert np.array_equal(head.channels[axis], want_head[axis])
+        assert np.array_equal(power[axis], want_power[axis])
+
+
+def test_core_is_bit_equal_with_more_threads_than_cores_and_fast_switching(monkeypatch):
+    seat, bundle = random_trace(9, n=1366), builtin_bundle("EHM")
+    want_spectra, want_head, want_power = _sequential_core(seat, bundle)
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            spectra = seat_spectra(seat)
+            head, power = head_motion(seat, bundle, spectra)
+            for axis in AXES:
+                assert np.array_equal(spectra[axis], want_spectra[axis])
+                assert np.array_equal(head.channels[axis], want_head[axis])
+                assert np.array_equal(power[axis], want_power[axis])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_core_runs_rows_on_one_thread_per_usable_cpu_and_joins_them(monkeypatch, cpus):
+    callers = {"rfft": set(), "irfft": set()}
+    for name in callers:
+        def traced(*args, _name=name, _original=getattr(spectral, name), **kwargs):
+            callers[_name].add(threading.get_ident())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, name, traced)
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: (starts.append(self), start(self)))
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: cpus)
+    threads = threading.active_count()
+    transmit(random_trace(5, n=301), builtin_bundle("EXP"))
+    assert threading.active_count() == threads
+    assert len(starts) == 2 * (cpus - 1)  # one helper per further CPU, for each of the two passes
+    for idents in callers.values():
+        assert threading.get_ident() in idents
+        # A helper that has exited may pass its ident on to the next one.
+        assert len(idents) == 1 if cpus == 1 else 2 <= len(idents) <= cpus
+
+
+class _RowFailure(Exception):
+    pass
+
+
+def test_error_in_a_helper_row_reaches_the_caller_and_leaves_no_thread(monkeypatch):
+    inverse = spectral.irfft
+
+    def fails_off_the_calling_thread(spectrum, n):
+        if threading.current_thread() is not threading.main_thread():
+            raise _RowFailure("helper row")
+        return inverse(spectrum, n=n)
+
+    monkeypatch.setattr(spectral, "irfft", fails_off_the_calling_thread)
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 2)
+    threads = threading.active_count()
+    with pytest.raises(_RowFailure, match="helper row"):
+        transmit(random_trace(6, n=301), builtin_bundle("EXP"))
+    assert threading.active_count() == threads
