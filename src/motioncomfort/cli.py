@@ -21,17 +21,12 @@ from .metrics import full_assessment
 from .report import compare, emit_report, save_msi_csv
 from .svc import run_svc
 from .traceio import DEMO_COMPONENTS, atomic_write_text, load_trace, save_trace, synth_trace
+from .transmission import transmit
 
 
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config with overrides")
-    common.add_argument(
-        "--model",
-        metavar="ID",
-        default="NHM",
-        help="bundle configuration: EXP, AHM, EHM or NHM (default NHM)",
-    )
     common.add_argument("--out", metavar="DIR", default=None, help="output directory")
     common.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
     return common
@@ -39,20 +34,28 @@ def _common_flags() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _common_flags()
+    model = argparse.ArgumentParser(add_help=False, parents=[common])  # for one-bundle verbs
+    model.add_argument(
+        "--model",
+        metavar="ID",
+        default="NHM",
+        help="bundle configuration: EXP, AHM, EHM or NHM (default NHM)",
+    )
     parser = argparse.ArgumentParser(
         prog="motioncomfort",
         description="Seat-to-head motion transmission and comfort assessment",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("transmit", parents=[common], help="predict head motion from a seat trace")
+    p = sub.add_parser("transmit", parents=[model], help="predict head motion from a seat trace")
     p.add_argument("--trace", help="seat trace CSV (or 'trace' in --config)")
 
-    p = sub.add_parser("assess", parents=[common], help="full comfort assessment of a seat trace")
+    p = sub.add_parser("assess", parents=[model], help="full comfort assessment of a seat trace")
     p.add_argument("--trace", help="seat trace CSV (or 'trace' in --config)")
     p.add_argument("--no-svc", action="store_true", help="skip the sickness-incidence model")
 
     p = sub.add_parser("compare", parents=[common], help="assess one trace under several models")
+    p.allow_abbrev = False  # so --model is rejected, not read as --models
     p.add_argument("--trace", help="seat trace CSV (or 'trace' in --config)")
     p.add_argument(
         "--models",
@@ -68,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=60.0, help="seconds (default 60)")
     p.add_argument("--rate", type=float, default=100.0, help="sample rate Hz (default 100)")
 
-    p = sub.add_parser("bench", parents=[common], help="time the full pipeline")
+    p = sub.add_parser("bench", parents=[model], help="time the full pipeline")
     p.add_argument("--duration", type=float, default=19807.0, help="seconds (default 19807)")
     p.add_argument("--rate", type=float, default=100.0, help="sample rate Hz (default 100)")
     p.add_argument("--no-svc", action="store_true", help="skip the sickness-incidence model")
@@ -93,8 +96,6 @@ def _run(args) -> int:
     out_dir = Path(args.out) if args.out else (cfg.out_dir or Path("."))
 
     if args.verb == "transmit":
-        from .transmission import transmit
-
         seat = load_trace(_trace_path(args, cfg))
         bundle = cfg.resolve_bundle(args.model)
         head, _ = transmit(seat, bundle)

@@ -72,9 +72,10 @@ def axis_unit(axis: str) -> str:
     return TRANSLATIONAL_UNIT if axis in TRANSLATIONAL_AXES else ROTATIONAL_UNIT
 
 
-def _frozen_array(values) -> np.ndarray:
-    """A read-only float64 copy of `values`."""
-    arr = np.array(values, dtype=np.float64, copy=True)
+def _frozen_array(values, owned: bool = False) -> np.ndarray:
+    """A read-only float64 copy of `values`; with `owned`, `values` itself, a fresh float64
+    array that nothing else holds, made read-only.  The one place that decides copy-or-keep."""
+    arr = np.asarray(values, dtype=np.float64) if owned else np.array(values, dtype=np.float64)
     arr.flags.writeable = False
     return arr
 

@@ -82,7 +82,7 @@ class MsiSeries:
 
     The arrays are kept as read-only copies.  `run_svc` passes ``_owned=True``
     for its fresh float64 arrays that nothing else holds: those are made
-    read-only and kept, not copied.
+    read-only and kept, not copied (`frf._frozen_array`).
     """
 
     time_s: np.ndarray = field(repr=False)
@@ -90,11 +90,7 @@ class MsiSeries:
     _owned: InitVar[bool] = False
 
     def __post_init__(self, _owned):
-        t, m = self.time_s, self.msi_percent
-        if _owned:
-            t.flags.writeable = m.flags.writeable = False
-        else:
-            t, m = _frozen_array(t), _frozen_array(m)
+        t, m = _frozen_array(self.time_s, _owned), _frozen_array(self.msi_percent, _owned)
         if t.ndim != 1 or t.shape != m.shape or t.size == 0:
             raise DataError("time and MSI arrays must be matching non-empty 1-D arrays")
         object.__setattr__(self, "time_s", t)

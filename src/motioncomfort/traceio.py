@@ -15,7 +15,7 @@ import numbers
 import os
 import uuid
 import warnings
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, InitVar, dataclass, field, fields
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -35,14 +35,6 @@ _MIN_CHUNK_BYTES = 16 << 20  # smallest range load_trace gives a worker process
 MAX_SYNTH_SAMPLES = 50_000_000  # about 139 h at 100 Hz, 400 MB per float64 channel
 
 
-class _Owned(dict):
-    """Channels whose float64 arrays a `MotionTrace` keeps, made read-only, instead of copying.
-
-    Only for fresh arrays that nothing else holds, such as the rows `head_motion` fills with
-    inverse FFT output.
-    """
-
-
 @dataclass(frozen=True)
 class MotionTrace:
     """Uniformly sampled 6-DOF acceleration time series.
@@ -50,17 +42,21 @@ class MotionTrace:
     Channels x, y, z are translational accelerations in m/s^2; roll, pitch,
     yaw are rotational accelerations in rad/s^2.  All six arrays must be
     present, equal length (>= 2) and finite.
+
+    The channels are kept as read-only copies, except that producers inside the package
+    pass ``_owned=True`` for fresh float64 arrays that nothing else holds, which are made
+    read-only and kept (`frf._frozen_array`).
     """
 
     sample_rate_hz: float
     channels: Mapping[str, np.ndarray] = field(repr=False)
     frame_label: str = "seat"
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         fs = float(self.sample_rate_hz)
         if not np.isfinite(fs) or fs <= 0.0:
             raise DataError(f"sample rate must be positive, got {fs!r}")
-        owned = isinstance(self.channels, _Owned)
         incoming = dict(self.channels)
         missing = [a for a in AXES if a not in incoming]
         if missing:
@@ -71,7 +67,7 @@ class MotionTrace:
         arrays = {}
         n = None
         for axis in AXES:
-            arr = np.asarray(incoming[axis], dtype=np.float64)
+            arr = _frozen_array(incoming[axis], _owned)
             if arr.ndim != 1:
                 raise DataError(f"channel {axis} must be 1-D")
             if n is None:
@@ -80,9 +76,7 @@ class MotionTrace:
                 raise DataError("trace channels have inconsistent lengths")
             if not np.all(np.isfinite(arr)):
                 raise DataError(f"channel {axis} contains non-finite samples")
-            if owned:
-                arr.flags.writeable = False
-            arrays[axis] = arr if owned else _frozen_array(arr)
+            arrays[axis] = arr
         if n is None or n < 2:
             raise DataError("trace must have at least 2 samples")
         object.__setattr__(self, "sample_rate_hz", fs)
@@ -188,11 +182,14 @@ def _parse_chunk(path, start: int, stop: int) -> np.ndarray | _BadLine:
     with open(path, "rb") as fh:
         fh.seek(start)
         raw = fh.read(stop - start)
-    data = _as_array(io.BytesIO(raw))
+    # numpy ends a comment only at LF, so a lone CR would hide the row after a comment:
+    # such a chunk goes straight to the line filter.
+    lone_cr = b"\r" in raw and raw.count(b"\r") > raw.count(b"\r\n")
+    data = None if lone_cr else _as_array(io.BytesIO(raw))
     if data is not None:
         return data
-    # numpy reads a whitespace-only line as a 1-column row and a lone CR as an
-    # embedded newline: drop blank and comment lines as text, then parse again.
+    # numpy reads a whitespace-only line as a 1-column row: drop blank and comment
+    # lines as text, then parse again.
     lines = [ln.decode(errors="replace") for ln in raw.splitlines()]
     keep = [i for i, ln in enumerate(lines) if ln.strip() and not ln.lstrip().startswith("#")]
     rows = [lines[i] for i in keep]
@@ -271,16 +268,19 @@ def load_trace(path) -> MotionTrace:
     """Load a trace CSV (the module's format), inferring the sample rate from the time column.
 
     Blank lines and ``#`` comments may appear anywhere, and LF, CRLF and CR
-    line endings are all read.  When the data after the header spans at least
+    line endings are all read; a byte range that holds a lone CR is split into
+    lines before it is parsed.  When the data after the header spans at least
     two 16 MiB chunks and more than one CPU is usable, it is cut at line
     boundaries into one byte range per CPU (at most one per 16 MiB), and forked
     worker processes parse the ranges in parallel; otherwise, and where the
     platform cannot fork, one range is parsed inline.  The result is
     bit-identical either way.  A row that is not 7 numbers is a DataError that
-    names its 1-based line in the file.  The sample rate is 1/dt, snapped to an
-    integer within 1e-9 relative, else the double within 4 ulp of it whose
-    ``np.arange(n) / rate`` is exactly the time column, if one is: so a saved
-    trace loads at its own rate (a non-integer one from about 16 samples on).
+    names its 1-based line in the file.  The sample rate is the first of these
+    candidates whose ``np.arange(n) / rate`` is exactly the time column: the
+    integer within 1e-9 relative of 1/dt, if there is one, then the doubles
+    within 4 ulp of 1/dt, nearest first.  If none is, it is the first
+    candidate.  So a saved trace loads at its own rate (a non-integer one from
+    about 16 samples on), and a hand-written decimal column at the integer.
     """
     path = Path(path)
     try:
@@ -315,19 +315,16 @@ def load_trace(path) -> MotionTrace:
     if np.max(np.abs(steps - dt)) > UNIFORMITY_TOL * dt:
         raise DataError(f"{path}: non-uniform sampling (time step varies by more than 1 ppm)")
     fs = 1.0 / dt
-    # Snap to an integer rate when the residual is far below the 1 ppm contract.
-    if abs(fs - round(fs)) <= 1e-9 * fs and round(fs) > 0:
-        fs = float(round(fs))
-    else:  # the double nearest 1/dt, within 4 ulp, whose arange(n) / rate is this time column
-        near, up, down = [fs], fs, fs
-        for _ in range(4):
-            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
-            near += [up, down]
-        n = len(t)
-        for rate in sorted(near, key=lambda r: abs(r - near[0])):
-            if (n - 1) / rate == t[-1] and np.array_equal(np.arange(n) / rate, t):
-                fs = float(rate)
-                break
+    near, up, down = [fs], fs, fs
+    for _ in range(4):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        near += [up, down]
+    candidates = sorted(near, key=lambda r: abs(r - fs))
+    if round(fs) > 0 and abs(fs - round(fs)) <= 1e-9 * fs:
+        candidates.insert(0, round(fs))
+    n = len(t)
+    exact = (r for r in candidates if (n - 1) / r == t[-1] and np.array_equal(np.arange(n) / r, t))
+    fs = float(next(exact, candidates[0]))
 
     channels = {axis: data[:, 1 + i] for i, axis in enumerate(AXES)}
     return MotionTrace(sample_rate_hz=fs, channels=channels, frame_label=path.stem)
@@ -437,7 +434,7 @@ def synth_trace(
     channels = {axis: np.zeros(n) for axis in AXES}
     for comp in map(_component, components):
         channels[comp.axis] = channels[comp.axis] + _component_signal(comp, t, fs)
-    return MotionTrace(sample_rate_hz=fs, channels=channels, frame_label=frame_label)
+    return MotionTrace(fs, channels, frame_label, _owned=True)
 
 
 #: Demo mix used by the CLI when no synthesis spec is given: broadband

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import spectral, traceio
 from .frf import AXES, CHANNEL_IDS, FrfBundle, FrfChannelId, FrfCurve, evaluate_grid
-from .traceio import MotionTrace, _Owned
+from .traceio import MotionTrace
 
 logger = logging.getLogger(__name__)
 
@@ -141,7 +141,7 @@ def head_motion(seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str, np.n
     signals = rows[:, :n]
     _fill_rows(signals, lambda total: spectral.irfft(total, n=n), head_spectra)
     rows.flags.writeable = False
-    return MotionTrace(seat.sample_rate_hz, _Owned(zip(AXES, signals)), "head"), power
+    return MotionTrace(seat.sample_rate_hz, dict(zip(AXES, signals)), "head", _owned=True), power
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,15 @@ def test_compare_writes_table(tmp_path, capsys):
     assert "EXP" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("verb", ["compare", "svc", "synth"])
+def test_model_flag_is_rejected_by_verbs_that_do_not_read_it(verb, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([verb, "--model", "EXP", "--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --model EXP" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_svc_verb(tmp_path, capsys):
     trace = _synth(tmp_path)
     rc = main(["svc", "--trace", str(trace), "--out", str(tmp_path)])

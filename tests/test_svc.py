@@ -317,7 +317,13 @@ def test_series_time_matches_trace():
 
 def test_run_svc_hands_its_arrays_over_and_public_series_copy(monkeypatch):
     copied, frozen_array = [], svc._frozen_array
-    monkeypatch.setattr(svc, "_frozen_array", lambda v: copied.append(v) or frozen_array(v))
+
+    def spy(values, owned=False):
+        if not owned:
+            copied.append(values)
+        return frozen_array(values, owned)
+
+    monkeypatch.setattr(svc, "_frozen_array", spy)
     stages = svc._stages
     yielded = {}
 

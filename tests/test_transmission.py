@@ -29,7 +29,6 @@ from motioncomfort import (
     transmit,
 )
 from motioncomfort import spectral, traceio
-from motioncomfort.traceio import _Owned
 from motioncomfort.transmission import _channel_products, head_motion, seat_spectra
 from conftest import random_trace, rel_err
 
@@ -65,7 +64,7 @@ def test_head_trace_keeps_its_fft_output_read_only_and_public_traces_copy():
         assert head.channels[axis].base is rows  # kept, not copied
         assert np.shares_memory(head.channels[axis], rows[i])
     fresh = {axis: np.arange(8.0) for axis in AXES}
-    owned = MotionTrace(50.0, _Owned(fresh), "head")
+    owned = MotionTrace(50.0, fresh, "head", _owned=True)
     assert all(owned.channels[axis] is fresh[axis] for axis in AXES)
     assert not fresh["x"].flags.writeable
     given_channels = {axis: np.arange(8.0) for axis in AXES}
@@ -74,6 +73,21 @@ def test_head_trace_keeps_its_fft_output_read_only_and_public_traces_copy():
     assert trace.channels["z"][3] == 3.0  # the public constructor copied
     assert given_channels["z"].flags.writeable  # and left the caller's array alone
     assert not np.shares_memory(trace.channels["z"], given_channels["z"])
+
+
+@pytest.mark.parametrize(
+    "channels, match",
+    [
+        (dict.fromkeys(AXES, [0.0, 1.0, 2.0]) | {"z": [0.0, np.nan, 2.0]}, "non-finite"),
+        (dict.fromkeys(AXES, [0.0, 1.0, 2.0]) | {"y": [0.0, 1.0]}, "inconsistent"),
+        (dict.fromkeys(AXES, [0.0, 1.0]) | {"x": [[0.0, 1.0]]}, "1-D"),
+        (dict.fromkeys(AXES, [0.0]), "2 samples"),
+    ],
+)
+def test_owned_channels_are_validated_like_any_other(channels, match):
+    fresh = {axis: np.array(values) for axis, values in channels.items()}
+    with pytest.raises(DataError, match=match):
+        MotionTrace(100.0, fresh, "head", _owned=True)
 
 
 def test_fft_apply_identity():
