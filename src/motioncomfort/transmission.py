@@ -11,14 +11,17 @@ Each head channel is the sum of the bundle channels feeding it:
 
 One spectral core serves `transmit`, `metrics.full_assessment` and
 `report.compare`: `seat_spectra` transforms each seat channel once at the
-exact length, `_channel_products` multiplies those spectra by the 14
-tabulated responses, and `head_motion` sums the products per head axis and
+exact length, `_summed_products` multiplies those spectra by the 14
+tabulated responses and sums the products per head axis, and `head_motion`
 inverts each sum once.  The whole pipeline is linear and deterministic.
 
-The six forward and the six inverse transforms each run on every usable CPU
-(`_fill_rows`): the calling thread and one helper thread per further CPU take
-rows in turn, since pocketfft releases the GIL.  Each transform runs alone at
-the exact length, so the output bits do not depend on the number of threads.
+All three stages run on every usable CPU (`_on_every_cpu`): the calling
+thread and one helper thread per further CPU take tasks in turn, since
+pocketfft and numpy's array loops release the GIL.  The six forward and the
+six inverse transforms are one task each and run alone at the exact length.
+The channel products are built in blocks of bins (`_BLOCK_BINS`), one task
+a block, and every step of a product works bin by bin.  So the output bits
+do not depend on the number of threads.
 
 The trace type, `MotionTrace`, is defined in `traceio` and imported here.
 """
@@ -39,6 +42,8 @@ from .frf import AXES, CHANNEL_IDS, FrfBundle, FrfChannelId, FrfCurve, evaluate_
 from .traceio import MotionTrace
 
 logger = logging.getLogger(__name__)
+
+_BLOCK_BINS = 65536  # bins per task of the channel-product build
 
 
 def _warn_if_undersampled(sample_rate_hz: float, max_tabulated_hz: float, what: str) -> None:
@@ -64,22 +69,20 @@ def fft_apply(signal, curve: FrfCurve, sample_rate_hz: float) -> np.ndarray:
     )
 
 
-def _fill_rows(out: np.ndarray, transform: Callable, inputs: Sequence) -> None:
-    """Set ``out[i] = transform(inputs[i])`` for every row, on every usable CPU.
+def _on_every_cpu(task: Callable[[int], None], count: int) -> None:
+    """Run ``task(i)`` for every i in range(count), on every usable CPU.
 
-    The calling thread takes rows 0, k, 2k, ... and each of the k - 1 helper
-    threads the rows after it.  Each result is copied into `out`, which the
-    caller allocated, and dropped at once, so no thread keeps an array of its
-    own.  Every thread is joined before this returns, and the first exception
-    raised in any row is raised here.
+    The calling thread takes i = 0, k, 2k, ... and each of the k - 1 helper
+    threads the indices after it.  Every thread is joined before this
+    returns, and the first exception raised by any task is raised here.
     """
-    k = min(traceio._usable_cpus(), len(inputs))
+    k = min(traceio._usable_cpus(), count)
     errors: list[BaseException] = []
 
     def run(first: int) -> None:
         try:
-            for i in range(first, len(inputs), k):
-                out[i] = transform(inputs[i])
+            for i in range(first, count, k):
+                task(i)
         except BaseException as exc:  # re-raised on the calling thread
             errors.append(exc)
 
@@ -93,6 +96,19 @@ def _fill_rows(out: np.ndarray, transform: Callable, inputs: Sequence) -> None:
         raise errors[0]
 
 
+def _fill_rows(out: np.ndarray, transform: Callable, inputs: Sequence) -> None:
+    """Set ``out[i] = transform(inputs[i])`` for every row, on every usable CPU.
+
+    Each result is copied into `out`, which the caller allocated, and dropped
+    at once, so no thread keeps an array of its own.
+    """
+
+    def fill(i: int) -> None:
+        out[i] = transform(inputs[i])
+
+    _on_every_cpu(fill, len(inputs))
+
+
 def seat_spectra(seat: MotionTrace) -> dict[str, np.ndarray]:
     """The exact-length real FFT of each seat channel, one transform per axis.
 
@@ -103,13 +119,58 @@ def seat_spectra(seat: MotionTrace) -> dict[str, np.ndarray]:
     return dict(zip(AXES, out))
 
 
-def _channel_products(seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str, np.ndarray]):
-    """Yield (channel id, input spectrum * channel response), a fresh array, in CHANNEL_IDS order."""
+def _summed_products(
+    seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str, np.ndarray], row_of: Sequence[int]
+) -> np.ndarray:
+    """Float rows whose n // 2 + 1 complex bins each hold a sum of channel products.
+
+    Channel ``CHANNEL_IDS[j]``'s product (input spectrum times response, DC
+    and Nyquist made real) goes to row ``row_of[j]``: copied if it is the
+    row's first (adding it to zeros would turn -0.0 into +0.0), else added.
+    The bins are cut into equal blocks of `_BLOCK_BINS` to 2 * `_BLOCK_BINS`
+    (or one block of all), built on every usable CPU.  Each step works bin by
+    bin, so the bits do not depend on the blocks as long as each holds at
+    least 2 bins (numpy's in-place complex multiply rounds a lone bin
+    differently).
+    """
     n = seat.n_samples
+    m = n // 2 + 1
+    rows = np.empty((max(row_of) + 1, 2 * m))
+    sums = rows.view(np.complex128)
     freqs = spectral.bin_frequencies(n, seat.sample_rate_hz)
-    for cid in CHANNEL_IDS:
-        response = spectral.force_real_endpoints(evaluate_grid(bundle.channels[cid], freqs), n)
-        yield cid, np.multiply(spectra[cid.input_axis], response, out=response)
+    count = max(1, m // _BLOCK_BINS)
+
+    def build(block: int) -> None:
+        lo, hi = m * block // count, m * (block + 1) // count
+        filled = set()
+        for cid, row in zip(CHANNEL_IDS, row_of):
+            response = evaluate_grid(bundle.channels[cid], freqs[lo:hi])
+            if lo == 0:
+                response[0] = response[0].real
+            if hi == m and n % 2 == 0:
+                response[-1] = response[-1].real
+            # This operand order: the swapped one differs in the last bit on some CPUs.
+            np.multiply(spectra[cid.input_axis][lo:hi], response, out=response)
+            total = sums[row, lo:hi]
+            if row in filled:
+                np.add(total, response, out=total)
+            else:
+                np.copyto(total, response)
+                filled.add(row)
+
+    _on_every_cpu(build, count)
+    return rows
+
+
+def _inverted_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """Overwrite each row's spectrum with its length-n inverse FFT, on every usable CPU.
+
+    Returns the (read-only) signals, views of `rows`.
+    """
+    spectra = rows.view(np.complex128)
+    _fill_rows(rows[:, :n], lambda spectrum: spectral.irfft(spectrum, n=n), spectra)
+    rows.flags.writeable = False
+    return rows[:, :n]
 
 
 def head_motion(seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str, np.ndarray]):
@@ -124,23 +185,11 @@ def head_motion(seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str, np.n
     handed over its only reference.
     """
     _warn_if_undersampled(seat.sample_rate_hz, bundle.max_freq_hz, f"bundle {bundle.model_id}")
-    n = seat.n_samples
-    rows = np.empty((len(AXES), 2 * (n // 2 + 1)))  # n doubles, or n // 2 + 1 complex
-    head_spectra = rows.view(np.complex128)
-    summed = set()
-    for cid, part in _channel_products(seat, bundle, spectra):
-        total = head_spectra[AXES.index(cid.output_axis)]
-        if cid.output_axis in summed:
-            np.add(total, part, out=total)
-        else:  # copied, not added to zeros, which would turn -0.0 into +0.0
-            np.copyto(total, part)
-            summed.add(cid.output_axis)
+    rows = _summed_products(seat, bundle, spectra, [AXES.index(c.output_axis) for c in CHANNEL_IDS])
     del spectra
     with np.errstate(over="ignore"):  # an overflow is reported by metrics.combine
-        power = {axis: np.abs(total) ** 2 for axis, total in zip(AXES, head_spectra)}
-    signals = rows[:, :n]
-    _fill_rows(signals, lambda total: spectral.irfft(total, n=n), head_spectra)
-    rows.flags.writeable = False
+        power = {axis: np.abs(total) ** 2 for axis, total in zip(AXES, rows.view(np.complex128))}
+    signals = _inverted_rows(rows, seat.n_samples)
     return MotionTrace(seat.sample_rate_hz, dict(zip(AXES, signals)), "head", _owned=True), power
 
 
@@ -149,8 +198,8 @@ class ContributionBreakdown:
     """Per head axis, the time-domain contribution of each feeding channel.
 
     `contributions` is computed on first access (one inverse FFT per channel)
-    and then cached.  Each axis's contributions sum to the head channel of
-    `transmit` to floating-point round-off.
+    and then cached; its arrays are read-only.  Each axis's contributions sum
+    to the head channel of `transmit` to floating-point round-off.
     """
 
     seat: MotionTrace
@@ -158,10 +207,12 @@ class ContributionBreakdown:
 
     @cached_property
     def contributions(self) -> Mapping[str, Mapping[FrfChannelId, np.ndarray]]:
+        rows = _summed_products(
+            self.seat, self.bundle, seat_spectra(self.seat), range(len(CHANNEL_IDS))
+        )
         parts: dict[str, dict[FrfChannelId, np.ndarray]] = {axis: {} for axis in AXES}
-        products = _channel_products(self.seat, self.bundle, seat_spectra(self.seat))
-        for cid, product in products:
-            parts[cid.output_axis][cid] = spectral.irfft(product, n=self.seat.n_samples)
+        for cid, signal in zip(CHANNEL_IDS, _inverted_rows(rows, self.seat.n_samples)):
+            parts[cid.output_axis][cid] = signal
         return MappingProxyType({axis: MappingProxyType(parts[axis]) for axis in AXES})
 
     def total(self, axis: str) -> np.ndarray:

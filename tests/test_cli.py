@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,24 @@ def test_overflowing_trace_is_single_line_numeric_error(tmp_path, capsys, extra)
     assert len(err.splitlines()) == 1
     assert err.startswith("error[numeric]:")
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "svc", [{"b": 1.0, "n": 1e300}, {"g": 1e300}], ids=["hill_overflow", "gain_overflow"]
+)
+def test_svc_values_that_overflow_at_run_time_are_one_numeric_error(tmp_path, capsys, svc):
+    trace = _synth(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"svc": svc}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["assess", "--trace", str(trace), "--config", str(cfg), "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[numeric]:")
+    assert not out.exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_unknown_model_is_config_error(tmp_path, capsys):

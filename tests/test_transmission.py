@@ -28,8 +28,9 @@ from motioncomfort import (
     ride_comfort_regime,
     transmit,
 )
-from motioncomfort import spectral, traceio
-from motioncomfort.transmission import _channel_products, head_motion, seat_spectra
+from motioncomfort import spectral, traceio, transmission
+from motioncomfort.frf import CHANNEL_IDS, evaluate_grid
+from motioncomfort.transmission import _summed_products, head_motion, seat_spectra
 from conftest import random_trace, rel_err
 
 
@@ -282,13 +283,28 @@ def test_transform_counts(monkeypatch):
     assert calls == {"rfft": 6, "irfft": 4 * 6}
 
 
+def _reference_products(seat, bundle, spectra):
+    """Each channel's product, built at full length: response, endpoint fix, then multiply."""
+    n = seat.n_samples
+    freqs = spectral.bin_frequencies(n, seat.sample_rate_hz)
+    for cid in CHANNEL_IDS:
+        response = spectral.force_real_endpoints(evaluate_grid(bundle.channels[cid], freqs), n)
+        yield cid, np.multiply(spectra[cid.input_axis], response, out=response)
+
+
+def _reference_sums(seat, bundle, spectra):
+    """Per head axis, its channel products summed in CHANNEL_IDS order."""
+    sums = dict.fromkeys(AXES)
+    for cid, part in _reference_products(seat, bundle, spectra):
+        prev = sums[cid.output_axis]
+        sums[cid.output_axis] = part if prev is None else prev + part
+    return sums
+
+
 def _sequential_core(seat, bundle):
     """Seat spectra, head signals and head power from one scipy.fft call per channel, in turn."""
     spectra = {axis: scipy_fft.rfft(seat.channels[axis]) for axis in AXES}
-    sums = dict.fromkeys(AXES)
-    for cid, part in _channel_products(seat, bundle, spectra):
-        prev = sums[cid.output_axis]
-        sums[cid.output_axis] = part if prev is None else prev + part
+    sums = _reference_sums(seat, bundle, spectra)
     head = {axis: scipy_fft.irfft(sums[axis], n=seat.n_samples) for axis in AXES}
     return spectra, head, {axis: np.abs(sums[axis]) ** 2 for axis in AXES}
 
@@ -381,3 +397,120 @@ def test_error_in_a_helper_row_reaches_the_caller_and_leaves_no_thread(monkeypat
     with pytest.raises(_RowFailure, match="helper row"):
         transmit(random_trace(6, n=301), builtin_bundle("EXP"))
     assert threading.active_count() == threads
+
+
+# Bin counts of blocks * block + 0, 1 or 2 put a block edge next to the last bin.
+@settings(max_examples=40, deadline=None)
+@given(
+    block=st.integers(4, 16),
+    blocks=st.integers(1, 5),
+    extra=st.sampled_from([0, 1, 2]),
+    odd=st.booleans(),
+    cpus=st.sampled_from([1, 2, 3]),
+    model=st.sampled_from(MODEL_IDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(block=8, blocks=2, extra=1, odd=True, cpus=2, model="EXP", seed=0)  # 2 * block + 1 bins
+@example(block=4, blocks=5, extra=2, odd=False, cpus=3, model="NHM", seed=1)
+def test_block_core_is_bit_equal_to_one_full_length_build(
+    block, blocks, extra, odd, cpus, model, seed
+):
+    bins = blocks * block + extra
+    n = 2 * (bins - 1) + odd
+    seat, bundle = random_trace(seed, n=n), builtin_bundle(model)
+    spectra = {axis: scipy_fft.rfft(seat.channels[axis]) for axis in AXES}
+    want_sums = _reference_sums(seat, bundle, spectra)
+    want_parts = dict(_reference_products(seat, bundle, spectra))
+    threads = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transmission, "_BLOCK_BINS", block)
+        mp.setattr(traceio, "_usable_cpus", lambda: cpus)
+        row_of = [AXES.index(cid.output_axis) for cid in CHANNEL_IDS]
+        sums = _summed_products(seat, bundle, spectra, row_of)
+        head, power = head_motion(seat, bundle, spectra)
+        _, breakdown = transmit(seat, bundle)
+        contributions = breakdown.contributions
+        assert threading.active_count() == threads
+    assert sums.shape == (len(AXES), 2 * bins)
+    for axis, total in zip(AXES, sums.view(np.complex128)):
+        assert np.array_equal(total.view(np.uint64), want_sums[axis].view(np.uint64))
+        assert np.array_equal(power[axis], np.abs(want_sums[axis]) ** 2)
+        assert np.array_equal(head.channels[axis], scipy_fft.irfft(want_sums[axis], n=n))
+    for cid, part in want_parts.items():
+        got = contributions[cid.output_axis][cid]
+        assert not got.flags.writeable
+        assert np.array_equal(got, scipy_fft.irfft(part, n=n))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_block_build_runs_on_one_thread_per_usable_cpu_and_joins_them(monkeypatch, cpus):
+    callers = set()
+    evaluate = transmission.evaluate_grid
+
+    def traced(curve, freqs):
+        callers.add(threading.get_ident())
+        return evaluate(curve, freqs)
+
+    monkeypatch.setattr(transmission, "evaluate_grid", traced)
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: (starts.append(self), start(self)))
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(transmission, "_BLOCK_BINS", 16)  # 151 bins: 9 blocks
+    threads = threading.active_count()
+    transmit(random_trace(5, n=301), builtin_bundle("EXP"))
+    assert threading.active_count() == threads
+    assert len(starts) == 3 * (cpus - 1)  # one helper per further CPU, for each of the three passes
+    assert threading.get_ident() in callers
+    assert len(callers) == 1 if cpus == 1 else 2 <= len(callers) <= cpus
+
+
+def test_error_in_a_helper_block_reaches_the_caller_and_leaves_no_thread(monkeypatch):
+    evaluate = transmission.evaluate_grid
+
+    def fails_off_the_calling_thread(curve, freqs):
+        if threading.current_thread() is not threading.main_thread():
+            raise _RowFailure("helper block")
+        return evaluate(curve, freqs)
+
+    monkeypatch.setattr(transmission, "evaluate_grid", fails_off_the_calling_thread)
+    monkeypatch.setattr(transmission, "_BLOCK_BINS", 16)
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 2)
+    threads = threading.active_count()
+    with pytest.raises(_RowFailure, match="helper block"):
+        transmit(random_trace(6, n=301), builtin_bundle("EXP"))
+    assert threading.active_count() == threads
+
+
+_GAINS = st.floats(0.1, 10.0).flatmap(lambda g: st.sampled_from([g, -g]))
+
+
+# With 8 bins a block, n from 2 to 200 crosses up to 12 block edges.
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.one_of(st.integers(2, 200), st.sampled_from([30, 31, 32, 33, 34, 46, 47, 48, 49, 50])),
+    a=_GAINS,
+    b=_GAINS,
+    model=st.sampled_from(MODEL_IDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transmission_and_metrics_are_linear_across_blocks(n, a, b, model, seed):
+    x, y = random_trace(seed, n=n), random_trace(seed ^ 0x5EED, n=n)
+    bundle = builtin_bundle(model)
+
+    def scaled(alpha, beta):
+        return MotionTrace(
+            100.0, {axis: alpha * x.channels[axis] + beta * y.channels[axis] for axis in AXES}
+        )
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transmission, "_BLOCK_BINS", 8)
+        mp.setattr(traceio, "_usable_cpus", lambda: 2)
+        mixed, head_x, head_y = (transmit(seat, bundle)[0] for seat in (scaled(a, b), x, y))
+        reports = [full_assessment(seat, bundle) for seat in (x, scaled(a, 0.0))]
+    for axis in AXES:
+        want = a * head_x.channels[axis] + b * head_y.channels[axis]
+        assert rel_err(mixed.channels[axis], want) < 1e-9
+    for regime in ("rc", "ms"):
+        plain, times_a = (getattr(report, regime).total for report in reports)
+        assert rel_err(times_a, abs(a) * plain) < 1e-9
