@@ -17,7 +17,10 @@ head rigidly follows the seat: unit diagonal, zero cross coupling).
 
 Curves interpolate linearly in (gain, unwrapped phase) and hold the nearest
 tabulated value outside the tabulated band.  The response at 0 Hz is forced
-real so that real signals stay real through an inverse transform.
+real so that real signals stay real through an inverse transform.  The block
+build of the head spectra (`transmission`) relies on that hold: it calls
+`evaluate_grid` only on the bins inside a curve's band and fills the held
+bins below and above it with the edge response, which gives the same bits.
 """
 
 from __future__ import annotations

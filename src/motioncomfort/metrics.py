@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import spectral
+from . import spectral, traceio
 from .errors import ConfigError, DataError, NumericError
 from .frf import AXES, FrfBundle
 from .svc import MsiSeries, SvcParams, run_svc
@@ -159,7 +159,8 @@ def full_assessment(
     `transmission` (one forward FFT per seat channel, one inverse FFT per
     head axis), and the weighted RMS values are read off the head spectra
     (Parseval), which is arithmetically equivalent to weighting in the time
-    domain followed by a time-domain RMS.  MSI runs on the head trace.
+    domain followed by a time-domain RMS; each regime's read-off takes one
+    task per axis on every usable CPU.  MSI runs on the head trace.
     Results match `transmit` + `assess` + `run_svc` to fp round-off.
     Pass a dict as `timings` to collect per-stage wall times in seconds.
     """
@@ -185,13 +186,17 @@ def _assess_spectra(seat, bundle, spectra, rc, ms, svc_params, registry, include
     freqs = spectral.bin_frequencies(n, fs)
 
     def spectral_assess(regime: MetricRegime, curves) -> RegimeResult:
-        per_axis = {}
-        for axis in AXES:
-            w = curves[axis].at(freqs)
-            per_axis[axis] = float(
-                np.sqrt(spectral.spectrum_mean_square(w * w * head_power[axis], n))
-            )
-        return _regime_result(regime, per_axis)
+        per_axis = np.empty(len(AXES))
+
+        def read_off(i: int) -> None:  # w * w * P in one array; an overflow reaches combine
+            with np.errstate(over="ignore", invalid="ignore"):
+                weighted = curves[AXES[i]].at(freqs)
+                np.multiply(weighted, weighted, out=weighted)
+                np.multiply(weighted, head_power[AXES[i]], out=weighted)
+                per_axis[i] = np.sqrt(spectral.spectrum_mean_square(weighted, n))
+
+        traceio._on_every_cpu(read_off, len(AXES))
+        return _regime_result(regime, dict(zip(AXES, per_axis.tolist())))
 
     rc_result = spectral_assess(rc, rc_curves)
     t2 = time.perf_counter()

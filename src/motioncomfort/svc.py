@@ -23,6 +23,12 @@ evaluated with `scipy.signal.lfilter`, which reproduces the Euler update
 exactly.  All parameters are exposed on `SvcParams` and can be substituted;
 the defaults give plausible shapes but are not fitted to any dataset.
 
+The per-sample stages (sensed force, conflict, squash) run in blocks of
+samples (`_BLOCK_SAMPLES`) on every usable CPU (`traceio._on_every_cpu`).
+Every step works sample by sample, so the bits do not depend on the blocks
+or the threads.  The nine `lfilter` recurrences run on the calling thread:
+`lfilter` holds the GIL, so a second thread would only wait for it.
+
 One generator runs the model stage by stage and drops each array once no
 later stage needs it: `svc_states` keeps every stage, `run_svc` only the MSI.
 """
@@ -30,14 +36,17 @@ later stage needs it: `svc_states` keeps every stage, `run_svc` only the MSI.
 from __future__ import annotations
 
 from dataclasses import InitVar, asdict, dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 from scipy.signal import lfilter
 
+from . import traceio
 from .errors import DataError, NumericError
 from .frf import _frozen_array, _is_real
 from .traceio import MotionTrace
+
+_BLOCK_SAMPLES = 65536  # samples per task of the per-sample stages
 
 
 @dataclass(frozen=True)
@@ -109,6 +118,20 @@ def _euler_stage(x: np.ndarray, gain_dt: float, decay: float, y0: float) -> np.n
     return y
 
 
+def _per_sample(task: Callable[[int, int], None], n: int) -> None:
+    """Run ``task(lo, hi)`` over blocks of `_BLOCK_SAMPLES` samples (`traceio._in_blocks`).
+
+    Each task ignores overflow and invalid results: the inf or NaN they leave
+    is reported by the finiteness checks.
+    """
+
+    def run(lo: int, hi: int) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            task(lo, hi)
+
+    traceio._in_blocks(run, n, _BLOCK_SAMPLES)
+
+
 def _stages(head: MotionTrace, params: SvcParams | None) -> Iterator[tuple[str, np.ndarray]]:
     """Yield (name, trajectory) in model order; drop each array once no later stage needs it."""
     p = params if params is not None else SvcParams()
@@ -126,6 +149,7 @@ def _stages(head: MotionTrace, params: SvcParams | None) -> Iterator[tuple[str, 
                 "each explicit integration stage needs sample_rate_hz * time constant >= 1"
             )
     channels = head.channels
+    n = head.n_samples
 
     leak = decay["orientation_leak_s"]
     roll = _euler_stage(_euler_stage(channels["roll"], dt, leak, 0.0), dt, leak, 0.0)
@@ -135,16 +159,20 @@ def _stages(head: MotionTrace, params: SvcParams | None) -> Iterator[tuple[str, 
 
     # Head acceleration plus gravity in the tilted head frame (magnitude g for any angles):
     # g sin(p), (-g cos(p)) sin(r), (g cos(p)) cos(r), built in the rows of `sensed`.
-    sensed = np.empty((3, head.n_samples))
-    np.multiply(np.sin(pitch, out=sensed[0]), p.g, out=sensed[0])
-    cos_p = np.cos(pitch)
-    del pitch
-    np.multiply(cos_p, -p.g, out=sensed[2])  # row 2 is scratch until row 1 is built
-    np.multiply(sensed[2], np.sin(roll, out=sensed[1]), out=sensed[1])
-    np.multiply(np.multiply(cos_p, p.g, out=cos_p), np.cos(roll, out=sensed[2]), out=sensed[2])
-    del roll, cos_p
-    for i, axis in enumerate(("x", "y", "z")):
-        sensed[i] += channels[axis]
+    sensed = np.empty((3, n))
+
+    def sense(lo: int, hi: int) -> None:
+        out, p_angle, r_angle = sensed[:, lo:hi], pitch[lo:hi], roll[lo:hi]
+        np.multiply(np.sin(p_angle, out=out[0]), p.g, out=out[0])
+        cos_p = np.cos(p_angle)
+        np.multiply(cos_p, -p.g, out=out[2])  # row 2 is scratch until row 1 is built
+        np.multiply(out[2], np.sin(r_angle, out=out[1]), out=out[1])
+        np.multiply(np.multiply(cos_p, p.g, out=cos_p), np.cos(r_angle, out=out[2]), out=out[2])
+        for i, axis in enumerate(("x", "y", "z")):
+            out[i] += channels[axis][lo:hi]
+
+    _per_sample(sense, n)
+    del pitch, roll
     yield "sensed", sensed
 
     vertical = np.empty_like(sensed)
@@ -152,23 +180,30 @@ def _stages(head: MotionTrace, params: SvcParams | None) -> Iterator[tuple[str, 
         vertical[i] = _euler_stage(sensed[i], step["tau_s"], decay["tau_s"], rest)
     yield "subjective_vertical", vertical
 
-    # |sensed - vertical|, summed axis by axis so only two 1-D buffers are live.  An overflow
-    # here or in the squash leaves inf or NaN, which the finiteness checks report.
-    conflict = np.zeros(head.n_samples)
-    diff = np.empty_like(conflict)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # |sensed - vertical|, summed axis by axis.
+    conflict = np.zeros(n)
+
+    def measure(lo: int, hi: int) -> None:
+        out, diff = conflict[lo:hi], np.empty(hi - lo)
         for i in range(3):
-            conflict += np.square(np.subtract(sensed[i], vertical[i], out=diff), out=diff)
-        del sensed, vertical, diff
-        np.sqrt(conflict, out=conflict)
+            out += np.square(np.subtract(sensed[i, lo:hi], vertical[i, lo:hi], out=diff), out=diff)
+        np.sqrt(out, out=out)
+
+    _per_sample(measure, n)
+    del sensed, vertical
     if not np.all(np.isfinite(conflict)):
         raise NumericError("SVC produced non-finite conflict values")
     yield "conflict", conflict
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        cn = conflict**p.n
-        stage = cn / (p.b**p.n + cn)
-    del conflict, cn
+    stage = np.empty(n)
+    b_n = p.b**p.n
+
+    def squash(lo: int, hi: int) -> None:
+        cn = conflict[lo:hi] ** p.n
+        np.divide(cn, b_n + cn, out=stage[lo:hi])
+
+    _per_sample(squash, n)
+    del conflict
     yield "squashed", stage
     for name in ("stage1", "stage2"):  # rebinding `stage` drops the stage before
         stage = _euler_stage(stage, step["mu_s"], decay["mu_s"], 0.0)

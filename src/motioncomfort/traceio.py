@@ -2,6 +2,8 @@
 
 `MotionTrace` lives here, below `transmission` (which imports it back), so
 trace I/O and the sickness-incidence model import nothing from that layer.
+So do `_on_every_cpu` and `_in_blocks`, the thread runners that the spectral
+core, the RC/MS read-offs and the sickness-incidence model share.
 
 Trace files are CSV with header ``t_s,ax,ay,az,aroll,apitch,ayaw`` and a
 uniform time column (relative step deviation at most 1 ppm).  Values are
@@ -13,12 +15,13 @@ from __future__ import annotations
 import io
 import numbers
 import os
+import threading
 import uuid
 import warnings
 from dataclasses import MISSING, InitVar, dataclass, field, fields
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import fft as _fft
@@ -156,6 +159,44 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _on_every_cpu(task: Callable[[int], None], count: int) -> None:
+    """Run ``task(i)`` for every i in range(count), on every usable CPU.
+
+    The calling thread takes i = 0, k, 2k, ... and each of the k - 1 helper
+    threads the indices after it; a count of 0 runs nothing.  Every thread is
+    joined before this returns, and the first exception raised by any task is
+    raised here.  numpy's error state is per thread: a task that relies on one
+    opens its own `np.errstate`.
+    """
+    k = max(1, min(_usable_cpus(), count))
+    errors: list[BaseException] = []
+
+    def run(first: int) -> None:
+        try:
+            for i in range(first, count, k):
+                task(i)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run, args=(j,)) for j in range(1, k)]
+    for thread in helpers:
+        thread.start()
+    run(0)
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _in_blocks(task: Callable[[int, int], None], n: int, size: int) -> None:
+    """Run ``task(lo, hi)`` over equal blocks that cover range(n), on every usable CPU.
+
+    Each block holds `size` to 2 * `size` items, or all n when n < 2 * `size`.
+    """
+    count = max(1, n // size)
+    _on_every_cpu(lambda i: task(n * i // count, n * (i + 1) // count), count)
 
 
 def _as_array(lines) -> np.ndarray | None:

@@ -15,13 +15,16 @@ exact length, `_summed_products` multiplies those spectra by the 14
 tabulated responses and sums the products per head axis, and `head_motion`
 inverts each sum once.  The whole pipeline is linear and deterministic.
 
-All three stages run on every usable CPU (`_on_every_cpu`): the calling
-thread and one helper thread per further CPU take tasks in turn, since
-pocketfft and numpy's array loops release the GIL.  The six forward and the
-six inverse transforms are one task each and run alone at the exact length.
-The channel products are built in blocks of bins (`_BLOCK_BINS`), one task
-a block, and every step of a product works bin by bin.  So the output bits
-do not depend on the number of threads.
+All three stages run on every usable CPU (`traceio._on_every_cpu`): the
+calling thread and one helper thread per further CPU take tasks in turn,
+since pocketfft and numpy's array loops release the GIL.  The six forward
+and the six inverse transforms are one task each and run alone at the exact
+length; the task that inverts a head axis first takes its power |H|^2.  The
+channel products are built in blocks of bins (`_BLOCK_BINS`), one task a
+block.  In a block, each response is evaluated only on the bins strictly
+inside its curve's tabulated band; the bins below and above it are filled
+with the edge response the curve holds there.  Every step of a product works
+bin by bin, so the output bits do not depend on the number of threads.
 
 The trace type, `MotionTrace`, is defined in `traceio` and imported here.
 """
@@ -29,11 +32,10 @@ The trace type, `MotionTrace`, is defined in `traceio` and imported here.
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -69,54 +71,59 @@ def fft_apply(signal, curve: FrfCurve, sample_rate_hz: float) -> np.ndarray:
     )
 
 
-def _on_every_cpu(task: Callable[[int], None], count: int) -> None:
-    """Run ``task(i)`` for every i in range(count), on every usable CPU.
-
-    The calling thread takes i = 0, k, 2k, ... and each of the k - 1 helper
-    threads the indices after it.  Every thread is joined before this
-    returns, and the first exception raised by any task is raised here.
-    """
-    k = min(traceio._usable_cpus(), count)
-    errors: list[BaseException] = []
-
-    def run(first: int) -> None:
-        try:
-            for i in range(first, count, k):
-                task(i)
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=run, args=(j,)) for j in range(1, k)]
-    for thread in helpers:
-        thread.start()
-    run(0)
-    for thread in helpers:
-        thread.join()
-    if errors:
-        raise errors[0]
-
-
-def _fill_rows(out: np.ndarray, transform: Callable, inputs: Sequence) -> None:
-    """Set ``out[i] = transform(inputs[i])`` for every row, on every usable CPU.
-
-    Each result is copied into `out`, which the caller allocated, and dropped
-    at once, so no thread keeps an array of its own.
-    """
-
-    def fill(i: int) -> None:
-        out[i] = transform(inputs[i])
-
-    _on_every_cpu(fill, len(inputs))
-
-
 def seat_spectra(seat: MotionTrace) -> dict[str, np.ndarray]:
     """The exact-length real FFT of each seat channel, one transform per axis.
 
-    The spectra are the rows of one (6, n // 2 + 1) array.
+    The spectra are the rows of one (6, n // 2 + 1) array, each filled by one
+    task on every usable CPU.
     """
     out = np.empty((len(AXES), seat.n_samples // 2 + 1), dtype=np.complex128)
-    _fill_rows(out, spectral.rfft, [seat.channels[axis] for axis in AXES])
+    channels = [seat.channels[axis] for axis in AXES]
+
+    def transform(i: int) -> None:
+        out[i] = spectral.rfft(channels[i])
+
+    traceio._on_every_cpu(transform, len(AXES))
     return dict(zip(AXES, out))
+
+
+def _held_band(curve: FrfCurve, freqs: np.ndarray) -> tuple[int, int, complex, complex]:
+    """(first, stop, below, above) of one curve on the ascending bin grid `freqs`.
+
+    Bins [first, stop) lie strictly inside the tabulated band.  The curve
+    holds its edge values outside it: bins before `first`, DC apart, take
+    `below`, and bins from `stop` on take `above`.
+    """
+    f = curve.freq_hz
+    # Above, not at, the upper edge: at 0 Hz (a one-point curve) the response is made real.
+    below, above = evaluate_grid(curve, np.array([f[0], f[-1] + 1.0]))
+    first, stop = np.searchsorted(freqs, f[0], "right"), np.searchsorted(freqs, f[-1], "left")
+    return int(first), int(stop), below, above
+
+
+def _block_response(curve: FrfCurve, band: tuple, freqs: np.ndarray, lo: int, hi: int):
+    """The response on bins [lo, hi), at least 2 of them, given the curve's `_held_band`.
+
+    `evaluate_grid` runs on the in-band bins and the held values fill the
+    rest.  The DC bin is always evaluated, since its response is made real.
+    An evaluated part is never a single bin: it takes in a held neighbour
+    instead, as a guard, because numpy's complex loops can round a lone
+    element differently (the in-place multiply does on AVX-512 builds).  The
+    bits equal those of one `evaluate_grid` call on all bins.
+    """
+    first, stop, below, above = band
+    start = 0 if lo == 0 else max(lo, first)
+    end = max(start + (lo == 0), min(hi, stop))  # bin 0 (DC) is always evaluated
+    if end - start == 1:
+        start, end = (start, end + 1) if end < hi else (start - 1, end)
+    if start == lo and end == hi:
+        return evaluate_grid(curve, freqs[lo:hi])
+    response = np.empty(hi - lo, dtype=np.complex128)
+    response[: start - lo] = below
+    if end > start:
+        response[start - lo : end - lo] = evaluate_grid(curve, freqs[start:end])
+    response[end - lo :] = above
+    return response
 
 
 def _summed_products(
@@ -131,20 +138,21 @@ def _summed_products(
     (or one block of all), built on every usable CPU.  Each step works bin by
     bin, so the bits do not depend on the blocks as long as each holds at
     least 2 bins (numpy's in-place complex multiply rounds a lone bin
-    differently).
+    differently).  A response is evaluated only inside its curve's tabulated
+    band and filled with the held edge value outside it (`_block_response`).
     """
     n = seat.n_samples
     m = n // 2 + 1
     rows = np.empty((max(row_of) + 1, 2 * m))
     sums = rows.view(np.complex128)
     freqs = spectral.bin_frequencies(n, seat.sample_rate_hz)
-    count = max(1, m // _BLOCK_BINS)
+    curves = [bundle.channels[cid] for cid in CHANNEL_IDS]
+    bands = [_held_band(curve, freqs) for curve in curves]
 
-    def build(block: int) -> None:
-        lo, hi = m * block // count, m * (block + 1) // count
+    def build(lo: int, hi: int) -> None:
         filled = set()
-        for cid, row in zip(CHANNEL_IDS, row_of):
-            response = evaluate_grid(bundle.channels[cid], freqs[lo:hi])
+        for cid, row, curve, band in zip(CHANNEL_IDS, row_of, curves, bands):
+            response = _block_response(curve, band, freqs, lo, hi)
             if lo == 0:
                 response[0] = response[0].real
             if hi == m and n % 2 == 0:
@@ -158,17 +166,25 @@ def _summed_products(
                 np.copyto(total, response)
                 filled.add(row)
 
-    _on_every_cpu(build, count)
+    traceio._in_blocks(build, m, _BLOCK_BINS)
     return rows
 
 
-def _inverted_rows(rows: np.ndarray, n: int) -> np.ndarray:
+def _inverted_rows(rows: np.ndarray, n: int, power: np.ndarray | None = None) -> np.ndarray:
     """Overwrite each row's spectrum with its length-n inverse FFT, on every usable CPU.
 
-    Returns the (read-only) signals, views of `rows`.
+    With `power`, each row's task first sets ``power[i]`` to the spectrum's
+    |H|^2.  Returns the (read-only) signals, views of `rows`.
     """
     spectra = rows.view(np.complex128)
-    _fill_rows(rows[:, :n], lambda spectrum: spectral.irfft(spectrum, n=n), spectra)
+
+    def invert(i: int) -> None:
+        if power is not None:
+            with np.errstate(over="ignore"):  # an overflow is reported by metrics.combine
+                np.square(np.abs(spectra[i], out=power[i]), out=power[i])
+        rows[i, :n] = spectral.irfft(spectra[i], n=n)
+
+    traceio._on_every_cpu(invert, len(rows))
     rows.flags.writeable = False
     return rows[:, :n]
 
@@ -178,19 +194,20 @@ def head_motion(seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str, np.n
 
     A head spectrum sums the channel products feeding that axis, and its
     power |H|^2 is all that RC and MS read of it.  One inverse FFT per head
-    axis then gives the head trace.  Each axis's spectrum and signal share
-    one row of one array: the signal overwrites the spectrum it came from,
-    and the head trace keeps those rows without copying.  The seat spectra
-    are released once the sums are built, which frees them when the caller
-    handed over its only reference.
+    axis then gives the head trace; the task that inverts an axis computes
+    its power first.  Each axis's spectrum and signal share one row of one
+    array: the signal overwrites the spectrum it came from, and the head
+    trace keeps those rows without copying.  The seat spectra are released
+    once the sums are built, which frees them when the caller handed over its
+    only reference.
     """
     _warn_if_undersampled(seat.sample_rate_hz, bundle.max_freq_hz, f"bundle {bundle.model_id}")
     rows = _summed_products(seat, bundle, spectra, [AXES.index(c.output_axis) for c in CHANNEL_IDS])
     del spectra
-    with np.errstate(over="ignore"):  # an overflow is reported by metrics.combine
-        power = {axis: np.abs(total) ** 2 for axis, total in zip(AXES, rows.view(np.complex128))}
-    signals = _inverted_rows(rows, seat.n_samples)
-    return MotionTrace(seat.sample_rate_hz, dict(zip(AXES, signals)), "head", _owned=True), power
+    power = np.empty((len(AXES), rows.shape[1] // 2))
+    signals = _inverted_rows(rows, seat.n_samples, power)
+    head = MotionTrace(seat.sample_rate_hz, dict(zip(AXES, signals)), "head", _owned=True)
+    return head, dict(zip(AXES, power))
 
 
 @dataclass(frozen=True)

@@ -96,15 +96,16 @@ def test_malformed_trace_is_data_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", [[], ["--no-svc"]])
 def test_overflowing_trace_is_single_line_numeric_error(tmp_path, capsys, extra):
-    trace = tmp_path / "big.csv"
-    save_trace(random_trace(41, n=3000, scale=1e160), trace)
-    out = tmp_path / "out"
-    rc = main(["assess", "--trace", str(trace), "--model", "EXP", "--out", str(out), *extra])
-    assert rc == 4
-    err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error[numeric]:")
-    assert not (out / "report.json").exists()
+    for scale in (1e152, 1e160):  # at 1e160 the head power overflows, at 1e152 the read-off's sum
+        trace = tmp_path / f"big{scale:g}.csv"
+        save_trace(random_trace(41, n=3000, scale=scale), trace)
+        out = tmp_path / f"out{scale:g}"
+        rc = main(["assess", "--trace", str(trace), "--model", "EXP", "--out", str(out), *extra])
+        assert rc == 4
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error[numeric]:")
+        assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ from motioncomfort import (
     run_svc,
     transmit,
 )
+from motioncomfort import spectral, svc, traceio, transmission, weighting
+from motioncomfort.transmission import head_motion, seat_spectra
 from motioncomfort.weighting import DEFAULT_K_FACTORS, unity_regime
 from conftest import random_trace, rel_err, sine_trace
 
@@ -89,6 +94,79 @@ def test_overflowing_trace_is_numeric_error(path):
             full_assessment(seat, builtin_bundle("EXP"), include_svc=False)
         else:
             assess(seat, ride_comfort_regime())
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_read_offs_take_one_task_per_axis_and_match_the_serial_formula(monkeypatch, cpus):
+    seat, bundle = random_trace(42, n=3001), builtin_bundle("AHM")
+    _, power = head_motion(seat, bundle, seat_spectra(seat))
+    freqs = spectral.bin_frequencies(seat.n_samples, seat.sample_rate_hz)
+    curves = builtin_weightings()
+    callers = set()
+    at = weighting.WeightingCurve.at
+
+    def traced(self, f):
+        callers.add(threading.get_ident())
+        return at(self, f)
+
+    weighted, mean_square = [], spectral.spectrum_mean_square
+
+    def recorded(weighted_power, n):
+        weighted.append(weighted_power.tobytes())
+        return mean_square(weighted_power, n)
+
+    monkeypatch.setattr(weighting.WeightingCurve, "at", traced)
+    monkeypatch.setattr(spectral, "spectrum_mean_square", recorded)
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: cpus)
+    threads = threading.active_count()
+    report = full_assessment(seat, bundle, include_svc=False)
+    assert threading.active_count() == threads
+    assert len(callers) == 1 if cpus == 1 else 2 <= len(callers) <= cpus
+    want_weighted = []
+    regimes = ((report.rc, ride_comfort_regime()), (report.ms, motion_sickness_regime()))
+    for result, regime in regimes:
+        for axis in AXES:
+            w = at(curves[regime.axis_weighting[axis]], freqs)
+            want_weighted.append((w * w * power[axis]).tobytes())
+            want = float(np.sqrt(mean_square(w * w * power[axis], seat.n_samples)))
+            assert result.per_axis[axis] == want
+    assert sorted(weighted) == sorted(want_weighted)  # (w * w) * P, in that order
+
+
+def test_assessment_is_bit_equal_with_more_threads_than_cores_and_fast_switching(monkeypatch):
+    seat, bundle = random_trace(9, n=1366), builtin_bundle("EHM")
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 1)
+    want = full_assessment(seat, bundle)
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 6)
+    monkeypatch.setattr(transmission, "_BLOCK_BINS", 16)
+    monkeypatch.setattr(svc, "_BLOCK_SAMPLES", 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            got = full_assessment(seat, bundle)
+            for regime in ("rc", "ms"):
+                assert getattr(got, regime).per_axis == getattr(want, regime).per_axis
+            assert got.msi.msi_percent.tobytes() == want.msi.msi_percent.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# At 1e160 |H|^2 overflows to inf; at 1e152 it stays finite and the read-off's sum
+# overflows.  Each task ignores that itself, since numpy's error state is per thread,
+# and combine reports it.
+@pytest.mark.parametrize("scale", [1e152, 1e160])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_overflow_in_a_helper_read_off_is_one_numeric_error(monkeypatch, cpus, scale):
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: cpus)
+    seat = random_trace(40, n=500, scale=scale)
+    threads = threading.active_count()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError, match="non-finite"):
+            full_assessment(seat, builtin_bundle("EXP"), include_svc=False)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert threading.active_count() == threads
 
 
 def test_combine_monotone_in_each_argument():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from motioncomfort import (
     run_svc,
     synth_trace,
 )
-from motioncomfort import svc
+from motioncomfort import svc, traceio
 from motioncomfort.svc import svc_states
 
 
@@ -306,6 +307,54 @@ def test_streamed_stages_are_bit_equal_to_keeping_every_stage(run):
         assert states[name].shape == trajectory.shape
         assert states[name].tobytes() == trajectory.tobytes(), name
     assert run_svc(head, params).msi_percent.tobytes() == states["msi_percent"].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=_accepted_run(), block=st.integers(2, 16), cpus=st.sampled_from([1, 2, 3]))
+def test_per_sample_stages_in_blocks_are_bit_equal_to_one_block(run, block, cpus):
+    head, params = run
+    want = svc_states(head, params)  # n <= 300: one block
+    threads = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(svc, "_BLOCK_SAMPLES", block)
+        mp.setattr(traceio, "_usable_cpus", lambda: cpus)
+        states = svc_states(head, params)
+        series = run_svc(head, params)
+    assert threading.active_count() == threads
+    assert list(states) == list(want)
+    for name, trajectory in want.items():
+        assert states[name].tobytes() == trajectory.tobytes(), name
+    assert series.msi_percent.tobytes() == want["msi_percent"].tobytes()
+
+
+@pytest.mark.parametrize("params", [{"b": 1.0, "n": 1e300}, {"g": 1e300}])
+def test_overflow_in_a_helper_block_is_one_numeric_error(monkeypatch, params):
+    # At rest for the first 50 samples, so the conflict is 0 there and only the
+    # second block, which the helper thread takes, overflows.
+    z = np.concatenate([np.zeros(50), np.full(50, 30.0)])
+    head = _head({"z": z, "roll": np.where(z > 0.0, 0.5, 0.0)}, fs=100.0)
+    assert not np.any(svc_states(head)["conflict"][:50])
+    monkeypatch.setattr(svc, "_BLOCK_SAMPLES", 50)
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 2)
+    ran_on = set()
+    per_sample = svc._per_sample
+
+    def recorded(task, n):
+        def spied(lo, hi):
+            ran_on.add((lo, threading.current_thread() is threading.main_thread()))
+            task(lo, hi)
+
+        per_sample(spied, n)
+
+    monkeypatch.setattr(svc, "_per_sample", recorded)
+    threads = threading.active_count()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError, match="non-finite"):
+            run_svc(head, SvcParams(**params))
+    assert threading.active_count() == threads
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert ran_on == {(0, True), (50, False)}
 
 
 def test_series_time_matches_trace():

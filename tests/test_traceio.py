@@ -3,6 +3,7 @@ from __future__ import annotations
 import errno
 import os
 import tempfile
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -590,3 +591,18 @@ def test_failed_forked_write_keeps_old_file_and_no_child(tmp_path, monkeypatch, 
     assert failure.traceback
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["msi.csv"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("count", [0, 1, 2, 5])
+def test_on_every_cpu_runs_each_task_once_and_no_task_as_a_no_op(monkeypatch, cpus, count):
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: (starts.append(self), start(self)))
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: cpus)
+    threads = threading.active_count()
+    ran = []
+    traceio._on_every_cpu(ran.append, count)
+    assert sorted(ran) == list(range(count))
+    assert len(starts) == max(0, min(cpus, count) - 1)  # no helper without a task for it
+    assert threading.active_count() == threads

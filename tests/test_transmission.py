@@ -442,6 +442,74 @@ def test_block_core_is_bit_equal_to_one_full_length_build(
         assert np.array_equal(got, scipy_fft.irfft(part, n=n))
 
 
+def _band_bundle(freqs, edges, seed):
+    """An EXP-style bundle whose curve j spans ``edges[j]``, a pair of positions in half bins.
+
+    An even position is a bin, an odd one lies halfway between two bins, 0 is
+    0 Hz and positions past the last bin lie above Nyquist.  Equal positions
+    make a one-point curve; 0 to 2 random points lie inside a wider band.
+    """
+    df = freqs[1]
+    rng = np.random.default_rng(seed)
+    channels = {}
+    for cid, (lo, hi) in zip(CHANNEL_IDS, edges):
+        f0, f1 = (h // 2 * df if h % 2 == 0 else (h // 2 + 0.5) * df for h in (lo, hi))
+        inner = rng.uniform(f0, f1, rng.integers(0, 3)) if hi > lo else []
+        freq = np.unique(np.concatenate([[f0], inner, [f1]]))
+        channels[cid] = FrfCurve(
+            freq, rng.uniform(0.0, 3.0, freq.size), rng.uniform(-4.0, 4.0, freq.size), cid.units
+        )
+    return FrfBundle("EXP", channels)
+
+
+@st.composite
+def _held_band_case(draw):
+    block = draw(st.integers(2, 16))
+    bins = draw(st.integers(1, 5)) * block + draw(st.sampled_from([0, 1, 2]))
+    half = st.integers(0, 2 * bins + 3)  # up to two bins above the last
+    return {
+        "block": block,
+        "n": 2 * (bins - 1) + draw(st.sampled_from([0, 1])),
+        "fs": draw(st.sampled_from([1.0, 37.3, 100.0, 128.0])),
+        "edges": [sorted(draw(st.tuples(half, half))) for _ in CHANNEL_IDS],
+        "cpus": draw(st.sampled_from([1, 2, 3])),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+# 12 bins in blocks [0, 4), [4, 8), [8, 12): bands on bins, between bins, one bin inside
+# a block (bin 4, bin 7) or across a block edge (bins 3 and 4), inside the first block,
+# from 0 Hz, up to or past Nyquist, and one-point curves at 0 Hz, on a bin, between bins
+# and above Nyquist.
+_EDGES_12 = [(4, 18), (5, 17), (7, 9), (13, 15), (5, 9), (1, 5), (0, 11), (4, 30), (0, 0),
+             (6, 6), (7, 7), (27, 27), (0, 30), (3, 22)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_held_band_case())
+@example({"block": 4, "n": 22, "fs": 100.0, "edges": _EDGES_12, "cpus": 2, "seed": 0})
+@example({"block": 4, "n": 23, "fs": 37.3, "edges": _EDGES_12, "cpus": 3, "seed": 1})
+@example({"block": 2, "n": 9, "fs": 1.0, "edges": [(h, h + 1) for h in range(14)], "cpus": 2,
+          "seed": 2})  # 5 bins in blocks of 2 and 3: every 1-bin band
+def test_held_band_fill_is_bit_equal_to_one_full_length_build(case):
+    seat = random_trace(case["seed"], n=case["n"], fs=case["fs"])
+    freqs = spectral.bin_frequencies(seat.n_samples, seat.sample_rate_hz)
+    bundle = _band_bundle(freqs, case["edges"], case["seed"])
+    spectra = {axis: scipy_fft.rfft(seat.channels[axis]) for axis in AXES}
+    want_sums = _reference_sums(seat, bundle, spectra)
+    want_parts = [part for _, part in _reference_products(seat, bundle, spectra)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transmission, "_BLOCK_BINS", case["block"])
+        mp.setattr(traceio, "_usable_cpus", lambda: case["cpus"])
+        row_of = [AXES.index(cid.output_axis) for cid in CHANNEL_IDS]
+        sums = _summed_products(seat, bundle, spectra, row_of)
+        parts = _summed_products(seat, bundle, spectra, range(len(CHANNEL_IDS)))
+    for total, want in zip(sums.view(np.complex128), (want_sums[axis] for axis in AXES)):
+        assert np.array_equal(total.view(np.uint64), want.view(np.uint64))
+    for part, want in zip(parts.view(np.complex128), want_parts):
+        assert np.array_equal(part.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_block_build_runs_on_one_thread_per_usable_cpu_and_joins_them(monkeypatch, cpus):
     callers = set()
