@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import numbers
 import os
+import re
 import threading
 import uuid
 import warnings
@@ -199,6 +200,89 @@ def _in_blocks(task: Callable[[int, int], None], n: int, size: int) -> None:
     _on_every_cpu(lambda i: task(n * i // count, n * (i + 1) // count), count)
 
 
+# The strict row grammar: seven tokens -?(D+(.D+)?|.D+)([eE][+-]?D+)? (D a digit) split by
+# six commas and ended by one LF.  It is checked on the marks, the bytes that are not digits:
+# each mark's code (0 for a byte the grammar does not allow), and whether digits come
+# between it and the mark before.  An exponent's '-' is recoded as '+'.
+_SEP, _MINUS, _PLUS, _DOT, _EXP = 1, 2, 3, 4, 5
+_CODES = dict(zip(b",\n-+.eE", [_SEP, _SEP, _MINUS, _PLUS, _DOT, _EXP, _EXP]))
+_MARK = bytes(_CODES.get(i, 0) for i in range(256))  # a bytes.translate table of mark codes
+# At 8 * a + b, where mark b may follow mark a: bit 1 after digits, bit 2 right after it.
+_FOLLOWS = bytes(
+    {
+        (_SEP, _SEP): 1, (_SEP, _MINUS): 2, (_SEP, _DOT): 3, (_SEP, _EXP): 1,
+        (_MINUS, _SEP): 1, (_MINUS, _DOT): 3, (_MINUS, _EXP): 1,
+        (_PLUS, _SEP): 1, (_DOT, _SEP): 1, (_DOT, _EXP): 1,
+        (_EXP, _SEP): 1, (_EXP, _MINUS): 2, (_EXP, _PLUS): 2,
+    }.get(divmod(i, 8), 0)
+    for i in range(256)
+)
+_LONE_CR = re.compile(rb"\r(?!\n)")
+_COMMA_TO_LF = bytes.maketrans(b",", b"\n")
+_STRICT_BLOCK_BYTES = 2 << 20  # about this many bytes of whole rows per scipy.io.mmread call
+
+
+def _strict_rows(data: np.ndarray) -> int | None:
+    """The number of rows in the bytes `data` if each is seven strict tokens split by six commas
+    and ended by LF, else None."""
+    if not (data.size and data[-1] == ord("\n")):
+        return None
+    at = np.flatnonzero(data - 48 >= 10)  # the marks; digits are 48 to 57
+    marks = data[at].tobytes()
+    code = np.frombuffer(marks.translate(_MARK), np.uint8).copy()
+    adjacent = np.diff(at, prepend=-1) == 1  # no digit between a mark and the one before
+    before = np.full_like(code, _SEP)  # the first row starts after a line end
+    before[1:] = code[:-1]
+    code[(code == _MINUS) & (before == _EXP) & adjacent] = _PLUS
+    before[1:] = code[:-1]
+    allowed = np.frombuffer((before * 8 + code).tobytes().translate(_FOLLOWS), np.uint8)
+    if not np.all(allowed & (adjacent.view(np.uint8) + 1)):
+        return None
+    separators = marks.translate(None, b"-+.eE")
+    rows = len(separators) // 7
+    return rows if separators == b",,,,,,\n" * rows else None
+
+
+def _strict_parse(raw: bytes) -> np.ndarray | None:
+    """`raw` as (7, rows) channel-major values, or None where `_strict_rows` declines a block
+    or the reader fails.  The values are bit-equal to `np.loadtxt`'s.
+
+    Blocks of about `_STRICT_BLOCK_BYTES` of whole rows are all checked first, then each is
+    read by scipy's compiled Matrix Market reader as the body of a 7 x rows `array`, which
+    lists the values column by column.  That reader drops the sign of a zero, so a zero whose
+    token starts with '-' is made -0.0 again.
+    """
+    from scipy.io import mmread  # imported by _parse_chunks before any worker forks
+
+    data = np.frombuffer(raw, np.uint8)
+    blocks, lo = [], 0
+    while lo < len(raw):
+        hi = raw.find(b"\n", lo + _STRICT_BLOCK_BYTES) + 1 or len(raw)
+        rows = _strict_rows(data[lo:hi])
+        if rows is None:
+            return None
+        blocks.append((lo, hi, rows))
+        lo = hi
+    if not blocks:
+        return None
+    parts = []
+    for lo, hi, rows in blocks:
+        head = b"%%%%MatrixMarket matrix array real general\n7 %d\n" % rows
+        try:
+            values = mmread(io.BytesIO(head + raw[lo:hi].translate(_COMMA_TO_LF)))
+        except ValueError:
+            return None
+        if not values.all():
+            zero = np.flatnonzero(values.T == 0.0)  # token indices, row by row
+            block = data[lo:hi]
+            ends = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
+            starts = np.concatenate(([0], ends[:-1] + 1))[zero]
+            negative = zero[block[starts] == ord("-")]
+            values[negative % 7, negative // 7] = -0.0
+        parts.append(values)
+    return np.concatenate(parts, axis=1)
+
+
 def _as_array(lines) -> np.ndarray | None:
     """`lines` (a list or a byte stream) as an (n, 7) array; None unless each row is 7 numbers."""
     try:
@@ -219,16 +303,20 @@ def _row_error(line: str) -> str:
 
 
 def _parse_chunk(path, start: int, stop: int) -> np.ndarray | _BadLine:
-    """Parse bytes [start, stop) of a trace file, which begin and end on line boundaries."""
+    """Parse bytes [start, stop) of a trace file, which begin and end on line boundaries, as
+    (7, rows) channel-major values: strictly if it can (`_strict_parse`), else with numpy."""
     with open(path, "rb") as fh:
         fh.seek(start)
         raw = fh.read(stop - start)
-    # numpy ends a comment only at LF, so a lone CR would hide the row after a comment:
-    # such a chunk goes straight to the line filter.
-    lone_cr = b"\r" in raw and raw.count(b"\r") > raw.count(b"\r\n")
-    data = None if lone_cr else _as_array(io.BytesIO(raw))
+    data = _strict_parse(raw)
     if data is not None:
         return data
+    # numpy ends a comment only at LF, so a lone CR would hide the row after a comment:
+    # such a chunk goes straight to the line filter.
+    lone_cr = b"\r" in raw and _LONE_CR.search(raw) is not None
+    data = None if lone_cr else _as_array(io.BytesIO(raw))
+    if data is not None:
+        return data.T
     # numpy reads a whitespace-only line as a 1-column row: drop blank and comment
     # lines as text, then parse again.
     lines = [ln.decode(errors="replace") for ln in raw.splitlines()]
@@ -236,7 +324,7 @@ def _parse_chunk(path, start: int, stop: int) -> np.ndarray | _BadLine:
     rows = [lines[i] for i in keep]
     data = _as_array(rows)
     if data is not None:
-        return data
+        return data.T
     lo, hi = 0, len(rows)  # the first bad row is in rows[lo:hi]
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -244,10 +332,11 @@ def _parse_chunk(path, start: int, stop: int) -> np.ndarray | _BadLine:
     return _BadLine(keep[lo], _row_error(rows[lo]))
 
 
-def _fork_map(workers: int, fn, tasks: list[tuple]) -> Iterator:
+def _fork_map(workers: int, fn, tasks: list[tuple], initializer=None) -> Iterator:
     """``fn(*args)`` for each tuple in `tasks`, yielded in order: in up to `workers` forked
-    processes when that and the number of tasks are above one, inline otherwise.  At most
-    two tasks per worker run ahead of the consumer, so a slow one holds a few results, not all."""
+    processes, each of which first calls `initializer`, when that and the number of tasks are
+    above one, inline otherwise.  At most two tasks per worker run ahead of the consumer, so a
+    slow one holds a few results, not all."""
     workers = min(workers, len(tasks))
     if workers > 1:
         import multiprocessing
@@ -258,7 +347,7 @@ def _fork_map(workers: int, fn, tasks: list[tuple]) -> Iterator:
         # __main__ guard.
         if "fork" in multiprocessing.get_all_start_methods():
             context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            with ProcessPoolExecutor(workers, mp_context=context, initializer=initializer) as pool:
                 pending: deque = deque()
                 for args in tasks:
                     pending.append(pool.submit(fn, *args))
@@ -270,10 +359,20 @@ def _fork_map(workers: int, fn, tasks: list[tuple]) -> Iterator:
     yield from (fn(*args) for args in tasks)
 
 
+def _one_reader_thread() -> None:
+    """Make scipy.io.mmread read with one thread in this worker process, which has a CPU of its
+    own (the value that threadpoolctl would set; mmread's default is one thread per CPU)."""
+    from scipy.io import _fast_matrix_market
+
+    _fast_matrix_market.PARALLELISM = 1
+
+
 def _parse_chunks(path, bounds: list[int]) -> list[np.ndarray | _BadLine]:
     """Parse the ranges between consecutive `bounds`: in forked workers when there are several."""
+    import scipy.io  # noqa: F401 (for _strict_parse; imported here, before any worker forks)
+
     ranges = [(path, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return list(_fork_map(len(ranges), _parse_chunk, ranges))
+    return list(_fork_map(len(ranges), _parse_chunk, ranges, _one_reader_thread))
 
 
 def _find_header(fh) -> tuple[str | None, int, int]:
@@ -309,19 +408,24 @@ def load_trace(path) -> MotionTrace:
     """Load a trace CSV (the module's format), inferring the sample rate from the time column.
 
     Blank lines and ``#`` comments may appear anywhere, and LF, CRLF and CR
-    line endings are all read; a byte range that holds a lone CR is split into
-    lines before it is parsed.  When the data after the header spans at least
+    line endings are all read.  When the data after the header spans at least
     two 16 MiB chunks and more than one CPU is usable, it is cut at line
     boundaries into one byte range per CPU (at most one per 16 MiB), and forked
     worker processes parse the ranges in parallel; otherwise, and where the
-    platform cannot fork, one range is parsed inline.  The result is
-    bit-identical either way.  A row that is not 7 numbers is a DataError that
-    names its 1-based line in the file.  The sample rate is the first of these
-    candidates whose ``np.arange(n) / rate`` is exactly the time column: the
-    integer within 1e-9 relative of 1/dt, if there is one, then the doubles
-    within 4 ulp of 1/dt, nearest first.  If none is, it is the first
-    candidate.  So a saved trace loads at its own rate (a non-integer one from
-    about 16 samples on), and a hand-written decimal column at the integer.
+    platform cannot fork, one range is parsed inline.  A range whose rows are
+    all seven plain decimals split by commas and ended by LF, as `save_trace`
+    writes them, is read by scipy's compiled reader (`_strict_parse`); any
+    other range by ``np.loadtxt``, and line by line where that fails or the
+    range holds a lone CR (which numpy would misread).  The values are
+    bit-identical on every path, and they are copied once, from the parsed
+    parts into the trace's channels.  A row that is not 7 numbers is a
+    DataError that names its 1-based line in the file.  The sample rate is the
+    first of these candidates whose ``np.arange(n) / rate`` is exactly the
+    time column: the integer within 1e-9 relative of 1/dt, if there is one,
+    then the doubles within 4 ulp of 1/dt, nearest first.  If none is, it is
+    the first candidate.  So a saved trace loads at its own rate (a
+    non-integer one from about 16 samples on), and a hand-written decimal
+    column at the integer.
     """
     path = Path(path)
     try:
@@ -342,17 +446,22 @@ def load_trace(path) -> MotionTrace:
                     raise DataError(f"{path}: line {line}: {part.reason}")
     except OSError as exc:
         raise ConfigError(f"cannot read trace file {path}: {exc}") from exc
-    data = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    if data.shape[0] < 2:
+    n = sum(part.shape[1] for part in parts)
+    if n < 2:
         raise DataError(f"{path}: a trace needs at least 2 samples")
-    if not np.all(np.isfinite(data)):
+    t, channels = np.empty(n), np.empty((len(AXES), n))
+    hi = 0
+    for i, part in enumerate(parts):
+        lo, hi = hi, hi + part.shape[1]
+        t[lo:hi], channels[:, lo:hi] = part[0], part[1:]
+        parts[i] = None
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(channels))):
         raise DataError(f"{path}: trace contains non-finite values")
 
-    t = data[:, 0]
     steps = np.diff(t)
     if np.any(steps <= 0.0):
         raise DataError(f"{path}: time column is not strictly increasing")
-    dt = (t[-1] - t[0]) / (len(t) - 1)
+    dt = (t[-1] - t[0]) / (n - 1)
     if np.max(np.abs(steps - dt)) > UNIFORMITY_TOL * dt:
         raise DataError(f"{path}: non-uniform sampling (time step varies by more than 1 ppm)")
     fs = 1.0 / dt
@@ -363,12 +472,10 @@ def load_trace(path) -> MotionTrace:
     candidates = sorted(near, key=lambda r: abs(r - fs))
     if round(fs) > 0 and abs(fs - round(fs)) <= 1e-9 * fs:
         candidates.insert(0, round(fs))
-    n = len(t)
     exact = (r for r in candidates if (n - 1) / r == t[-1] and np.array_equal(np.arange(n) / r, t))
     fs = float(next(exact, candidates[0]))
-
-    channels = {axis: data[:, 1 + i] for i, axis in enumerate(AXES)}
-    return MotionTrace(sample_rate_hz=fs, channels=channels, frame_label=path.stem)
+    del t, steps
+    return MotionTrace(fs, dict(zip(AXES, channels)), path.stem, _owned=True)
 
 
 def save_trace(trace: MotionTrace, path) -> None:

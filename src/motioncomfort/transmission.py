@@ -189,6 +189,12 @@ def _inverted_rows(rows: np.ndarray, n: int, power: np.ndarray | None = None) ->
     return rows[:, :n]
 
 
+def _head_rows(seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str, np.ndarray]):
+    """The six head spectra as float rows (`_summed_products`), after the undersampling check."""
+    _warn_if_undersampled(seat.sample_rate_hz, bundle.max_freq_hz, f"bundle {bundle.model_id}")
+    return _summed_products(seat, bundle, spectra, [AXES.index(c.output_axis) for c in CHANNEL_IDS])
+
+
 def head_motion(seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str, np.ndarray]):
     """(head trace, head power) for `seat`, given its `seat_spectra`.
 
@@ -201,8 +207,7 @@ def head_motion(seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str, np.n
     once the sums are built, which frees them when the caller handed over its
     only reference.
     """
-    _warn_if_undersampled(seat.sample_rate_hz, bundle.max_freq_hz, f"bundle {bundle.model_id}")
-    rows = _summed_products(seat, bundle, spectra, [AXES.index(c.output_axis) for c in CHANNEL_IDS])
+    rows = _head_rows(seat, bundle, spectra)
     del spectra
     power = np.empty((len(AXES), rows.shape[1] // 2))
     signals = _inverted_rows(rows, seat.n_samples, power)
@@ -242,5 +247,7 @@ def transmit(seat: MotionTrace, bundle: FrfBundle) -> tuple[MotionTrace, Contrib
     Returns the head trace (six forward and six inverse FFTs) and the
     per-channel breakdown, which costs nothing until `contributions` is read.
     """
-    head, _ = head_motion(seat, bundle, seat_spectra(seat))
+    rows = _head_rows(seat, bundle, seat_spectra(seat))
+    signals = _inverted_rows(rows, seat.n_samples)  # without the power, which only RC and MS read
+    head = MotionTrace(seat.sample_rate_hz, dict(zip(AXES, signals)), "head", _owned=True)
     return head, ContributionBreakdown(seat=seat, bundle=bundle)

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from motioncomfort.cli import main
 from motioncomfort import load_trace, save_trace
-from conftest import random_trace
+from motioncomfort.traceio import TRACE_HEADER
+from conftest import fuzzed_body, random_trace
 
 
 def _synth(tmp_path, duration="30"):
@@ -316,3 +323,48 @@ def test_bad_svc_override_names_the_config_file(tmp_path, capsys):
     assert main(["svc", "--trace", str(tmp_path / "absent.csv"), "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error[config]: {cfg}: SVC parameter tau_s")
+
+
+# SVC overrides the validators accept, two of which overflow at run time, and one they reject.
+SVC_OVERRIDES = [
+    None, {"tau_s": 4.0}, {"b": 1.0, "n": 1e300}, {"g": 1e300}, {"mu_s": 1e-300}, {"tau_s": -1}
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    body=fuzzed_body() | fuzzed_body(fuzz=False),
+    svc=st.sampled_from(SVC_OVERRIDES),
+    model=st.sampled_from(["EXP", "NHM"]),
+    no_svc=st.booleans(),
+)
+def test_cli_assess_exits_0_with_strict_json_or_prints_one_error_line(body, svc, model, no_svc):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        trace, out = tmp / "t.csv", tmp / "out"
+        trace.write_bytes(TRACE_HEADER.encode() + b"\n" + body)
+        args = ["assess", "--trace", str(trace), "--model", model, "--out", str(out)]
+        args += ["--no-svc"] if no_svc else []
+        if svc is not None:
+            (tmp / "cfg.json").write_text(json.dumps({"svc": svc}))
+            args += ["--config", str(tmp / "cfg.json")]
+        stderr = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = main(args)
+        event(f"exit {rc}")
+        if rc == 0:
+            doc = json.loads((out / "report.json").read_text(), parse_constant=_not_strict_json)
+            if not no_svc:
+                assert 0.0 <= doc["msi"]["final"] <= 100.0
+                msi = np.loadtxt(out / "msi.csv", delimiter=",", skiprows=1, ndmin=2)[:, 1]
+                assert np.all((msi >= 0.0) & (msi <= 100.0))
+        else:
+            assert rc in (2, 3, 4)
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error[")
+
+
+def _not_strict_json(name: str):
+    raise AssertionError(f"report.json holds {name}, which strict JSON has not")

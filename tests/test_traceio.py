@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import errno
+import io
 import os
+import re
 import tempfile
 import threading
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -28,7 +31,7 @@ from motioncomfort import traceio
 from motioncomfort.report import save_msi_csv
 from motioncomfort.svc import MsiSeries
 from motioncomfort.traceio import _BLOCK_ROWS, atomic_write_text, format_rows
-from conftest import random_trace
+from conftest import fuzzed_body, random_trace
 
 # Values whose text form is easy to get wrong: signed zero, the smallest
 # subnormal, the largest double, integers, and values at or near a .2f tie.
@@ -385,25 +388,6 @@ def test_parallel_parse_equals_one_chunk_and_original(n, seed, lead, newline, fi
     _assert_same_trace(parallel, trace)
 
 
-# Bytes that stress the parser, mixed with uniform 100 Hz rows below.
-FUZZ_TOKENS = [
-    b"0", b"1", b"7", b",", b".", b"e", b"-", b"+", b"#", b" ", b"\t", b"\n", b"\r", b"\r\n",
-    b"\x00", b"\xff", b"\xc3\x28", b"nan", b"inf", b"1e400",
-]
-
-
-@st.composite
-def _fuzzed_body(draw) -> bytes:
-    """The bytes after a trace header: valid rows with fuzz tokens between some of them."""
-    junk = st.lists(st.sampled_from(FUZZ_TOKENS), min_size=1, max_size=4) | st.just([])
-    parts = []
-    for i in range(draw(st.integers(min_value=0, max_value=12))):
-        parts += draw(junk)
-        parts.append(f"{i / 100!r},{i},-0.5,1e-3,0,0,7".encode())
-        parts.append(draw(st.sampled_from([b"\n", b"\r\n", b"\r"])))
-    return b"".join(parts + draw(junk))
-
-
 def _outcome(load, path):
     """What loading `path` gives: the rate and channel bytes, or the error's type and text."""
     try:
@@ -414,7 +398,7 @@ def _outcome(load, path):
 
 
 @settings(max_examples=30, deadline=None)
-@given(body=_fuzzed_body())
+@given(body=fuzzed_body())
 @example(body=b"0.0,0,0,0,0,0,0\n0.01,1,0,0,0,0,0\n# note\r0.02,2,0,0,0,0,0\n0.03,3,0,0,0,0,0\n")
 def test_load_trace_fuzz_inline_and_forked_chunks_agree(body):
     with tempfile.TemporaryDirectory() as tmp:
@@ -423,6 +407,144 @@ def test_load_trace_fuzz_inline_and_forked_chunks_agree(body):
         inline = _outcome(load_trace, path)
         forked = _outcome(lambda p: _load(p, cpus=3), path)
     assert inline == forked
+
+
+def _strict_and_loadtxt(raw: bytes, block_bytes: int):
+    """The strict path's (7, rows) values or None, and np.loadtxt's values as (7, rows) or None."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(traceio, "_STRICT_BLOCK_BYTES", block_bytes)
+        strict = traceio._strict_parse(raw)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty input, or 1e400 read as inf
+            reference = np.loadtxt(io.BytesIO(raw), delimiter=",", ndmin=2).T
+    except ValueError:
+        reference = None
+    return strict, reference
+
+
+def _assert_declined_or_bit_equal(strict, reference) -> None:
+    if strict is not None:
+        assert reference is not None, "the strict path read bytes that np.loadtxt rejects"
+        assert strict.shape == reference.shape
+        assert strict.tobytes() == np.ascontiguousarray(reference).tobytes()
+
+
+_STRICT_TOKEN = r"-?([0-9]+(\.[0-9]+)?|\.[0-9]+)([eE][+-]?[0-9]+)?"  # the strict grammar
+# Tokens each check of the strict path exists for: the sign of a zero, one '.' and one exponent
+# per token, where a sign may stand, what follows an exponent marker.
+STRICT_EXAMPLES = [
+    "-0", "-0.0e5", "-1e-400", ".5", "-.5", "00012", "9" * 25, "1e400", "1.5E+07", "-2e-5",
+    "1.2.3", "1e", "1e+", "1-2", "1e5e5", "1e5.5", "1e-.5", "1e--5", "+1", "5.", "-", "",
+]
+
+
+def _tokens(longest: int):
+    """Tokens of the strict grammar, with digit runs of up to `longest` digits."""
+    digits = st.text("0123456789", min_size=1, max_size=longest)
+    return st.builds(
+        lambda sign, mantissa, exponent: sign + mantissa + exponent,
+        st.sampled_from(["", "-"]),
+        digits | st.tuples(st.text("0123456789", max_size=3), digits).map(".".join),
+        st.just("") | st.tuples(st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), digits).map(
+            "".join
+        ),
+    )
+
+
+@st.composite
+def _edited_tokens(draw) -> str:
+    """A short strict token with one or two characters inserted, replaced or deleted, or cut
+    short."""
+    token = draw(_tokens(2))
+    for _ in range(draw(st.integers(1, 2))):
+        at, char = draw(st.integers(0, len(token))), draw(st.sampled_from("05-+.eE"))
+        edit = draw(st.sampled_from([char, token[at : at + 1] + char, "", None]))
+        token = token[:at] if edit is None else token[:at] + edit + token[at + 1 :]
+    return token
+
+
+_NEAR_MISSES = _edited_tokens() | st.text("0123456789-+.eE", max_size=8)
+_FLOAT_TEXTS = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.floats().map(
+    lambda x: f"{x:.17g}"
+)
+_FIELDS = _tokens(25) | _FLOAT_TEXTS | st.sampled_from(["-0", "-0.0e5", "-1e-400", "1e400"])
+_FLAWS = ["none", "field", "field", "field", "move", "ending", "tail"]
+
+
+@st.composite
+def _strict_candidates(draw) -> tuple[bytes, bool]:
+    """Rows of seven drawn fields with at most one flaw, and whether the bytes follow the
+    strict grammar.  A flaw is a near-miss field, a field moved to the next row (6 and 8
+    fields, 14 values), another line ending, or a last row without one."""
+    rows = [[draw(_FIELDS) for _ in range(7)] for _ in range(draw(st.integers(1, 4)))]
+    row, ending, tail = draw(st.integers(0, len(rows) - 1)), "\n", ""
+    flaw = draw(st.sampled_from(_FLAWS))
+    if flaw == "field":
+        rows[row][draw(st.integers(0, 6))] = draw(_NEAR_MISSES)
+    elif flaw == "move" and row + 1 < len(rows):
+        rows[row + 1].insert(0, rows[row].pop())
+    elif flaw == "ending":
+        ending = draw(st.sampled_from(["\r\n", " \n", ""]))
+    elif flaw == "tail":
+        tail = ",".join(rows.pop()[: draw(st.integers(1, 7))]) if len(rows) > 1 else "7"
+    strict = not tail and ending == "\n" and all(
+        len(fields) == 7 and all(re.fullmatch(_STRICT_TOKEN, f) for f in fields) for fields in rows
+    )
+    return ("".join(",".join(fields) + ending for fields in rows) + tail).encode(), strict
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"0,1,2,3,4,5\n0,1,2,3,4,5,6,7\n",  # 6 then 8 fields: 14 values, two rows' worth
+        b"0,1,2,3,4,5,6\n0,1,2,3,4,5,6",  # no final newline
+        b"0,1,2,3,4,5,6\n7",
+        b"0,1,2,3,4,5,6\n0,1,,3,4,5,6\n",  # an empty field
+        b"0,1,2,3,4,5,6\n\n0,1,2,3,4,5,6\n",  # an empty line
+        b"0,1,2,3,4,5,6\r\n",
+        b"0,1,2,3,4,5,6 \n",
+        b"0,1,2,3,4,5,6\n#c\n",
+        b"0,1,2,nan,4,5,6\n",
+        b"0,1,2,inf,4,5,6\n",
+        b"",
+    ],
+)
+def test_strict_path_declines_other_row_shapes(raw):
+    assert traceio._strict_rows(np.frombuffer(raw, np.uint8)) is None
+    for block_bytes in (1, 2 << 20):
+        assert _strict_and_loadtxt(raw, block_bytes)[0] is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate=_strict_candidates(), block_bytes=st.sampled_from([1, 40, 2 << 20]))
+def test_strict_path_declines_or_is_bit_equal_to_loadtxt(candidate, block_bytes):
+    raw, strict_grammar = candidate
+    assert (traceio._strict_rows(np.frombuffer(raw, np.uint8)) is not None) == strict_grammar
+    strict, reference = _strict_and_loadtxt(raw, block_bytes)
+    _assert_declined_or_bit_equal(strict, reference)
+    assert (strict is not None) == strict_grammar
+
+
+@settings(max_examples=200, deadline=None)
+@given(tokens=st.lists(_NEAR_MISSES | _FIELDS, max_size=20))
+@example(tokens=STRICT_EXAMPLES)
+def test_strict_byte_check_is_the_token_grammar(tokens):
+    for token in tokens:
+        grammar = re.fullmatch(_STRICT_TOKEN, token) is not None
+        for raw in (f"{token},1,2,3,4,5,6\n".encode(), f"-0,1,2,3,4,5,{token}\n".encode()):
+            assert (traceio._strict_rows(np.frombuffer(raw, np.uint8)) is not None) == grammar
+            _assert_declined_or_bit_equal(*_strict_and_loadtxt(raw, 2 << 20))
+
+
+def test_saved_trace_takes_the_strict_path(tmp_path):
+    trace = random_trace(24, n=300)
+    save_trace(trace, tmp_path / "t.csv")
+    body = (tmp_path / "t.csv").read_bytes().split(b"\n", 1)[1]
+    values = traceio._strict_parse(body)
+    assert values is not None
+    for i, axis in enumerate(AXES):
+        assert values[1 + i].tobytes() == trace.channels[axis].tobytes()
 
 
 @pytest.mark.parametrize(

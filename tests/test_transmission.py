@@ -262,6 +262,24 @@ def test_compare_full_assessment_and_transmit_agree(n, seed):
             assert rel_err(breakdown.total(axis), head.channels[axis]) < 1e-9
 
 
+@pytest.mark.parametrize("model", ["EXP", "NHM"])
+def test_transmit_takes_no_head_power_and_matches_head_motion(monkeypatch, model):
+    seat, bundle = random_trace(25, n=1001), builtin_bundle(model)
+    powers = []
+    inverted = transmission._inverted_rows
+
+    def spied(rows, n, power=None):
+        powers.append(power)
+        return inverted(rows, n, power)
+
+    monkeypatch.setattr(transmission, "_inverted_rows", spied)
+    head, _ = transmit(seat, bundle)
+    assert powers == [None]
+    want, _ = head_motion(seat, bundle, seat_spectra(seat))
+    for axis in AXES:
+        assert head.channels[axis].tobytes() == want.channels[axis].tobytes()
+
+
 def test_transform_counts(monkeypatch):
     calls = dict.fromkeys(("rfft", "irfft"), 0)
     for name in calls:
