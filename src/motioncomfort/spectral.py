@@ -4,14 +4,31 @@ Transforms run at the exact signal length (no windowing, no zero padding),
 which gives circular-convolution semantics over the full record and keeps
 bin-aligned sinusoids exact for any length, primes included.  All spectral
 arithmetic is double precision.
+
+`rfft` and `irfft` split a length n = a * p of at least `_MIN_SPLIT_LENGTH`
+samples whose largest prime factor p is at least `_MIN_SPLIT_PRIME`, occurs
+once and leaves a >= 3: the exact length-n DFT is then a (p, a)
+two-dimensional DFT under the Good-Thomas prime-factor index maps, with no
+twiddle factors and no padding, where pocketfft would run a generic radix-p
+pass (p^2 <= n) or a Bluestein transform of the whole length.  The length
+stays exact; the results differ from pocketfft's in the last bits only, and
+are the same on every run and thread.  Every other length, and
+`apply_response` (the time-domain oracle's path), calls scipy.fft directly.
 """
 
 from __future__ import annotations
+
+import functools
+import threading
+from typing import NamedTuple
 
 import numpy as np
 from scipy import fft as _fft
 
 from .errors import DataError
+
+_MIN_SPLIT_LENGTH = 65536  # shorter transforms gain too little to pay for the index tables
+_MIN_SPLIT_PRIME = 300  # below it the split's inverse is slower at some lengths near 2e6
 
 
 def bin_frequencies(n: int, sample_rate_hz: float) -> np.ndarray:
@@ -51,12 +68,115 @@ def apply_response(signal, sample_rate_hz: float, response_at) -> np.ndarray:
     return _fft.irfft(spectrum, n=n)
 
 
+@functools.lru_cache(maxsize=64)
+def _split(n: int) -> tuple[int, int] | None:
+    """(a, p) with n = a * p for a length that is split, else None.
+
+    At a = 1 or 2 the split runs the same Bluestein work as the whole length, and gains nothing.
+    """
+    if n < _MIN_SPLIT_LENGTH:
+        return None
+    rest, p, d = n, 1, 2
+    while d * d <= rest:
+        while rest % d == 0:
+            rest, p = rest // d, d
+        d += 1 + (d > 2)
+    p = max(p, rest)
+    if p < _MIN_SPLIT_PRIME or n // p < 3 or (n // p) % p == 0:
+        return None
+    return n // p, p
+
+
+class _Plan(NamedTuple):
+    """The index maps of one split length n = a * p, on a (p, a) grid with q = a // 2 + 1.
+
+    `samples` holds sample (p * i1 + a * i2) mod n at [i2, i1].  Bin k of the
+    half spectrum is flat entry `bins[k]` of the (p, q) rfft2 output,
+    conjugated where `bins_conj` is set; entry [k2, k1] of that half-plane is
+    bin `plane[k2, k1]` of the half spectrum, conjugated where `plane_conj`.
+    """
+
+    a: int
+    p: int
+    samples: np.ndarray
+    bins: np.ndarray
+    bins_conj: np.ndarray
+    plane: np.ndarray
+    plane_conj: np.ndarray
+
+
+def _make_plan(a: int, p: int) -> _Plan:
+    """The index maps of n = a * p, built in place: each sum of two terms below n is below 2n."""
+    n = a * p
+    index = np.int32 if 2 * n <= np.iinfo(np.int32).max else np.intp
+    q = a // 2 + 1
+
+    def outer_mod_n(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        table = np.add.outer(rows.astype(index), cols.astype(index))
+        np.subtract(table, n, out=table, where=table >= n)
+        return table
+
+    samples = outer_mod_n(np.arange(p) * a, np.arange(a) * p)
+    k1 = np.arange(n // 2 + 1, dtype=index) % a
+    bins = np.arange(n // 2 + 1, dtype=index) % p  # k2, then the flat index
+    bins_conj = k1 > a // 2  # bin k is the conjugate of the mirrored entry [-k2, a - k1]
+    np.subtract(a, k1, out=k1, where=bins_conj)
+    np.subtract(p, bins, out=bins, where=bins_conj & (bins > 0))
+    bins *= q
+    bins += k1
+    # Chinese remainder theorem: entry [k2, k1] is bin k with k mod p = k2 and k mod a = k1.
+    crt_p, crt_a = a * pow(a, -1, p), p * pow(p, -1, a)
+    plane = outer_mod_n(np.arange(p) * crt_p % n, np.arange(q) * crt_a % n)
+    plane_conj = plane > n // 2
+    np.subtract(n, plane, out=plane, where=plane_conj)
+    return _Plan(a, p, samples, bins, bins_conj, plane, plane_conj)
+
+
+_plan_lock = threading.Lock()
+_plan: _Plan | None = None
+
+
+def _plan_of(a: int, p: int) -> _Plan:
+    """The plan of a * p, built once under a lock (transforms run on every CPU); one is kept."""
+    global _plan
+    with _plan_lock:
+        if _plan is None or (_plan.a, _plan.p) != (a, p):
+            _plan = None  # frees the old tables before the new ones are built
+            _plan = _make_plan(a, p)
+        return _plan
+
+
 def rfft(signal: np.ndarray) -> np.ndarray:
-    return _fft.rfft(signal)
+    """The n // 2 + 1 bins of the real FFT of `signal`, as scipy.fft.rfft gives them."""
+    n = len(signal)
+    split = _split(n)
+    if split is None:
+        return _fft.rfft(signal)
+    # Index arrays, not np.take, which would copy the int32 tables to intp first.
+    plan = _plan_of(*split)
+    plane = _fft.rfft2(np.asarray(signal)[plan.samples], overwrite_x=True)
+    spectrum = plane.ravel()[plan.bins]
+    np.negative(spectrum.imag, out=spectrum.imag, where=plan.bins_conj)
+    return spectrum
 
 
 def irfft(spectrum: np.ndarray, n: int) -> np.ndarray:
-    return _fft.irfft(spectrum, n=n)
+    """The length-n real inverse FFT of `spectrum`, as scipy.fft.irfft(spectrum, n=n)."""
+    split = _split(n) if len(spectrum) == n // 2 + 1 else None
+    if split is None:
+        return _fft.irfft(spectrum, n=n)
+    plan = _plan_of(*split)
+    plane = np.asarray(spectrum, np.complex128)[plan.plane]
+    np.negative(plane.imag, out=plane.imag, where=plan.plane_conj)
+    # irfft reads only the real part of DC and, for even n, of Nyquist (at [0, a / 2]).
+    plane[0, 0] = plane[0, 0].real
+    if n % 2 == 0:
+        plane[0, -1] = plane[0, -1].real
+    values = _fft.irfft2(plane, s=(plan.p, plan.a), overwrite_x=True)
+    del plane  # before the output is allocated
+    signal = np.empty(n)
+    signal[plan.samples] = values
+    return signal
 
 
 def spectrum_mean_square(weighted_power: np.ndarray, n: int) -> float:

@@ -219,7 +219,7 @@ _FOLLOWS = bytes(
 )
 _LONE_CR = re.compile(rb"\r(?!\n)")
 _COMMA_TO_LF = bytes.maketrans(b",", b"\n")
-_STRICT_BLOCK_BYTES = 2 << 20  # about this many bytes of whole rows per scipy.io.mmread call
+_STRICT_BLOCK_BYTES = 2 << 20  # about this many bytes of whole rows per compiled read
 
 
 def _strict_rows(data: np.ndarray) -> int | None:
@@ -243,44 +243,48 @@ def _strict_rows(data: np.ndarray) -> int | None:
     return rows if separators == b",,,,,,\n" * rows else None
 
 
-def _strict_parse(raw: bytes) -> np.ndarray | None:
-    """`raw` as (7, rows) channel-major values, or None where `_strict_rows` declines a block
-    or the reader fails.  The values are bit-equal to `np.loadtxt`'s.
+def _strict_blocks(raw: bytes) -> tuple[list[np.ndarray], int]:
+    """The leading blocks of `raw` that `_strict_rows` accepts, read as (7, rows) channel-major
+    values, and the offset where they end: where a block is declined or the reader fails, or
+    the end of `raw`.  The values are bit-equal to `np.loadtxt`'s.
 
-    Blocks of about `_STRICT_BLOCK_BYTES` of whole rows are all checked first, then each is
-    read by scipy's compiled Matrix Market reader as the body of a 7 x rows `array`, which
-    lists the values column by column.  That reader drops the sign of a zero, so a zero whose
-    token starts with '-' is made -0.0 again.
+    Each block of about `_STRICT_BLOCK_BYTES` of whole rows is checked, then read with one
+    thread by scipy's compiled Matrix Market reader (what `scipy.io.mmread` runs) as the body
+    of a 7 x rows `array`, which lists the values column by column.  That reader drops the sign
+    of a zero, so a zero whose token starts with '-' is made -0.0 again.
     """
-    from scipy.io import mmread  # imported by _parse_chunks before any worker forks
+    # Imported by _parse_chunks before any worker forks.
+    from scipy.io._fast_matrix_market import _get_read_cursor, _read_body_array
 
     data = np.frombuffer(raw, np.uint8)
-    blocks, lo = [], 0
+    parts, lo = [], 0
     while lo < len(raw):
         hi = raw.find(b"\n", lo + _STRICT_BLOCK_BYTES) + 1 or len(raw)
-        rows = _strict_rows(data[lo:hi])
+        block = data[lo:hi]
+        rows = _strict_rows(block)
         if rows is None:
-            return None
-        blocks.append((lo, hi, rows))
-        lo = hi
-    if not blocks:
-        return None
-    parts = []
-    for lo, hi, rows in blocks:
+            break
         head = b"%%%%MatrixMarket matrix array real general\n7 %d\n" % rows
+        stream = io.BytesIO(head + raw[lo:hi].translate(_COMMA_TO_LF))
         try:
-            values = mmread(io.BytesIO(head + raw[lo:hi].translate(_COMMA_TO_LF)))
+            values = _read_body_array(_get_read_cursor(stream, parallelism=1)[0])
         except ValueError:
-            return None
+            break
         if not values.all():
             zero = np.flatnonzero(values.T == 0.0)  # token indices, row by row
-            block = data[lo:hi]
             ends = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
             starts = np.concatenate(([0], ends[:-1] + 1))[zero]
             negative = zero[block[starts] == ord("-")]
             values[negative % 7, negative // 7] = -0.0
         parts.append(values)
-    return np.concatenate(parts, axis=1)
+        lo = hi
+    return parts, lo
+
+
+def _strict_parse(raw: bytes) -> np.ndarray | None:
+    """`raw` as (7, rows) channel-major values if `_strict_blocks` reads all of it, else None."""
+    parts, stop = _strict_blocks(raw)
+    return np.concatenate(parts, axis=1) if parts and stop == len(raw) else None
 
 
 def _as_array(lines) -> np.ndarray | None:
@@ -302,17 +306,10 @@ def _row_error(line: str) -> str:
         return f"malformed numeric data {line.strip()[:80]!r}"
 
 
-def _parse_chunk(path, start: int, stop: int) -> np.ndarray | _BadLine:
-    """Parse bytes [start, stop) of a trace file, which begin and end on line boundaries, as
-    (7, rows) channel-major values: strictly if it can (`_strict_parse`), else with numpy."""
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        raw = fh.read(stop - start)
-    data = _strict_parse(raw)
-    if data is not None:
-        return data
+def _loose_parse(raw: bytes) -> np.ndarray | _BadLine:
+    """Rows of 7 numbers among blank and comment lines as (7, rows) values, with numpy."""
     # numpy ends a comment only at LF, so a lone CR would hide the row after a comment:
-    # such a chunk goes straight to the line filter.
+    # such bytes go straight to the line filter.
     lone_cr = b"\r" in raw and _LONE_CR.search(raw) is not None
     data = None if lone_cr else _as_array(io.BytesIO(raw))
     if data is not None:
@@ -332,11 +329,26 @@ def _parse_chunk(path, start: int, stop: int) -> np.ndarray | _BadLine:
     return _BadLine(keep[lo], _row_error(rows[lo]))
 
 
-def _fork_map(workers: int, fn, tasks: list[tuple], initializer=None) -> Iterator:
+def _parse_chunk(path, start: int, stop: int) -> list[np.ndarray] | _BadLine:
+    """Parse bytes [start, stop) of a trace file, which begin and end on line boundaries, as
+    (7, rows) channel-major parts: strictly block by block while it can (`_strict_blocks`),
+    then the rest, from the first block it declines, with numpy (`_loose_parse`)."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        raw = fh.read(stop - start)
+    parts, strict_stop = _strict_blocks(raw)
+    if strict_stop < len(raw):
+        rest = _loose_parse(raw[strict_stop:])
+        if isinstance(rest, _BadLine):  # each strict row is one line
+            return rest._replace(index=rest.index + sum(part.shape[1] for part in parts))
+        parts.append(rest)
+    return parts
+
+
+def _fork_map(workers: int, fn, tasks: list[tuple]) -> Iterator:
     """``fn(*args)`` for each tuple in `tasks`, yielded in order: in up to `workers` forked
-    processes, each of which first calls `initializer`, when that and the number of tasks are
-    above one, inline otherwise.  At most two tasks per worker run ahead of the consumer, so a
-    slow one holds a few results, not all."""
+    processes when that and the number of tasks are above one, inline otherwise.  At most two
+    tasks per worker run ahead of the consumer, so a slow one holds a few results, not all."""
     workers = min(workers, len(tasks))
     if workers > 1:
         import multiprocessing
@@ -347,7 +359,7 @@ def _fork_map(workers: int, fn, tasks: list[tuple], initializer=None) -> Iterato
         # __main__ guard.
         if "fork" in multiprocessing.get_all_start_methods():
             context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context, initializer=initializer) as pool:
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
                 pending: deque = deque()
                 for args in tasks:
                     pending.append(pool.submit(fn, *args))
@@ -359,20 +371,12 @@ def _fork_map(workers: int, fn, tasks: list[tuple], initializer=None) -> Iterato
     yield from (fn(*args) for args in tasks)
 
 
-def _one_reader_thread() -> None:
-    """Make scipy.io.mmread read with one thread in this worker process, which has a CPU of its
-    own (the value that threadpoolctl would set; mmread's default is one thread per CPU)."""
-    from scipy.io import _fast_matrix_market
-
-    _fast_matrix_market.PARALLELISM = 1
-
-
-def _parse_chunks(path, bounds: list[int]) -> list[np.ndarray | _BadLine]:
+def _parse_chunks(path, bounds: list[int]) -> list[list[np.ndarray] | _BadLine]:
     """Parse the ranges between consecutive `bounds`: in forked workers when there are several."""
-    import scipy.io  # noqa: F401 (for _strict_parse; imported here, before any worker forks)
+    import scipy.io._fast_matrix_market  # noqa: F401 (for _strict_blocks; before any fork)
 
     ranges = [(path, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return list(_fork_map(len(ranges), _parse_chunk, ranges, _one_reader_thread))
+    return list(_fork_map(len(ranges), _parse_chunk, ranges))
 
 
 def _find_header(fh) -> tuple[str | None, int, int]:
@@ -412,11 +416,12 @@ def load_trace(path) -> MotionTrace:
     two 16 MiB chunks and more than one CPU is usable, it is cut at line
     boundaries into one byte range per CPU (at most one per 16 MiB), and forked
     worker processes parse the ranges in parallel; otherwise, and where the
-    platform cannot fork, one range is parsed inline.  A range whose rows are
+    platform cannot fork, one range is parsed inline.  A range is read block by
+    block by scipy's compiled reader, on one thread, while each block's rows are
     all seven plain decimals split by commas and ended by LF, as `save_trace`
-    writes them, is read by scipy's compiled reader (`_strict_parse`); any
-    other range by ``np.loadtxt``, and line by line where that fails or the
-    range holds a lone CR (which numpy would misread).  The values are
+    writes them (`_strict_blocks`); the rest of the range, from the first other
+    block, by ``np.loadtxt``, and line by line where that fails or the rest
+    holds a lone CR (which numpy would misread).  The values are
     bit-identical on every path, and they are copied once, from the parsed
     parts into the trace's channels.  A row that is not 7 numbers is a
     DataError that names its 1-based line in the file.  The sample rate is the
@@ -439,11 +444,13 @@ def load_trace(path) -> MotionTrace:
             k = max(1, min(_usable_cpus(), (stop - start) // _MIN_CHUNK_BYTES))
             cuts = [_next_line_start(fh, start + (stop - start) * i // k) for i in range(1, k)]
             bounds = [start, *sorted(set(cuts) - {stop}), stop]
-            parts = _parse_chunks(path, bounds)
-            for lo, part in zip(bounds, parts):
-                if isinstance(part, _BadLine):
-                    line = header_line + _count_lines(fh, start, lo) + part.index + 1
-                    raise DataError(f"{path}: line {line}: {part.reason}")
+            chunks = _parse_chunks(path, bounds)
+            for lo, chunk in zip(bounds, chunks):
+                if isinstance(chunk, _BadLine):
+                    line = header_line + _count_lines(fh, start, lo) + chunk.index + 1
+                    raise DataError(f"{path}: line {line}: {chunk.reason}")
+            parts = [part for chunk in chunks for part in chunk]
+            del chunks
     except OSError as exc:
         raise ConfigError(f"cannot read trace file {path}: {exc}") from exc
     n = sum(part.shape[1] for part in parts)

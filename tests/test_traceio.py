@@ -728,3 +728,44 @@ def test_on_every_cpu_runs_each_task_once_and_no_task_as_a_no_op(monkeypatch, cp
     assert sorted(ran) == list(range(count))
     assert len(starts) == max(0, min(cpus, count) - 1)  # no helper without a task for it
     assert threading.active_count() == threads
+
+
+def _replace_line(at: int, *new: str):
+    return lambda lines: lines.__setitem__(slice(at - 1, at), list(new))
+
+
+@pytest.mark.parametrize(
+    "edit, bad_line",
+    [
+        (_replace_line(32, "0.5,1,2,3,x,5,6"), 32),  # data row 30, after many blocks
+        (_replace_line(32, "# late", "0.5,1,2"), 33),  # a comment, then a bad row
+        (_replace_line(32, "   ", "<row>"), None),  # a blank line: the values are unchanged
+        (_replace_line(32, "# late\r<row>"), None),  # a comment ended by a lone CR
+    ],
+)
+def test_strict_blocks_before_a_late_line_are_read_and_numpy_gets_the_rest(
+    tmp_path, edit, bad_line
+):
+    trace = random_trace(26, n=40)
+    lines = _trace_text(trace, tmp_path).splitlines()
+    row = lines[31]
+    edit(lines)
+    lines = [line.replace("<row>", row) for line in lines]
+    path = tmp_path / "t.csv"
+    path.write_bytes(("\n".join(lines) + "\n").encode())
+    body = path.read_bytes().split(b"\n", 1)[1]
+    loose_parse, handed = traceio._loose_parse, []
+    outcomes = []
+    for block_bytes in (2 << 20, 200):  # one block for all rows, or about two rows a block
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(traceio, "_STRICT_BLOCK_BYTES", block_bytes)
+            mp.setattr(traceio, "_loose_parse", lambda raw: handed.append(raw) or loose_parse(raw))
+            outcomes.append(_outcome(load_trace, path))
+    assert outcomes[0] == outcomes[1]
+    assert handed[0] == body  # the only block is declined: numpy reads every row
+    late = sum(len(line) + 1 for line in lines[1:31])  # the offset of line 32 in the body
+    assert body.endswith(handed[1]) and 2 * 200 <= len(body) - len(handed[1]) <= late
+    if bad_line is None:
+        assert outcomes[0] == _outcome(load_trace, tmp_path / "plain.csv")
+    else:
+        assert outcomes[0][0] is DataError and f": line {bad_line}: " in outcomes[0][1]
