@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .errors import ConfigError, DataError
-from .frf import FrfBundle, builtin_bundle, load_frf_bundle, read_json_file
+from .errors import ConfigError
+from .frf import FrfBundle, _naming, builtin_bundle, load_frf_bundle, read_json_file
 from .svc import SvcParams
 from .weighting import (
     DEFAULT_K_FACTORS,
@@ -28,8 +28,8 @@ class RunConfig:
 
     Recognized keys: ``trace`` (input trace path), ``out`` (output
     directory), ``bundle_manifest`` (path, loaded as `bundle`), ``k_factors``
-    (axis -> number, merged into both regimes), ``weighting_files`` (curve
-    name -> CSV path, added to the weighting registry), ``svc`` (SvcParams
+    (axis -> number, merged into both regimes), ``weighting_files`` (a
+    built-in curve name -> CSV path, replacing it), ``svc`` (SvcParams
     fields).  Relative paths resolve against the config file's directory.
     Command-line flags take precedence over ``trace`` and ``out``.
     """
@@ -72,14 +72,14 @@ def load_run_config(path) -> RunConfig:
         return p if p.is_absolute() else base / p
 
     k_factors = {**DEFAULT_K_FACTORS, **raw.get("k_factors", {})}
-    try:
+    with _naming(path, ConfigError):
         rc, ms = ride_comfort_regime(k_factors), motion_sickness_regime(k_factors)
         svc_params = SvcParams(**raw.get("svc", {}))
-    except (ConfigError, DataError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
     registry = builtin_weightings()
     for name, ref in raw.get("weighting_files", {}).items():
+        if name not in registry:  # a config cannot map an axis to a new name: no regime uses it
+            raise ConfigError(f"{path}: weighting_files name {name!r} not in {sorted(registry)}")
         registry[name] = load_weighting_csv(resolve(ref), name=name)
     manifest = raw.get("bundle_manifest")
 

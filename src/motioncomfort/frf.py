@@ -207,7 +207,6 @@ def interpolate_frf(curve: FrfCurve, grid) -> FrfCurve:
     than the tabulation can alias rapidly varying phase, which is inherent
     to sampled phase data.
     """
-    grid = _checked_grid(grid, "interpolation grid")
     gain = np.interp(grid, curve.freq_hz, curve.gain)
     phase = np.interp(grid, curve.freq_hz, curve.phase_rad)
     return FrfCurve(freq_hz=grid, gain=gain, phase_rad=phase, units=curve.units)
@@ -306,6 +305,16 @@ def _input_file(path, what: str, error: type[ComfortError]):
         raise error(f"malformed {what} {path}: {exc}") from exc
 
 
+@contextmanager
+def _naming(path, error: type[ComfortError] = DataError):
+    """Prefix `path` to a config or data error raised in the block, which builds objects from
+    that file, and raise it as `error`."""
+    try:
+        yield
+    except (ConfigError, DataError) as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
 def read_json_file(path, what: str, error: type[ComfortError]):
     """The JSON document in `path`; errors name it as `what` (see `_input_file`)."""
     with _input_file(path, what, error) as fh:
@@ -347,12 +356,10 @@ def read_frf_csv(path, units: tuple[str, str]) -> FrfCurve:
     """
     path = Path(path)
     data = read_csv_table(path, ("freq_hz", "gain", "phase_deg"))
-    return FrfCurve(
-        freq_hz=_checked_grid(data[:, 0], f"{path}: frequency column"),
-        gain=data[:, 1],
-        phase_rad=np.deg2rad(data[:, 2]),
-        units=units,
-    )
+    with _naming(path):
+        return FrfCurve(
+            freq_hz=data[:, 0], gain=data[:, 1], phase_rad=np.deg2rad(data[:, 2]), units=units
+        )
 
 
 def load_frf_bundle(manifest_path) -> FrfBundle:
@@ -378,7 +385,7 @@ def load_frf_bundle(manifest_path) -> FrfBundle:
             )
             file_ref = entry["file"]
             units = (entry["in_unit"], entry["out_unit"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, DataError) as exc:
             raise DataError(f"{manifest_path}: malformed channel entry {entry!r}") from exc
         if cid in channels:
             raise DataError(f"{manifest_path}: duplicate channel {cid}")
@@ -391,19 +398,20 @@ def load_frf_bundle(manifest_path) -> FrfBundle:
             curve_path = base / curve_path
         channels[cid] = read_frf_csv(curve_path, units=cid.units)
 
-    for cid in CHANNEL_IDS:
-        if cid in channels:
-            continue
+    missing = [cid for cid in CHANNEL_IDS if cid not in channels]
+    for cid in missing:
         if cid.is_diagonal:
             raise DataError(f"{manifest_path}: missing diagonal channel {cid}")
+        channels[cid] = FrfCurve.constant(0.0, 0.0, units=cid.units)
+    with _naming(manifest_path):
+        bundle = FrfBundle(model_id=str(manifest["model_id"]), channels=channels)
+    for cid in missing:  # once the bundle loads, so that an error is the only line printed
         logger.warning(
             "bundle %s: channel %s missing, assuming no coupling (constant zero)",
             manifest_path.name,
             cid,
         )
-        channels[cid] = FrfCurve.constant(0.0, 0.0, units=cid.units)
-
-    return FrfBundle(model_id=str(manifest["model_id"]), channels=channels)
+    return bundle
 
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"

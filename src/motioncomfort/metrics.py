@@ -178,6 +178,8 @@ def _assess_spectra(seat, bundle, spectra, rc, ms, svc_params, registry, include
     n = seat.n_samples
 
     t0 = time.perf_counter()
+    # Built here rather than passed in by full_assessment, since a caller's reference would keep
+    # the seat spectra (95 MB at the bench length) alive through the inverse FFTs and SVC.
     head, head_power = head_motion(
         seat, bundle, seat_spectra(seat) if spectra is None else spectra
     )

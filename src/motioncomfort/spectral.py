@@ -35,26 +35,13 @@ def bin_frequencies(n: int, sample_rate_hz: float) -> np.ndarray:
     return _fft.rfftfreq(n, d=1.0 / float(sample_rate_hz))
 
 
-def force_real_endpoints(response: np.ndarray, n: int) -> np.ndarray:
-    """Zero the imaginary part of the DC bin and, for even n, the Nyquist bin.
-
-    A real signal only has cosine content in those bins, so any imaginary
-    response component there is unrepresentable.
-    """
-    if not np.iscomplexobj(response):
-        return response
-    out = np.array(response, copy=True)
-    out[0] = out[0].real
-    if n % 2 == 0:
-        out[-1] = out[-1].real
-    return out
-
-
 def apply_response(signal, sample_rate_hz: float, response_at) -> np.ndarray:
     """real-FFT -> multiply by response_at(bin frequencies) -> inverse real-FFT.
 
     `response_at` maps an array of frequencies (Hz) to a complex or real
-    response array of the same shape.
+    response array of the same shape.  The imaginary part of a complex
+    response at DC and, for even n, at Nyquist is dropped: a real signal only
+    has cosine content in those bins.
     """
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
@@ -64,7 +51,12 @@ def apply_response(signal, sample_rate_hz: float, response_at) -> np.ndarray:
     n = x.size
     spectrum = _fft.rfft(x)
     response = np.asarray(response_at(bin_frequencies(n, sample_rate_hz)))
-    spectrum *= force_real_endpoints(response, n)
+    if np.iscomplexobj(response):
+        response = response.copy()  # not the caller's array
+        response[0] = response[0].real
+        if n % 2 == 0:
+            response[-1] = response[-1].real
+    spectrum *= response
     return _fft.irfft(spectrum, n=n)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import fft as _fft
 
 from .errors import ConfigError, DataError
-from .frf import AXES, _frozen_array, _is_real
+from .frf import AXES, _frozen_array, _is_real, _naming
 
 TRACE_HEADER = "t_s,ax,ay,az,aroll,apitch,ayaw"  # time, then the AXES in order
 
@@ -132,20 +132,25 @@ def format_rows(columns: Sequence[np.ndarray], row_format: str, header: str = ""
 def atomic_write_text(path, text: str | Iterable[str]) -> None:
     """Write `text` (a string or string chunks) via a temp file and rename.
 
-    Readers never see partials.  The mode is what ``open()`` gives under the umask.
+    Readers never see partials.  The mode is what ``open()`` gives under the umask.  A path
+    that cannot be written is a ConfigError.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.{uuid.uuid4().hex}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    fd = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        if fd is not None:
+            tmp.unlink(missing_ok=True)
         if hasattr(text, "close"):
             text.close()  # a generator's worker processes end now, not when it is collected
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -279,12 +284,6 @@ def _strict_blocks(raw: bytes) -> tuple[list[np.ndarray], int]:
         parts.append(values)
         lo = hi
     return parts, lo
-
-
-def _strict_parse(raw: bytes) -> np.ndarray | None:
-    """`raw` as (7, rows) channel-major values if `_strict_blocks` reads all of it, else None."""
-    parts, stop = _strict_blocks(raw)
-    return np.concatenate(parts, axis=1) if parts and stop == len(raw) else None
 
 
 def _as_array(lines) -> np.ndarray | None:
@@ -462,8 +461,8 @@ def load_trace(path) -> MotionTrace:
         lo, hi = hi, hi + part.shape[1]
         t[lo:hi], channels[:, lo:hi] = part[0], part[1:]
         parts[i] = None
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(channels))):
-        raise DataError(f"{path}: trace contains non-finite values")
+    if not np.all(np.isfinite(t)):  # the channels are checked by MotionTrace
+        raise DataError(f"{path}: time column contains non-finite values")
 
     steps = np.diff(t)
     if np.any(steps <= 0.0):
@@ -482,7 +481,8 @@ def load_trace(path) -> MotionTrace:
     exact = (r for r in candidates if (n - 1) / r == t[-1] and np.array_equal(np.arange(n) / r, t))
     fs = float(next(exact, candidates[0]))
     del t, steps
-    return MotionTrace(fs, dict(zip(AXES, channels)), path.stem, _owned=True)
+    with _naming(path):
+        return MotionTrace(fs, dict(zip(AXES, channels)), path.stem, _owned=True)
 
 
 def save_trace(trace: MotionTrace, path) -> None:

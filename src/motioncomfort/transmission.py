@@ -105,23 +105,17 @@ def _block_response(curve: FrfCurve, band: tuple, freqs: np.ndarray, lo: int, hi
     """The response on bins [lo, hi), at least 2 of them, given the curve's `_held_band`.
 
     `evaluate_grid` runs on the in-band bins and the held values fill the
-    rest.  The DC bin is always evaluated, since its response is made real.
-    An evaluated part is never a single bin: it takes in a held neighbour
-    instead, as a guard, because numpy's complex loops can round a lone
-    element differently (the in-place multiply does on AVX-512 builds).  The
-    bits equal those of one `evaluate_grid` call on all bins.
+    rest.  The DC bin is always evaluated, since `evaluate_grid` makes it real.
+    The bits equal those of one `evaluate_grid` call on all bins.
     """
     first, stop, below, above = band
     start = 0 if lo == 0 else max(lo, first)
     end = max(start + (lo == 0), min(hi, stop))  # bin 0 (DC) is always evaluated
-    if end - start == 1:
-        start, end = (start, end + 1) if end < hi else (start - 1, end)
     if start == lo and end == hi:
         return evaluate_grid(curve, freqs[lo:hi])
     response = np.empty(hi - lo, dtype=np.complex128)
     response[: start - lo] = below
-    if end > start:
-        response[start - lo : end - lo] = evaluate_grid(curve, freqs[start:end])
+    response[start - lo : end - lo] = evaluate_grid(curve, freqs[start:end])
     response[end - lo :] = above
     return response
 
@@ -153,9 +147,7 @@ def _summed_products(
         filled = set()
         for cid, row, curve, band in zip(CHANNEL_IDS, row_of, curves, bands):
             response = _block_response(curve, band, freqs, lo, hi)
-            if lo == 0:
-                response[0] = response[0].real
-            if hi == m and n % 2 == 0:
+            if hi == m and n % 2 == 0:  # the head power would read its imaginary part
                 response[-1] = response[-1].real
             # This operand order: the swapped one differs in the last bit on some CPUs.
             np.multiply(spectra[cid.input_axis][lo:hi], response, out=response)

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import spectral
 from .errors import ConfigError, DataError
-from .frf import AXES, _checked_grid, _frozen_array, _is_real, read_csv_table
+from .frf import AXES, _checked_grid, _frozen_array, _is_real, _naming, read_csv_table
 
 WEIGHTING_NAMES = ("Wk", "We", "Wf", "Wfx", "Wfy", "Wfr", "Unity")
 
@@ -91,8 +91,8 @@ def load_weighting_csv(path, name: str | None = None) -> WeightingCurve:
     """Load a curve from CSV with header ``freq_hz,magnitude`` (# comments)."""
     path = Path(path)
     data = read_csv_table(path, ("freq_hz", "magnitude"))
-    freq = _checked_grid(data[:, 0], f"{path}: frequency column")
-    return WeightingCurve(name=name or path.stem, freq_hz=freq, magnitude=data[:, 1])
+    with _naming(path):
+        return WeightingCurve(name=name or path.stem, freq_hz=data[:, 0], magnitude=data[:, 1])
 
 
 _DATA_DIR = Path(__file__).resolve().parent / "data" / "weightings"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import logging
 import tempfile
 import warnings
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from motioncomfort.cli import main
 from motioncomfort import load_trace, save_trace
 from motioncomfort.traceio import TRACE_HEADER
+from motioncomfort.weighting import WEIGHTING_NAMES
 from conftest import fuzzed_body, random_trace
 
 
@@ -257,15 +259,17 @@ def test_malformed_config_or_synth_input_is_one_line_error(
     assert not (tmp_path / "trace.csv").exists()
 
 
-def _exp_manifest(first_file) -> dict:
-    """The packaged EXP manifest with absolute channel paths, the first one `first_file`."""
+def _exp_manifest(first_file=None) -> dict:
+    """The packaged EXP manifest with absolute channel paths, the first one `first_file` if
+    given."""
     from motioncomfort import frf
 
     packaged = frf._DATA_DIR / "bundles" / "exp"
     manifest = json.loads((packaged / "manifest.json").read_text())
     for entry in manifest["channels"]:
         entry["file"] = str(packaged / entry["file"])
-    manifest["channels"][0]["file"] = str(first_file)
+    if first_file is not None:
+        manifest["channels"][0]["file"] = str(first_file)
     return manifest
 
 
@@ -325,6 +329,116 @@ def test_bad_svc_override_names_the_config_file(tmp_path, capsys):
     assert err.startswith(f"error[config]: {cfg}: SVC parameter tau_s")
 
 
+def _run_cli(args) -> tuple[int, list[str]]:
+    """`main(args)`'s exit code and stderr lines, log lines included as the console script
+    prints them: without pytest's log handlers on the root logger, `main` installs its own."""
+    stderr, root = io.StringIO(), logging.getLogger()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(stderr):
+        mp.setattr(root, "handlers", [])
+        mp.setattr(root, "level", root.level)
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(args)
+    return rc, stderr.getvalue().splitlines()
+
+
+def _verb_args(verb: str, trace) -> list[str]:
+    if verb == "synth":
+        return ["synth", "--duration", "1"]
+    if verb == "compare":
+        return ["compare", "--trace", str(trace), "--models", "EXP,NHM"]
+    return [verb, "--trace", str(trace), "--model", "EXP"]
+
+
+_OUTPUT_NAMES = ("head.csv", "msi.csv", "report.json", "report.svg", "comparison.csv", "trace.csv")
+
+
+@pytest.mark.parametrize("verb", ["assess", "compare", "transmit", "synth"])
+@pytest.mark.parametrize("case", ["file", "under_file", "target_is_dir"])
+def test_unwritable_output_path_is_one_line_config_error(tmp_path, verb, case):
+    trace = tmp_path / "seat.csv"
+    save_trace(random_trace(6, n=400), trace)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = {"file": afile, "under_file": afile / "sub", "target_is_dir": tmp_path / "out"}[case]
+    if case == "target_is_dir":  # the rename fails, after the temp file is written
+        for name in _OUTPUT_NAMES:
+            (out / name).mkdir(parents=True)
+    rc, err = _run_cli([*_verb_args(verb, trace), "--out", str(out)])
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error[config]: cannot write ")
+    assert afile.read_text() == "kept\n"
+    assert not [p for p in tmp_path.rglob("*.tmp")]
+
+
+def test_manifest_missing_a_diagonal_prints_its_error_and_no_warning(tmp_path):
+    manifest = _exp_manifest()
+    manifest["channels"] = [e for e in manifest["channels"] if (e["set"], e["in"]) != (1, "z")]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "cfg.json").write_text(json.dumps({"bundle_manifest": "manifest.json"}))
+    trace = tmp_path / "seat.csv"
+    save_trace(random_trace(7, n=400), trace)
+    argv = ["assess", "--trace", str(trace), "--config", str(tmp_path / "cfg.json")]
+    rc, err = _run_cli([*argv, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert err == [f"error[data]: {tmp_path / 'manifest.json'}: missing diagonal channel set1:z->z"]
+
+
+@pytest.mark.parametrize("name", ["wk", "Zz"])
+def test_weighting_file_named_for_no_builtin_curve_is_a_config_error(tmp_path, name):
+    (tmp_path / "w.csv").write_text("freq_hz,magnitude\n0,2\n10,2\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"weighting_files": {name: "w.csv"}}))
+    trace = tmp_path / "seat.csv"
+    save_trace(random_trace(8, n=400), trace)
+    argv = ["assess", "--trace", str(trace), "--config", str(cfg), "--out", str(tmp_path / "out")]
+    rc, err = _run_cli(argv)
+    assert rc == 2
+    names = sorted(WEIGHTING_NAMES)
+    assert err == [f"error[config]: {cfg}: weighting_files name {name!r} not in {names}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("trace_nan", "channel y contains non-finite samples"),
+        ("frf_gain_negative", "gains must be finite and >= 0"),
+        ("weighting_negative", "weighting magnitudes must be finite and >= 0"),
+        ("model_id_unknown", "unknown model id 'XHM'"),
+    ],
+)
+def test_content_error_from_a_loaded_file_names_that_file(tmp_path, case, message):
+    trace = tmp_path / "seat.csv"
+    save_trace(random_trace(9, n=400), trace)
+    config, manifest = {}, _exp_manifest()
+    if case == "trace_nan":
+        named = trace
+        lines = trace.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[2] = "nan"
+        lines[5] = ",".join(cells)
+        trace.write_text("\n".join(lines) + "\n")
+    elif case == "frf_gain_negative":
+        named = tmp_path / "set1_z_pitch.csv"
+        named.write_text("freq_hz,gain,phase_deg\n0.5,0.1,0\n5,-0.1,-10\n")
+        manifest = _exp_manifest(first_file=named)
+    elif case == "weighting_negative":
+        named = tmp_path / "wk.csv"
+        named.write_text("freq_hz,magnitude\n0.5,1\n5,-1\n")
+        config["weighting_files"] = {"Wk": str(named)}
+    else:
+        named = tmp_path / "manifest.json"
+        manifest["model_id"] = "XHM"
+    if case in ("frf_gain_negative", "model_id_unknown"):
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        config["bundle_manifest"] = "manifest.json"
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    argv = ["assess", "--trace", str(trace), "--config", str(tmp_path / "cfg.json")]
+    rc, err = _run_cli([*argv, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert len(err) == 1 and err[0].startswith(f"error[data]: {named}: {message}")
+
+
 # SVC overrides the validators accept, two of which overflow at run time, and one they reject.
 SVC_OVERRIDES = [
     None, {"tau_s": 4.0}, {"b": 1.0, "n": 1e300}, {"g": 1e300}, {"mu_s": 1e-300}, {"tau_s": -1}
@@ -368,3 +482,72 @@ def test_cli_assess_exits_0_with_strict_json_or_prints_one_error_line(body, svc,
 
 def _not_strict_json(name: str):
     raise AssertionError(f"report.json holds {name}, which strict JSON has not")
+
+
+def _edge_manifest(case: str) -> dict:
+    """The EXP manifest with a diagonal or a cross channel dropped, one channel twice, or one
+    channel's set mislabelled."""
+    manifest = _exp_manifest()
+    channels = manifest["channels"]
+    keys = [(e["set"], e["in"], e["out"]) for e in channels]
+    if case == "missing_diagonal":
+        del channels[keys.index((1, "z", "z"))]
+    elif case == "missing_cross":
+        del channels[keys.index((1, "z", "pitch"))]
+    elif case == "duplicate":
+        channels.append(dict(channels[0]))
+    else:
+        channels[0]["set"] = {"set_7": 7, "set_text": "one"}[case]
+    return manifest
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    verb=st.sampled_from(["assess", "compare", "transmit"]),
+    out=st.just("dir") | st.sampled_from(["file", "under_file"]),
+    manifest=st.none()
+    | st.sampled_from(["missing_diagonal", "missing_cross", "duplicate", "set_7", "set_text"]),
+    weighting=st.none()
+    | st.tuples(
+        st.sampled_from(["Wk", "Wfx", "Unity", "wk", "Zz"]),
+        st.sampled_from([0.0, 1.0, 1e300, -1.0]),
+    ),
+)
+def test_cli_config_and_output_edges_exit_0_with_strict_json_or_print_one_error_line(
+    verb, out, manifest, weighting
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        trace, config = tmp / "t.csv", {}
+        save_trace(random_trace(10, n=300), trace)
+        (tmp / "afile").write_text("kept\n")
+        afile = tmp / "afile"
+        out_dir = {"dir": tmp / "out", "file": afile, "under_file": afile / "sub"}[out]
+        if manifest is not None:
+            (tmp / "manifest.json").write_text(json.dumps(_edge_manifest(manifest)))
+            config["bundle_manifest"] = "manifest.json"
+        if weighting is not None:
+            name, magnitude = weighting
+            rows = f"0.5,{magnitude!r}\n50,{magnitude!r}\n"
+            (tmp / "w.csv").write_text("freq_hz,magnitude\n" + rows)
+            config["weighting_files"] = {name: "w.csv"}
+        (tmp / "cfg.json").write_text(json.dumps(config))
+        args = [*_verb_args(verb, trace), "--config", str(tmp / "cfg.json"), "--out", str(out_dir)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, err = _run_cli(args)
+        event(f"{verb} exit {rc}")
+        if rc == 0:
+            if verb == "assess":
+                text = (out_dir / "report.json").read_text()
+                doc = json.loads(text, parse_constant=_not_strict_json)
+                assert 0.0 <= doc["msi"]["final"] <= 100.0
+            else:
+                assert (out_dir / ("head.csv" if verb == "transmit" else "comparison.csv")).exists()
+        else:
+            assert rc in (2, 3, 4)
+            # A loaded bundle's missing cross channel is logged as a warning before a later error.
+            assert err and err[-1].startswith("error[")
+            assert all(line.startswith("WARNING ") for line in err[:-1])
+        assert (tmp / "afile").read_text() == "kept\n"
+        assert not [p for p in tmp.rglob("*.tmp")]

@@ -413,7 +413,8 @@ def _strict_and_loadtxt(raw: bytes, block_bytes: int):
     """The strict path's (7, rows) values or None, and np.loadtxt's values as (7, rows) or None."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(traceio, "_STRICT_BLOCK_BYTES", block_bytes)
-        strict = traceio._strict_parse(raw)
+        parts, stop = traceio._strict_blocks(raw)
+    strict = np.concatenate(parts, axis=1) if parts and stop == len(raw) else None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty input, or 1e400 read as inf
@@ -541,8 +542,9 @@ def test_saved_trace_takes_the_strict_path(tmp_path):
     trace = random_trace(24, n=300)
     save_trace(trace, tmp_path / "t.csv")
     body = (tmp_path / "t.csv").read_bytes().split(b"\n", 1)[1]
-    values = traceio._strict_parse(body)
-    assert values is not None
+    parts, stop = traceio._strict_blocks(body)
+    assert stop == len(body)
+    values = np.concatenate(parts, axis=1)
     for i, axis in enumerate(AXES):
         assert values[1 + i].tobytes() == trace.channels[axis].tobytes()
 
@@ -705,8 +707,10 @@ def test_failed_forked_write_keeps_old_file_and_no_child(tmp_path, monkeypatch, 
         fdopen = os.fdopen
         monkeypatch.setattr(os, "fdopen", lambda *a, **k: _FailingFile(fdopen(*a, **k)))
     with _forking_formatter() as started:
-        with pytest.raises(TypeError if where == "worker" else OSError) as failure:
+        with pytest.raises(TypeError if where == "worker" else ConfigError) as failure:
             atomic_write_text(path, format_rows((t, m), "%.17g,%.17g\n", "time_s,msi_percent\n"))
+    if where == "write":
+        assert isinstance(failure.value.__cause__, OSError)
     assert started == [3]
     # `failure` still holds the traceback, and with it the formatter's frames.
     assert multiprocessing.active_children() == []
