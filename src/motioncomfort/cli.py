@@ -2,7 +2,9 @@
 
 Verbs: transmit, assess, compare, svc, synth, bench.  Errors print a single
 ``error[<kind>]: message`` line to stderr and exit with 2 (config), 3 (data)
-or 4 (numeric failure).
+or 4 (numeric failure).  That line is always the last on stderr: ``WARNING``
+lines logged earlier in the run (an undersampled trace, a defaulted cross
+channel) may come before it.
 """
 
 from __future__ import annotations

@@ -380,9 +380,10 @@ def load_frf_bundle(manifest_path) -> FrfBundle:
     channels: dict[FrfChannelId, FrfCurve] = {}
     for entry in manifest["channels"]:
         try:
-            cid = FrfChannelId(
-                input_axis=entry["in"], output_axis=entry["out"], set_id=int(entry["set"])
-            )
+            set_id = entry["set"]
+            if isinstance(set_id, bool) or not isinstance(set_id, int):  # not 1.5, true or "1"
+                raise TypeError(f"set {set_id!r} is not an integer")
+            cid = FrfChannelId(input_axis=entry["in"], output_axis=entry["out"], set_id=set_id)
             file_ref = entry["file"]
             units = (entry["in_unit"], entry["out_unit"])
         except (KeyError, TypeError, ValueError, DataError) as exc:

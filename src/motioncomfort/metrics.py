@@ -20,7 +20,7 @@ from .errors import ConfigError, DataError, NumericError
 from .frf import AXES, FrfBundle
 from .svc import MsiSeries, SvcParams, run_svc
 from .traceio import MotionTrace
-from .transmission import head_motion, seat_spectra
+from .transmission import head_spectra, head_trace, seat_spectra
 from .weighting import (
     MetricRegime,
     WeightingCurve,
@@ -180,9 +180,7 @@ def _assess_spectra(seat, bundle, spectra, rc, ms, svc_params, registry, include
     t0 = time.perf_counter()
     # Built here rather than passed in by full_assessment, since a caller's reference would keep
     # the seat spectra (95 MB at the bench length) alive through the inverse FFTs and SVC.
-    head, head_power = head_motion(
-        seat, bundle, seat_spectra(seat) if spectra is None else spectra
-    )
+    rows = head_spectra(seat, bundle, seat_spectra(seat) if spectra is None else spectra)
     t1 = time.perf_counter()
 
     freqs = spectral.bin_frequencies(n, fs)
@@ -190,31 +188,34 @@ def _assess_spectra(seat, bundle, spectra, rc, ms, svc_params, registry, include
     def spectral_assess(regime: MetricRegime, curves) -> RegimeResult:
         per_axis = np.empty(len(AXES))
 
-        def read_off(i: int) -> None:  # w * w * P in one array; an overflow reaches combine
+        def read_off(i: int) -> None:  # w * w * |H|^2 in one array; an overflow reaches combine
             with np.errstate(over="ignore", invalid="ignore"):
                 weighted = curves[AXES[i]].at(freqs)
                 np.multiply(weighted, weighted, out=weighted)
-                np.multiply(weighted, head_power[AXES[i]], out=weighted)
+                power = np.abs(rows.view(np.complex128)[i])
+                np.multiply(weighted, np.square(power, out=power), out=weighted)
                 per_axis[i] = np.sqrt(spectral.spectrum_mean_square(weighted, n))
 
         traceio._on_every_cpu(read_off, len(AXES))
         return _regime_result(regime, dict(zip(AXES, per_axis.tolist())))
 
+    # Both read-offs run on the head spectra before head_trace overwrites them with the signals.
     rc_result = spectral_assess(rc, rc_curves)
     t2 = time.perf_counter()
     ms_result = spectral_assess(ms, ms_curves)
-    del head_power  # not held through SVC
     t3 = time.perf_counter()
-
-    msi = run_svc(head, svc_params) if include_svc else None
+    head = head_trace(seat, rows)
     t4 = time.perf_counter()
 
+    msi = run_svc(head, svc_params) if include_svc else None
+    t5 = time.perf_counter()
+
     if timings is not None:
-        timings["transmit_s"] = t1 - t0
+        timings["transmit_s"] = (t1 - t0) + (t4 - t3)  # head spectra, then their inverse FFTs
         timings["rc_s"] = t2 - t1
         timings["ms_s"] = t3 - t2
-        timings["svc_s"] = t4 - t3
-        timings["total_s"] = t4 - t0
+        timings["svc_s"] = t5 - t4
+        timings["total_s"] = t5 - t0
 
     return ComfortReport(
         model_id=bundle.model_id,

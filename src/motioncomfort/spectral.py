@@ -14,6 +14,9 @@ pass (p^2 <= n) or a Bluestein transform of the whole length.  The length
 stays exact; the results differ from pocketfft's in the last bits only, and
 are the same on every run and thread.  Every other length, and
 `apply_response` (the time-domain oracle's path), calls scipy.fft directly.
+The index tables of the last split length (9 bytes a sample) are kept on
+purpose after the run that built them, so that `report.compare`'s models and
+the contribution breakdown reuse them.
 """
 
 from __future__ import annotations

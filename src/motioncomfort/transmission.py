@@ -11,20 +11,22 @@ Each head channel is the sum of the bundle channels feeding it:
 
 One spectral core serves `transmit`, `metrics.full_assessment` and
 `report.compare`: `seat_spectra` transforms each seat channel once at the
-exact length, `_summed_products` multiplies those spectra by the 14
-tabulated responses and sums the products per head axis, and `head_motion`
-inverts each sum once.  The whole pipeline is linear and deterministic.
+exact length, `head_spectra` multiplies those spectra by the 14 tabulated
+responses and sums the products per head axis, and `head_trace` inverts
+each sum once, in place.  `full_assessment` reads RC and MS off the head
+spectra between the last two steps.  The whole pipeline is linear and
+deterministic.
 
 All three stages run on every usable CPU (`traceio._on_every_cpu`): the
 calling thread and one helper thread per further CPU take tasks in turn,
 since pocketfft and numpy's array loops release the GIL.  The six forward
 and the six inverse transforms are one task each and run alone at the exact
-length; the task that inverts a head axis first takes its power |H|^2.  The
-channel products are built in blocks of bins (`_BLOCK_BINS`), one task a
-block.  In a block, each response is evaluated only on the bins strictly
-inside its curve's tabulated band; the bins below and above it are filled
-with the edge response the curve holds there.  Every step of a product works
-bin by bin, so the output bits do not depend on the number of threads.
+length.  The channel products are built in blocks of bins (`_BLOCK_BINS`),
+one task a block.  In a block, each response is evaluated only on the bins
+strictly inside its curve's tabulated band; the bins below and above it are
+filled with the edge response the curve holds there.  Every step of a
+product works bin by bin, so the output bits do not depend on the number of
+threads.
 
 The trace type, `MotionTrace`, is defined in `traceio` and imported here.
 """
@@ -147,7 +149,7 @@ def _summed_products(
         filled = set()
         for cid, row, curve, band in zip(CHANNEL_IDS, row_of, curves, bands):
             response = _block_response(curve, band, freqs, lo, hi)
-            if hi == m and n % 2 == 0:  # the head power would read its imaginary part
+            if hi == m and n % 2 == 0:  # the RC and MS read-offs would read its imaginary part
                 response[-1] = response[-1].real
             # This operand order: the swapped one differs in the last bit on some CPUs.
             np.multiply(spectra[cid.input_axis][lo:hi], response, out=response)
@@ -162,18 +164,14 @@ def _summed_products(
     return rows
 
 
-def _inverted_rows(rows: np.ndarray, n: int, power: np.ndarray | None = None) -> np.ndarray:
+def _inverted_rows(rows: np.ndarray, n: int) -> np.ndarray:
     """Overwrite each row's spectrum with its length-n inverse FFT, on every usable CPU.
 
-    With `power`, each row's task first sets ``power[i]`` to the spectrum's
-    |H|^2.  Returns the (read-only) signals, views of `rows`.
+    Returns the (read-only) signals, views of `rows`.
     """
     spectra = rows.view(np.complex128)
 
     def invert(i: int) -> None:
-        if power is not None:
-            with np.errstate(over="ignore"):  # an overflow is reported by metrics.combine
-                np.square(np.abs(spectra[i], out=power[i]), out=power[i])
         rows[i, :n] = spectral.irfft(spectra[i], n=n)
 
     traceio._on_every_cpu(invert, len(rows))
@@ -181,30 +179,25 @@ def _inverted_rows(rows: np.ndarray, n: int, power: np.ndarray | None = None) ->
     return rows[:, :n]
 
 
-def _head_rows(seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str, np.ndarray]):
-    """The six head spectra as float rows (`_summed_products`), after the undersampling check."""
+def head_spectra(seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str, np.ndarray]):
+    """The six head spectra of `seat`, given its `seat_spectra`, after the undersampling check.
+
+    Row i of the float result holds axis ``AXES[i]``'s n // 2 + 1 complex bins
+    (``rows.view(np.complex128)[i]``): the sum of the channel products feeding
+    it, with room for the signal that `head_trace` writes over it.
+    """
     _warn_if_undersampled(seat.sample_rate_hz, bundle.max_freq_hz, f"bundle {bundle.model_id}")
     return _summed_products(seat, bundle, spectra, [AXES.index(c.output_axis) for c in CHANNEL_IDS])
 
 
-def head_motion(seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str, np.ndarray]):
-    """(head trace, head power) for `seat`, given its `seat_spectra`.
+def head_trace(seat: MotionTrace, rows: np.ndarray) -> MotionTrace:
+    """The head trace of `seat` from its `head_spectra` rows: one inverse FFT per head axis.
 
-    A head spectrum sums the channel products feeding that axis, and its
-    power |H|^2 is all that RC and MS read of it.  One inverse FFT per head
-    axis then gives the head trace; the task that inverts an axis computes
-    its power first.  Each axis's spectrum and signal share one row of one
-    array: the signal overwrites the spectrum it came from, and the head
-    trace keeps those rows without copying.  The seat spectra are released
-    once the sums are built, which frees them when the caller handed over its
-    only reference.
+    Each axis's signal overwrites the spectrum it came from, and the trace
+    keeps those rows (now read-only) without copying.
     """
-    rows = _head_rows(seat, bundle, spectra)
-    del spectra
-    power = np.empty((len(AXES), rows.shape[1] // 2))
-    signals = _inverted_rows(rows, seat.n_samples, power)
-    head = MotionTrace(seat.sample_rate_hz, dict(zip(AXES, signals)), "head", _owned=True)
-    return head, dict(zip(AXES, power))
+    signals = _inverted_rows(rows, seat.n_samples)
+    return MotionTrace(seat.sample_rate_hz, dict(zip(AXES, signals)), "head", _owned=True)
 
 
 @dataclass(frozen=True)
@@ -239,7 +232,5 @@ def transmit(seat: MotionTrace, bundle: FrfBundle) -> tuple[MotionTrace, Contrib
     Returns the head trace (six forward and six inverse FFTs) and the
     per-channel breakdown, which costs nothing until `contributions` is read.
     """
-    rows = _head_rows(seat, bundle, seat_spectra(seat))
-    signals = _inverted_rows(rows, seat.n_samples)  # without the power, which only RC and MS read
-    head = MotionTrace(seat.sample_rate_hz, dict(zip(AXES, signals)), "head", _owned=True)
+    head = head_trace(seat, head_spectra(seat, bundle, seat_spectra(seat)))
     return head, ContributionBreakdown(seat=seat, bundle=bundle)

@@ -383,6 +383,20 @@ def test_manifest_missing_a_diagonal_prints_its_error_and_no_warning(tmp_path):
     assert err == [f"error[data]: {tmp_path / 'manifest.json'}: missing diagonal channel set1:z->z"]
 
 
+@pytest.mark.parametrize("case", ["set_float", "set_bool", "set_string_digit"])
+def test_manifest_set_that_is_not_a_json_integer_is_a_malformed_entry(tmp_path, case):
+    manifest = _edge_manifest(case)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "cfg.json").write_text(json.dumps({"bundle_manifest": "manifest.json"}))
+    trace = tmp_path / "seat.csv"
+    save_trace(random_trace(7, n=400), trace)
+    argv = ["assess", "--trace", str(trace), "--config", str(tmp_path / "cfg.json")]
+    rc, err = _run_cli([*argv, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    entry = manifest["channels"][0]
+    assert err == [f"error[data]: {tmp_path / 'manifest.json'}: malformed channel entry {entry!r}"]
+
+
 @pytest.mark.parametrize("name", ["wk", "Zz"])
 def test_weighting_file_named_for_no_builtin_curve_is_a_config_error(tmp_path, name):
     (tmp_path / "w.csv").write_text("freq_hz,magnitude\n0,2\n10,2\n")
@@ -462,11 +476,9 @@ def test_cli_assess_exits_0_with_strict_json_or_prints_one_error_line(body, svc,
         if svc is not None:
             (tmp / "cfg.json").write_text(json.dumps({"svc": svc}))
             args += ["--config", str(tmp / "cfg.json")]
-        stderr = io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+        with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with contextlib.redirect_stdout(io.StringIO()):
-                rc = main(args)
+            rc, err = _run_cli(args)
         event(f"exit {rc}")
         if rc == 0:
             doc = json.loads((out / "report.json").read_text(), parse_constant=_not_strict_json)
@@ -476,8 +488,14 @@ def test_cli_assess_exits_0_with_strict_json_or_prints_one_error_line(body, svc,
                 assert np.all((msi >= 0.0) & (msi <= 100.0))
         else:
             assert rc in (2, 3, 4)
-            lines = stderr.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error[")
+            _assert_one_error_line_last(err)
+
+
+def _assert_one_error_line_last(err: list[str]) -> None:
+    """The CLI's error contract: one `error[kind]` line, last, after only `WARNING` lines (an
+    undersampled trace or a defaulted cross channel is logged before a later error)."""
+    assert err and err[-1].startswith("error[")
+    assert all(line.startswith("WARNING ") for line in err[:-1])
 
 
 def _not_strict_json(name: str):
@@ -486,7 +504,7 @@ def _not_strict_json(name: str):
 
 def _edge_manifest(case: str) -> dict:
     """The EXP manifest with a diagonal or a cross channel dropped, one channel twice, or one
-    channel's set mislabelled."""
+    channel's set mislabelled or not a JSON integer."""
     manifest = _exp_manifest()
     channels = manifest["channels"]
     keys = [(e["set"], e["in"], e["out"]) for e in channels]
@@ -497,24 +515,40 @@ def _edge_manifest(case: str) -> dict:
     elif case == "duplicate":
         channels.append(dict(channels[0]))
     else:
-        channels[0]["set"] = {"set_7": 7, "set_text": "one"}[case]
+        channels[0]["set"] = {
+            "set_7": 7, "set_text": "one", "set_float": 1.5, "set_bool": True,
+            "set_string_digit": "1",
+        }[case]
     return manifest
 
 
-@settings(max_examples=150, deadline=None)
+_EDGE_MANIFESTS = [
+    "missing_diagonal", "missing_cross", "duplicate", "set_7", "set_text", "set_float", "set_bool",
+    "set_string_digit",
+]
+# Frequency columns of a weighting file: two points, one, a repeated one, and a decreasing pair.
+_EDGE_GRIDS = {"two": (0.5, 50.0), "one": (0.5,), "duplicate": (0.5, 0.5, 50.0),
+               "decreasing": (50.0, 0.5)}
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     verb=st.sampled_from(["assess", "compare", "transmit"]),
     out=st.just("dir") | st.sampled_from(["file", "under_file"]),
-    manifest=st.none()
-    | st.sampled_from(["missing_diagonal", "missing_cross", "duplicate", "set_7", "set_text"]),
+    manifest=st.none() | st.sampled_from(_EDGE_MANIFESTS),
     weighting=st.none()
     | st.tuples(
         st.sampled_from(["Wk", "Wfx", "Unity", "wk", "Zz"]),
         st.sampled_from([0.0, 1.0, 1e300, -1.0]),
+        st.sampled_from(sorted(_EDGE_GRIDS)),
+    ),
+    k_factor=st.none()
+    | st.sampled_from(
+        [("z", -1.0), ("z", float("nan")), ("pitch", True), ("z", "1"), ("z", 1e308), ("q", 1.0)]
     ),
 )
 def test_cli_config_and_output_edges_exit_0_with_strict_json_or_print_one_error_line(
-    verb, out, manifest, weighting
+    verb, out, manifest, weighting, k_factor
 ):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -527,10 +561,12 @@ def test_cli_config_and_output_edges_exit_0_with_strict_json_or_print_one_error_
             (tmp / "manifest.json").write_text(json.dumps(_edge_manifest(manifest)))
             config["bundle_manifest"] = "manifest.json"
         if weighting is not None:
-            name, magnitude = weighting
-            rows = f"0.5,{magnitude!r}\n50,{magnitude!r}\n"
+            name, magnitude, grid = weighting
+            rows = "".join(f"{f!r},{magnitude!r}\n" for f in _EDGE_GRIDS[grid])
             (tmp / "w.csv").write_text("freq_hz,magnitude\n" + rows)
             config["weighting_files"] = {name: "w.csv"}
+        if k_factor is not None:
+            config["k_factors"] = dict([k_factor])  # json writes NaN, which it also reads
         (tmp / "cfg.json").write_text(json.dumps(config))
         args = [*_verb_args(verb, trace), "--config", str(tmp / "cfg.json"), "--out", str(out_dir)]
         with warnings.catch_warnings():
@@ -546,8 +582,6 @@ def test_cli_config_and_output_edges_exit_0_with_strict_json_or_print_one_error_
                 assert (out_dir / ("head.csv" if verb == "transmit" else "comparison.csv")).exists()
         else:
             assert rc in (2, 3, 4)
-            # A loaded bundle's missing cross channel is logged as a warning before a later error.
-            assert err and err[-1].startswith("error[")
-            assert all(line.startswith("WARNING ") for line in err[:-1])
+            _assert_one_error_line_last(err)
         assert (tmp / "afile").read_text() == "kept\n"
         assert not [p for p in tmp.rglob("*.tmp")]

@@ -27,7 +27,7 @@ from motioncomfort import (
     transmit,
 )
 from motioncomfort import spectral, svc, traceio, transmission, weighting
-from motioncomfort.transmission import head_motion, seat_spectra
+from motioncomfort.transmission import head_spectra, seat_spectra
 from motioncomfort.weighting import DEFAULT_K_FACTORS, unity_regime
 from conftest import random_trace, rel_err, sine_trace
 
@@ -99,7 +99,8 @@ def test_overflowing_trace_is_numeric_error(path):
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_read_offs_take_one_task_per_axis_and_match_the_serial_formula(monkeypatch, cpus):
     seat, bundle = random_trace(42, n=3001), builtin_bundle("AHM")
-    _, power = head_motion(seat, bundle, seat_spectra(seat))
+    sums = head_spectra(seat, bundle, seat_spectra(seat)).view(np.complex128)
+    power = {axis: np.square(np.abs(sums[i])) for i, axis in enumerate(AXES)}
     freqs = spectral.bin_frequencies(seat.n_samples, seat.sample_rate_hz)
     curves = builtin_weightings()
     callers = set()
@@ -324,9 +325,10 @@ def _traced_peak_bytes(run) -> int:
 
 
 def test_peak_memory_stays_a_small_multiple_of_the_trace():
-    # full_assessment peaks in head_motion at about 3.2x the seat's bytes: seat spectra,
-    # head spectra and head trace, plus one channel's temporaries; head spectra held
-    # through SVC reach 3.9x.  run_svc peaks at 8 arrays of the trace's length (1.33x);
+    # full_assessment peaks at about 2.8x the seat's bytes while it builds the head spectra:
+    # the seat spectra, the head spectra and each block's temporaries.  The read-offs and the
+    # inverse FFTs hold less: the head spectra, which the head trace overwrites in place, and
+    # one axis's temporaries a thread.  run_svc peaks at 8 arrays of the trace's length (1.33x);
     # keeping every stage reaches 2.2x.  compare adds the shared seat spectra and the
     # rows, about 3.6x; keeping each model's report (and MSI series) to the end, 4.6x.
     seat = random_trace(7, n=200_000)

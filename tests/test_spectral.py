@@ -23,7 +23,7 @@ from motioncomfort import (
     transmit,
 )
 from motioncomfort import spectral, traceio
-from motioncomfort.transmission import head_motion, seat_spectra
+from motioncomfort.transmission import head_spectra, head_trace, seat_spectra
 from conftest import random_trace, rel_err
 from test_transmission import _reference_sums
 
@@ -127,11 +127,10 @@ def test_a_spectrum_of_another_length_is_not_split():
 
 
 def _sequential_core(seat, bundle):
-    """Seat spectra, head signals and head power from one spectral.rfft / irfft call a channel."""
+    """Seat spectra and head signals from one spectral.rfft / irfft call a channel."""
     spectra = {axis: spectral.rfft(seat.channels[axis]) for axis in AXES}
     sums = _reference_sums(seat, bundle, spectra)
-    head = {axis: spectral.irfft(sums[axis], n=seat.n_samples) for axis in AXES}
-    return spectra, head, {axis: np.abs(sums[axis]) ** 2 for axis in AXES}
+    return spectra, {axis: spectral.irfft(sums[axis], n=seat.n_samples) for axis in AXES}
 
 
 @settings(max_examples=6, deadline=None)
@@ -144,19 +143,18 @@ def _sequential_core(seat, bundle):
 def test_split_core_is_bit_equal_on_1_2_and_3_cpus(n, model, seed):
     assert spectral._split(n) is not None
     seat, bundle = random_trace(seed, n=n), builtin_bundle(model)
-    want_spectra, want_head, want_power = _sequential_core(seat, bundle)
+    want_spectra, want_head = _sequential_core(seat, bundle)
     threads = threading.active_count()
     for cpus in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(traceio, "_usable_cpus", lambda: cpus)
             spectra = seat_spectra(seat)
-            head, power = head_motion(seat, bundle, spectra)
+            head = head_trace(seat, head_spectra(seat, bundle, spectra))
             transmitted, _ = transmit(seat, bundle)
         assert threading.active_count() == threads
         for axis in AXES:
             assert np.array_equal(spectra[axis], want_spectra[axis])
             assert np.array_equal(head.channels[axis], want_head[axis])
-            assert np.array_equal(power[axis], want_power[axis])
             assert np.array_equal(transmitted.channels[axis], want_head[axis])
 
 

@@ -28,9 +28,9 @@ from motioncomfort import (
     ride_comfort_regime,
     transmit,
 )
-from motioncomfort import spectral, traceio, transmission
+from motioncomfort import metrics, spectral, traceio, transmission
 from motioncomfort.frf import CHANNEL_IDS, evaluate_grid
-from motioncomfort.transmission import _summed_products, head_motion, seat_spectra
+from motioncomfort.transmission import _summed_products, head_spectra, head_trace, seat_spectra
 from conftest import random_trace, rel_err
 
 
@@ -58,7 +58,7 @@ def test_trace_channels_immutable():
 
 def test_head_trace_keeps_its_fft_output_read_only_and_public_traces_copy():
     head, _ = transmit(random_trace(3, n=64), builtin_bundle("EXP"))
-    rows = head.channels["x"].base  # the one array head_motion filled; a copy has no base
+    rows = head.channels["x"].base  # the head_spectra rows head_trace overwrote; a copy has none
     assert rows is not None and rows.shape == (len(AXES), 66) and not rows.flags.writeable
     for i, axis in enumerate(AXES):
         assert not head.channels[axis].flags.writeable
@@ -262,22 +262,23 @@ def test_compare_full_assessment_and_transmit_agree(n, seed):
             assert rel_err(breakdown.total(axis), head.channels[axis]) < 1e-9
 
 
+@pytest.mark.parametrize("n", [1001, 100 * 683])  # 68,300 takes the prime-factor split
 @pytest.mark.parametrize("model", ["EXP", "NHM"])
-def test_transmit_takes_no_head_power_and_matches_head_motion(monkeypatch, model):
-    seat, bundle = random_trace(25, n=1001), builtin_bundle(model)
-    powers = []
-    inverted = transmission._inverted_rows
+def test_read_offs_leave_the_head_spectra_for_the_head_trace_untouched(monkeypatch, model, n):
+    seat, bundle = random_trace(25, n=n), builtin_bundle(model)
+    heads = []
+    run_svc = metrics.run_svc
 
-    def spied(rows, n, power=None):
-        powers.append(power)
-        return inverted(rows, n, power)
+    def spied(head, params):
+        heads.append(head)
+        return run_svc(head, params)
 
-    monkeypatch.setattr(transmission, "_inverted_rows", spied)
-    head, _ = transmit(seat, bundle)
-    assert powers == [None]
-    want, _ = head_motion(seat, bundle, seat_spectra(seat))
+    monkeypatch.setattr(metrics, "run_svc", spied)
+    full_assessment(seat, bundle)
+    want, _ = transmit(seat, bundle)
+    assert len(heads) == 1
     for axis in AXES:
-        assert head.channels[axis].tobytes() == want.channels[axis].tobytes()
+        assert heads[0].channels[axis].tobytes() == want.channels[axis].tobytes()
 
 
 def test_transform_counts(monkeypatch):
@@ -324,11 +325,10 @@ def _reference_sums(seat, bundle, spectra):
 
 
 def _sequential_core(seat, bundle):
-    """Seat spectra, head signals and head power from one scipy.fft call per channel, in turn."""
+    """Seat spectra and head signals from one scipy.fft call per channel, in turn."""
     spectra = {axis: scipy_fft.rfft(seat.channels[axis]) for axis in AXES}
     sums = _reference_sums(seat, bundle, spectra)
-    head = {axis: scipy_fft.irfft(sums[axis], n=seat.n_samples) for axis in AXES}
-    return spectra, head, {axis: np.abs(sums[axis]) ** 2 for axis in AXES}
+    return spectra, {axis: scipy_fft.irfft(sums[axis], n=seat.n_samples) for axis in AXES}
 
 
 # 683 and 6007 are prime, so pocketfft takes its Bluestein path for 1366 and 6007.
@@ -346,34 +346,32 @@ def _sequential_core(seat, bundle):
 @example(n=6007, cpus=2, model="EXP", seed=4)
 def test_threaded_core_is_bit_equal_to_sequential_scipy_calls(n, cpus, model, seed):
     seat, bundle = random_trace(seed, n=n), builtin_bundle(model)
-    want_spectra, want_head, want_power = _sequential_core(seat, bundle)
+    want_spectra, want_head = _sequential_core(seat, bundle)
     threads = threading.active_count()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(traceio, "_usable_cpus", lambda: cpus)
         spectra = seat_spectra(seat)
         assert threading.active_count() == threads
-        head, power = head_motion(seat, bundle, spectra)
+        head = head_trace(seat, head_spectra(seat, bundle, spectra))
         assert threading.active_count() == threads
     for axis in AXES:
         assert np.array_equal(spectra[axis], want_spectra[axis])
         assert np.array_equal(head.channels[axis], want_head[axis])
-        assert np.array_equal(power[axis], want_power[axis])
 
 
 def test_core_is_bit_equal_with_more_threads_than_cores_and_fast_switching(monkeypatch):
     seat, bundle = random_trace(9, n=1366), builtin_bundle("EHM")
-    want_spectra, want_head, want_power = _sequential_core(seat, bundle)
+    want_spectra, want_head = _sequential_core(seat, bundle)
     monkeypatch.setattr(traceio, "_usable_cpus", lambda: 6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             spectra = seat_spectra(seat)
-            head, power = head_motion(seat, bundle, spectra)
+            head = head_trace(seat, head_spectra(seat, bundle, spectra))
             for axis in AXES:
                 assert np.array_equal(spectra[axis], want_spectra[axis])
                 assert np.array_equal(head.channels[axis], want_head[axis])
-                assert np.array_equal(power[axis], want_power[axis])
     finally:
         sys.setswitchinterval(interval)
 
@@ -449,14 +447,13 @@ def test_block_core_is_bit_equal_to_one_full_length_build(
         mp.setattr(traceio, "_usable_cpus", lambda: cpus)
         row_of = [AXES.index(cid.output_axis) for cid in CHANNEL_IDS]
         sums = _summed_products(seat, bundle, spectra, row_of)
-        head, power = head_motion(seat, bundle, spectra)
+        head = head_trace(seat, head_spectra(seat, bundle, spectra))
         _, breakdown = transmit(seat, bundle)
         contributions = breakdown.contributions
         assert threading.active_count() == threads
     assert sums.shape == (len(AXES), 2 * bins)
     for axis, total in zip(AXES, sums.view(np.complex128)):
         assert np.array_equal(total.view(np.uint64), want_sums[axis].view(np.uint64))
-        assert np.array_equal(power[axis], np.abs(want_sums[axis]) ** 2)
         assert np.array_equal(head.channels[axis], scipy_fft.irfft(want_sums[axis], n=n))
     for cid, part in want_parts.items():
         got = contributions[cid.output_axis][cid]
