@@ -20,7 +20,7 @@ from .errors import ConfigError, DataError, NumericError
 from .frf import AXES, FrfBundle
 from .svc import MsiSeries, SvcParams, run_svc
 from .traceio import MotionTrace
-from .transmission import head_spectra, head_trace, seat_spectra
+from .transmission import _head_spectra_into, head_trace, seat_spectra
 from .weighting import (
     MetricRegime,
     WeightingCurve,
@@ -46,21 +46,29 @@ def rms(signal) -> float:
 
 
 def combine(per_axis: Mapping[str, float], k_factors: Mapping[str, float]) -> float:
-    """Overall metric sqrt(sum_i k_i^2 v_i^2) over the six axes; NumericError if not finite."""
-    acc = 0.0
+    """Overall metric sqrt(sum_i k_i^2 v_i^2) over the six axes; NumericError if not finite.
+
+    The error names the first axis at which the sum stops being finite, with its k and v: a
+    non-finite v, or a (k * v)**2 that overflows or takes the sum past the largest float.
+    """
+    acc, culprit = 0.0, None
     for axis in AXES:
         try:
             v = float(per_axis[axis])
             k = float(k_factors[axis])
-            acc += (k * v) ** 2
         except KeyError as exc:
             raise DataError(f"missing axis {exc} in per-axis values or k factors") from exc
-        except OverflowError:
-            acc = float("inf")
         if v < 0.0 or k < 0.0:
             raise DataError(f"negative value for axis {axis}: v={v}, k={k}")
-    if not np.isfinite(acc):  # every assessment path checks its values here
-        raise NumericError(f"non-finite weighted RMS values {dict(per_axis)}")
+        try:
+            acc += (k * v) ** 2
+        except OverflowError:
+            acc = float("inf")
+        if culprit is None and not np.isfinite(acc):
+            culprit = axis, k, v
+    if culprit is not None:  # every assessment path checks its values here
+        axis, k, v = culprit
+        raise NumericError(f"non-finite sum of (k * v)**2 at axis {axis}, k={k!r}, v={v!r}")
     return float(np.sqrt(acc))
 
 
@@ -160,15 +168,19 @@ def full_assessment(
     head axis), and the weighted RMS values are read off the head spectra
     (Parseval), which is arithmetically equivalent to weighting in the time
     domain followed by a time-domain RMS; each regime's read-off takes one
-    task per axis on every usable CPU.  MSI runs on the head trace.
+    task per axis on every usable CPU.  MSI runs on the head trace, which is
+    built (six inverse FFTs) only when `include_svc` is set.
     Results match `transmit` + `assess` + `run_svc` to fp round-off.
     Pass a dict as `timings` to collect per-stage wall times in seconds.
     """
-    return _assess_spectra(seat, bundle, None, rc, ms, svc_params, registry, include_svc, timings)
+    return _assess_spectra(
+        seat, bundle, None, None, rc, ms, svc_params, registry, include_svc, timings
+    )
 
 
-def _assess_spectra(seat, bundle, spectra, rc, ms, svc_params, registry, include_svc, timings):
-    """`full_assessment` that reuses `spectra`, the seat's `seat_spectra`, unless None."""
+def _assess_spectra(seat, bundle, spectra, out, rc, ms, svc_params, registry, include_svc, timings):
+    """`full_assessment` given `spectra`, the seat's `seat_spectra` (built here if None), with
+    the head spectra written to `out`, or over `spectra` if `out` is None."""
     rc = rc if rc is not None else ride_comfort_regime()
     ms = ms if ms is not None else motion_sickness_regime()
     svc_params = svc_params if svc_params is not None else SvcParams()
@@ -178,9 +190,8 @@ def _assess_spectra(seat, bundle, spectra, rc, ms, svc_params, registry, include
     n = seat.n_samples
 
     t0 = time.perf_counter()
-    # Built here rather than passed in by full_assessment, since a caller's reference would keep
-    # the seat spectra (95 MB at the bench length) alive through the inverse FFTs and SVC.
-    rows = head_spectra(seat, bundle, seat_spectra(seat) if spectra is None else spectra)
+    spectra = seat_spectra(seat) if spectra is None else spectra  # here, to count in transmit_s
+    rows = _head_spectra_into(seat, bundle, spectra, spectra if out is None else out)
     t1 = time.perf_counter()
 
     freqs = spectral.bin_frequencies(n, fs)
@@ -204,7 +215,7 @@ def _assess_spectra(seat, bundle, spectra, rc, ms, svc_params, registry, include
     t2 = time.perf_counter()
     ms_result = spectral_assess(ms, ms_curves)
     t3 = time.perf_counter()
-    head = head_trace(seat, rows)
+    head = head_trace(seat, rows) if include_svc else None  # only SVC reads the head trace
     t4 = time.perf_counter()
 
     msi = run_svc(head, svc_params) if include_svc else None

@@ -255,11 +255,15 @@ def compare(
 
     spectra = seat_spectra(trace)
     rows: dict[str, ComparisonRow] = {}
-    for model_id in dict.fromkeys(["NHM", *model_ids]):  # NHM first: the baseline
+    models = list(dict.fromkeys(["NHM", *model_ids]))  # NHM first: the baseline
+    for k, model_id in enumerate(models):
+        # Each model's head spectra go to fresh rows, the last model's over the seat spectra.
+        out = np.empty_like(spectra) if k < len(models) - 1 else None
         rep = _assess_spectra(
-            trace, builtin_bundle(model_id), spectra, rc, ms, svc_params, registry, include_svc,
-            None,
+            trace, builtin_bundle(model_id), spectra, out, rc, ms, svc_params, registry,
+            include_svc, None,
         )
+        del out  # before the next model's rows are made
         nhm = rows.get("NHM")  # None while NHM itself runs: its ratios are to itself
         rows[model_id] = ComparisonRow(
             model_id=model_id,

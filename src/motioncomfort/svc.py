@@ -30,7 +30,11 @@ or the threads.  The nine `lfilter` recurrences run on the calling thread:
 `lfilter` holds the GIL, so a second thread would only wait for it.
 
 One generator runs the model stage by stage and drops each array once no
-later stage needs it: `svc_states` keeps every stage, `run_svc` only the MSI.
+later stage needs it.  Steps 2 to 4 run one sensed axis at a time: the
+axis's sensed force, then its subjective vertical, then its squared
+difference added into the conflict, after which both rows are dropped.
+`svc_states` keeps every stage and stacks the three axes' rows; `run_svc`
+keeps only the MSI.
 """
 
 from __future__ import annotations
@@ -158,39 +162,42 @@ def _stages(head: MotionTrace, params: SvcParams | None) -> Iterator[tuple[str, 
     yield "pitch_angle", pitch
 
     # Head acceleration plus gravity in the tilted head frame (magnitude g for any angles):
-    # g sin(p), (-g cos(p)) sin(r), (g cos(p)) cos(r), built in the rows of `sensed`.
-    sensed = np.empty((3, n))
+    # g sin(p), (-g cos(p)) sin(r), (g cos(p)) cos(r) on sensed axis 0, 1, 2.
+    def sense(i: int) -> np.ndarray:
+        row, channel = np.empty(n), channels[("x", "y", "z")[i]]
 
-    def sense(lo: int, hi: int) -> None:
-        out, p_angle, r_angle = sensed[:, lo:hi], pitch[lo:hi], roll[lo:hi]
-        np.multiply(np.sin(p_angle, out=out[0]), p.g, out=out[0])
-        cos_p = np.cos(p_angle)
-        np.multiply(cos_p, -p.g, out=out[2])  # row 2 is scratch until row 1 is built
-        np.multiply(out[2], np.sin(r_angle, out=out[1]), out=out[1])
-        np.multiply(np.multiply(cos_p, p.g, out=cos_p), np.cos(r_angle, out=out[2]), out=out[2])
-        for i, axis in enumerate(("x", "y", "z")):
-            out[i] += channels[axis][lo:hi]
+        def task(lo: int, hi: int) -> None:
+            out = row[lo:hi]
+            if i == 0:
+                np.multiply(np.sin(pitch[lo:hi], out=out), p.g, out=out)
+            else:
+                g_cos_p = np.cos(pitch[lo:hi])
+                np.multiply(g_cos_p, -p.g if i == 1 else p.g, out=g_cos_p)
+                trig = np.sin if i == 1 else np.cos
+                np.multiply(g_cos_p, trig(roll[lo:hi], out=out), out=out)
+            out += channel[lo:hi]
 
-    _per_sample(sense, n)
-    del pitch, roll
-    yield "sensed", sensed
+        _per_sample(task, n)
+        return row
 
-    vertical = np.empty_like(sensed)
-    for i, rest in enumerate((0.0, 0.0, p.g)):
-        vertical[i] = _euler_stage(sensed[i], step["tau_s"], decay["tau_s"], rest)
-    yield "subjective_vertical", vertical
-
-    # |sensed - vertical|, summed axis by axis.
+    # |sensed - vertical|, summed axis by axis.  Each axis's sensed force and subjective
+    # vertical are dropped before the next axis is sensed.
     conflict = np.zeros(n)
+    for i, rest in enumerate((0.0, 0.0, p.g)):
+        sensed = sense(i)
+        yield "sensed", sensed
+        vertical = _euler_stage(sensed, step["tau_s"], decay["tau_s"], rest)
+        yield "subjective_vertical", vertical
 
-    def measure(lo: int, hi: int) -> None:
-        out, diff = conflict[lo:hi], np.empty(hi - lo)
-        for i in range(3):
-            out += np.square(np.subtract(sensed[i, lo:hi], vertical[i, lo:hi], out=diff), out=diff)
-        np.sqrt(out, out=out)
+        def measure(lo: int, hi: int) -> None:
+            out, diff = conflict[lo:hi], np.subtract(sensed[lo:hi], vertical[lo:hi])
+            out += np.square(diff, out=diff)
+            if i == 2:  # the last axis
+                np.sqrt(out, out=out)
 
-    _per_sample(measure, n)
-    del sensed, vertical
+        _per_sample(measure, n)
+        del sensed, vertical
+    del pitch, roll
     if not np.all(np.isfinite(conflict)):
         raise NumericError("SVC produced non-finite conflict values")
     yield "conflict", conflict
@@ -225,13 +232,24 @@ def svc_states(head: MotionTrace, params: SvcParams | None = None) -> Mapping[st
     accumulator stages ``stage1`` and ``stage2``, and ``msi_percent``.
     All of them are kept, 13 arrays of the trace's length.
     """
-    return dict(_stages(head, params))
+    states: dict[str, np.ndarray] = {}
+    axis = 0  # the sensed axis of the next sensed/subjective_vertical row
+    for name, trajectory in _stages(head, params):
+        if name not in ("sensed", "subjective_vertical"):
+            states[name] = trajectory
+            continue
+        if name not in states:  # its first row: axis 0
+            states[name] = np.empty((3, trajectory.size))
+        states[name][axis] = trajectory
+        axis += name == "subjective_vertical"  # the last row of each axis
+    return states
 
 
 def run_svc(head: MotionTrace, params: SvcParams | None = None) -> MsiSeries:
     """Run the model over a head trace and return the incidence time series.
 
-    Keeps only the incidence: at most 8 arrays of the trace's length are live at once.
+    Keeps only the incidence: about 5 arrays of the trace's length are live at once (both
+    angles, the conflict, and one sensed axis with its subjective vertical).
     """
     for _, msi in _stages(head, params):
         pass

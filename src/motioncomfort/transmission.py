@@ -13,16 +13,19 @@ One spectral core serves `transmit`, `metrics.full_assessment` and
 `report.compare`: `seat_spectra` transforms each seat channel once at the
 exact length, `head_spectra` multiplies those spectra by the 14 tabulated
 responses and sums the products per head axis, and `head_trace` inverts
-each sum once, in place.  `full_assessment` reads RC and MS off the head
-spectra between the last two steps.  The whole pipeline is linear and
-deterministic.
+each sum once, in place.  `head_spectra` takes the seat spectra over and
+writes the head spectra over them, block by block of bins, so the two are
+never held whole at once; `_head_spectra_into` writes them to another array
+instead, for `compare`, which reuses the seat spectra for every model but
+the last.  `full_assessment` reads RC and MS off the head spectra between
+the last two steps.  The whole pipeline is linear and deterministic.
 
 All three stages run on every usable CPU (`traceio._on_every_cpu`): the
 calling thread and one helper thread per further CPU take tasks in turn,
 since pocketfft and numpy's array loops release the GIL.  The six forward
 and the six inverse transforms are one task each and run alone at the exact
-length.  The channel products are built in blocks of bins (`_BLOCK_BINS`),
-one task a block.  In a block, each response is evaluated only on the bins
+length.  The channel products are built in blocks of bins, one task a
+block.  In a block, each response is evaluated only on the bins
 strictly inside its curve's tabulated band; the bins below and above it are
 filled with the edge response the curve holds there.  Every step of a
 product works bin by bin, so the output bits do not depend on the number of
@@ -47,7 +50,8 @@ from .traceio import MotionTrace
 
 logger = logging.getLogger(__name__)
 
-_BLOCK_BINS = 65536  # bins per task of the channel-product build
+_BLOCK_BINS = 65536  # the block size of the channel-product build is at most this
+_MIN_BLOCK_BINS = 4096  # and at least this, unless _BLOCK_BINS is less
 
 
 def _warn_if_undersampled(sample_rate_hz: float, max_tabulated_hz: float, what: str) -> None:
@@ -73,11 +77,11 @@ def fft_apply(signal, curve: FrfCurve, sample_rate_hz: float) -> np.ndarray:
     )
 
 
-def seat_spectra(seat: MotionTrace) -> dict[str, np.ndarray]:
+def seat_spectra(seat: MotionTrace) -> np.ndarray:
     """The exact-length real FFT of each seat channel, one transform per axis.
 
-    The spectra are the rows of one (6, n // 2 + 1) array, each filled by one
-    task on every usable CPU.
+    Row i of the (6, n // 2 + 1) result is axis ``AXES[i]``'s spectrum; each
+    row is filled by one task on every usable CPU.
     """
     out = np.empty((len(AXES), seat.n_samples // 2 + 1), dtype=np.complex128)
     channels = [seat.channels[axis] for axis in AXES]
@@ -86,7 +90,7 @@ def seat_spectra(seat: MotionTrace) -> dict[str, np.ndarray]:
         out[i] = spectral.rfft(channels[i])
 
     traceio._on_every_cpu(transform, len(AXES))
-    return dict(zip(AXES, out))
+    return out
 
 
 def _held_band(curve: FrfCurve, freqs: np.ndarray) -> tuple[int, int, complex, complex]:
@@ -123,51 +127,65 @@ def _block_response(curve: FrfCurve, band: tuple, freqs: np.ndarray, lo: int, hi
 
 
 def _summed_products(
-    seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str, np.ndarray], row_of: Sequence[int]
+    seat: MotionTrace,
+    bundle: FrfBundle,
+    spectra: np.ndarray,
+    row_of: Sequence[int],
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Float rows whose n // 2 + 1 complex bins each hold a sum of channel products.
+    """Fill the complex rows `out` with sums of channel products; return them as float rows.
 
-    Channel ``CHANNEL_IDS[j]``'s product (input spectrum times response, DC
-    and Nyquist made real) goes to row ``row_of[j]``: copied if it is the
-    row's first (adding it to zeros would turn -0.0 into +0.0), else added.
-    The bins are cut into equal blocks of `_BLOCK_BINS` to 2 * `_BLOCK_BINS`
-    (or one block of all), built on every usable CPU.  Each step works bin by
-    bin, so the bits do not depend on the blocks as long as each holds at
-    least 2 bins (numpy's in-place complex multiply rounds a lone bin
-    differently).  A response is evaluated only inside its curve's tabulated
-    band and filled with the held edge value outside it (`_block_response`).
+    Channel ``CHANNEL_IDS[j]``'s product (the `seat_spectra` row of its input
+    axis times its response, DC and Nyquist made real) goes to row ``row_of[j]``:
+    copied if it is the row's first (adding it to zeros would turn -0.0 into
+    +0.0), else added.  `out` may be `spectra` itself: then each block's sums
+    are built in a temporary and copied over the block once all its products
+    are taken.  The bins are cut into equal blocks of `size` to 2 * `size` (or
+    one block of all), built on every usable CPU, where `size` is the bins
+    over 16 * cpus, held within [`_MIN_BLOCK_BINS`, `_BLOCK_BINS`]: the live
+    temporaries of all threads together are at most 1/8 of `out` on any CPU
+    count, or 2 * `_MIN_BLOCK_BINS` bins a thread where the floor holds.  Each
+    step works bin by bin, so the bits do not depend on the blocks as long as
+    each holds at least 2 bins (numpy's in-place complex multiply rounds a lone
+    bin differently).  A response is evaluated only inside its curve's
+    tabulated band and filled with the held edge value outside it
+    (`_block_response`).
     """
     n = seat.n_samples
     m = n // 2 + 1
-    rows = np.empty((max(row_of) + 1, 2 * m))
-    sums = rows.view(np.complex128)
+    inputs = [AXES.index(cid.input_axis) for cid in CHANNEL_IDS]
     freqs = spectral.bin_frequencies(n, seat.sample_rate_hz)
     curves = [bundle.channels[cid] for cid in CHANNEL_IDS]
     bands = [_held_band(curve, freqs) for curve in curves]
+    in_place = out is spectra
 
     def build(lo: int, hi: int) -> None:
+        sums = np.empty((len(out), hi - lo), np.complex128) if in_place else out[:, lo:hi]
         filled = set()
-        for cid, row, curve, band in zip(CHANNEL_IDS, row_of, curves, bands):
+        for k, row, curve, band in zip(inputs, row_of, curves, bands):
             response = _block_response(curve, band, freqs, lo, hi)
             if hi == m and n % 2 == 0:  # the RC and MS read-offs would read its imaginary part
                 response[-1] = response[-1].real
             # This operand order: the swapped one differs in the last bit on some CPUs.
-            np.multiply(spectra[cid.input_axis][lo:hi], response, out=response)
-            total = sums[row, lo:hi]
+            np.multiply(spectra[k, lo:hi], response, out=response)
             if row in filled:
-                np.add(total, response, out=total)
+                np.add(sums[row], response, out=sums[row])
             else:
-                np.copyto(total, response)
+                np.copyto(sums[row], response)
                 filled.add(row)
+        if in_place:
+            out[:, lo:hi] = sums
 
-    traceio._in_blocks(build, m, _BLOCK_BINS)
-    return rows
+    size = min(_BLOCK_BINS, max(_MIN_BLOCK_BINS, m // (16 * traceio._usable_cpus())))
+    traceio._in_blocks(build, m, size)
+    return out.view(np.float64)
 
 
 def _inverted_rows(rows: np.ndarray, n: int) -> np.ndarray:
     """Overwrite each row's spectrum with its length-n inverse FFT, on every usable CPU.
 
-    Returns the (read-only) signals, views of `rows`.
+    Returns the signals, views of `rows`; `rows` and the array that owns its memory are made
+    read-only.
     """
     spectra = rows.view(np.complex128)
 
@@ -175,19 +193,29 @@ def _inverted_rows(rows: np.ndarray, n: int) -> np.ndarray:
         rows[i, :n] = spectral.irfft(spectra[i], n=n)
 
     traceio._on_every_cpu(invert, len(rows))
-    rows.flags.writeable = False
+    for array in (rows, rows.base):
+        array.flags.writeable = False
     return rows[:, :n]
 
 
-def head_spectra(seat: MotionTrace, bundle: FrfBundle, spectra: Mapping[str, np.ndarray]):
-    """The six head spectra of `seat`, given its `seat_spectra`, after the undersampling check.
+def head_spectra(seat: MotionTrace, bundle: FrfBundle, spectra: np.ndarray) -> np.ndarray:
+    """The six head spectra of `seat`, written over its `seat_spectra`, after the undersampling
+    check.
 
-    Row i of the float result holds axis ``AXES[i]``'s n // 2 + 1 complex bins
-    (``rows.view(np.complex128)[i]``): the sum of the channel products feeding
-    it, with room for the signal that `head_trace` writes over it.
+    Takes `spectra` over: it holds the head spectra on return.  Row i of the
+    float result, a view of `spectra`, holds axis ``AXES[i]``'s n // 2 + 1
+    complex bins (``rows.view(np.complex128)[i]``): the sum of the channel
+    products feeding it, with room for the signal that `head_trace` writes
+    over it.
     """
+    return _head_spectra_into(seat, bundle, spectra, spectra)
+
+
+def _head_spectra_into(seat: MotionTrace, bundle: FrfBundle, spectra, out) -> np.ndarray:
+    """`head_spectra` written to the complex (6, n // 2 + 1) array `out`, which may be `spectra`."""
     _warn_if_undersampled(seat.sample_rate_hz, bundle.max_freq_hz, f"bundle {bundle.model_id}")
-    return _summed_products(seat, bundle, spectra, [AXES.index(c.output_axis) for c in CHANNEL_IDS])
+    row_of = [AXES.index(c.output_axis) for c in CHANNEL_IDS]
+    return _summed_products(seat, bundle, spectra, row_of, out)
 
 
 def head_trace(seat: MotionTrace, rows: np.ndarray) -> MotionTrace:
@@ -214,8 +242,9 @@ class ContributionBreakdown:
 
     @cached_property
     def contributions(self) -> Mapping[str, Mapping[FrfChannelId, np.ndarray]]:
+        products = np.empty((len(CHANNEL_IDS), self.seat.n_samples // 2 + 1), np.complex128)
         rows = _summed_products(
-            self.seat, self.bundle, seat_spectra(self.seat), range(len(CHANNEL_IDS))
+            self.seat, self.bundle, seat_spectra(self.seat), range(len(CHANNEL_IDS)), products
         )
         parts: dict[str, dict[FrfChannelId, np.ndarray]] = {axis: {} for axis in AXES}
         for cid, signal in zip(CHANNEL_IDS, _inverted_rows(rows, self.seat.n_samples)):

@@ -349,6 +349,18 @@ def _verb_args(verb: str, trace) -> list[str]:
     return [verb, "--trace", str(trace), "--model", "EXP"]
 
 
+@pytest.mark.parametrize("verb", ["assess", "compare"])
+def test_overflowing_k_factor_exits_4_naming_its_axis(tmp_path, verb):
+    save_trace(random_trace(10, n=300), tmp_path / "t.csv")
+    (tmp_path / "cfg.json").write_text(json.dumps({"k_factors": {"z": 1e308}}))
+    args = [*_verb_args(verb, tmp_path / "t.csv"), "--config", str(tmp_path / "cfg.json")]
+    rc, err = _run_cli([*args, "--out", str(tmp_path / "out")])
+    assert rc == 4
+    _assert_one_error_line_last(err)
+    assert err[-1].startswith("error[numeric]: ")
+    assert "axis z, k=1e+308, v=" in err[-1] and "'x'" not in err[-1]
+
+
 _OUTPUT_NAMES = ("head.csv", "msi.csv", "report.json", "report.svg", "comparison.csv", "trace.csv")
 
 

@@ -26,7 +26,7 @@ from motioncomfort import (
     run_svc,
     transmit,
 )
-from motioncomfort import spectral, svc, traceio, transmission, weighting
+from motioncomfort import metrics, spectral, svc, traceio, transmission, weighting
 from motioncomfort.transmission import head_spectra, seat_spectra
 from motioncomfort.weighting import DEFAULT_K_FACTORS, unity_regime
 from conftest import random_trace, rel_err, sine_trace
@@ -86,6 +86,18 @@ def test_combine_non_finite_is_numeric_error(value, k):
         combine(values, dict.fromkeys(AXES, k))
 
 
+def test_combine_overflow_names_the_axis_with_its_k_and_v():
+    values = dict.fromkeys(AXES, 0.5)
+    with pytest.raises(NumericError) as caught:
+        combine(values, {**DEFAULT_K_FACTORS, "z": 1e308})
+    message = str(caught.value)
+    assert "axis z" in message and "k=1e+308" in message and "v=0.5" in message
+    assert "'x'" not in message  # the finite values are not blamed
+    # No term overflows alone, but their sum does, at the second axis.
+    with pytest.raises(NumericError, match="axis y, k=1.0, v=1e\\+154"):
+        combine(dict.fromkeys(AXES, 1e154), dict.fromkeys(AXES, 1.0))
+
+
 @pytest.mark.parametrize("path", ["spectral", "time_domain"])
 def test_overflowing_trace_is_numeric_error(path):
     seat = random_trace(40, n=500, scale=1e160)
@@ -103,12 +115,18 @@ def test_read_offs_take_one_task_per_axis_and_match_the_serial_formula(monkeypat
     power = {axis: np.square(np.abs(sums[i])) for i, axis in enumerate(AXES)}
     freqs = spectral.bin_frequencies(seat.n_samples, seat.sample_rate_hz)
     curves = builtin_weightings()
-    callers = set()
-    at = weighting.WeightingCurve.at
+    # One set of callers per pass on every CPU: the helper threads of two passes may or may
+    # not share an ident.
+    callers = [set()]
+    at, on_every_cpu = weighting.WeightingCurve.at, traceio._on_every_cpu
 
     def traced(self, f):
-        callers.add(threading.get_ident())
+        callers[-1].add(threading.get_ident())
         return at(self, f)
+
+    def per_pass(task, count):
+        callers.append(set())
+        on_every_cpu(task, count)
 
     weighted, mean_square = [], spectral.spectrum_mean_square
 
@@ -119,10 +137,14 @@ def test_read_offs_take_one_task_per_axis_and_match_the_serial_formula(monkeypat
     monkeypatch.setattr(weighting.WeightingCurve, "at", traced)
     monkeypatch.setattr(spectral, "spectrum_mean_square", recorded)
     monkeypatch.setattr(traceio, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(traceio, "_on_every_cpu", per_pass)
     threads = threading.active_count()
     report = full_assessment(seat, bundle, include_svc=False)
     assert threading.active_count() == threads
-    assert len(callers) == 1 if cpus == 1 else 2 <= len(callers) <= cpus
+    read_offs = [idents for idents in callers if idents]
+    assert len(read_offs) == 2  # RC, then MS
+    for idents in read_offs:
+        assert len(idents) == 1 if cpus == 1 else 2 <= len(idents) <= cpus
     want_weighted = []
     regimes = ((report.rc, ride_comfort_regime()), (report.ms, motion_sickness_regime()))
     for result, regime in regimes:
@@ -324,17 +346,49 @@ def _traced_peak_bytes(run) -> int:
     return peak - start
 
 
-def test_peak_memory_stays_a_small_multiple_of_the_trace():
-    # full_assessment peaks at about 2.8x the seat's bytes while it builds the head spectra:
-    # the seat spectra, the head spectra and each block's temporaries.  The read-offs and the
-    # inverse FFTs hold less: the head spectra, which the head trace overwrites in place, and
-    # one axis's temporaries a thread.  run_svc peaks at 8 arrays of the trace's length (1.33x);
-    # keeping every stage reaches 2.2x.  compare adds the shared seat spectra and the
-    # rows, about 3.6x; keeping each model's report (and MSI series) to the end, 4.6x.
-    seat = random_trace(7, n=200_000)
+def test_peak_memory_stays_a_small_multiple_of_the_trace(monkeypatch):
+    # 2^20 samples (524,289 bins) on 8 usable CPUs: at least one thread per block of the
+    # largest size, so block temporaries that grew with the CPU count would show.  Measured:
+    # full_assessment peaks at 2.08x the seat's bytes in the inverse FFTs (the head spectra
+    # and six transforms' temporaries), and at 2.0x in the forward FFTs and the head spectra
+    # build (over the seat spectra, in blocks of at most 1/64 of the bins).  Building them in
+    # fresh rows gave 2.65x, and blocks of 65,536 bins over the seat spectra 2.57x.  run_svc peaks at about 5 arrays of the trace's length (0.88x); with all three
+    # sensed axes alive at once it took 1.2x.  compare adds the shared seat spectra and each
+    # model's fresh rows but the last model's: 3.09x; fresh rows for every model gave 3.31x,
+    # and blocks of 65,536 bins over a copy of the seat spectra for every model 3.69x.
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 8)
+    seat = random_trace(7, n=2**20)
     bundle = builtin_bundle("EXP")
     trace_bytes = sum(channel.nbytes for channel in seat.channels.values())
-    assert _traced_peak_bytes(lambda: full_assessment(seat, bundle)) < 3.5 * trace_bytes
-    assert _traced_peak_bytes(lambda: run_svc(seat)) < 1.75 * trace_bytes
+    assert _traced_peak_bytes(lambda: full_assessment(seat, bundle)) < 2.25 * trace_bytes
+    assert _traced_peak_bytes(lambda: run_svc(seat)) < 1.0 * trace_bytes
     models = ["EXP", "AHM", "EHM", "NHM"]
-    assert _traced_peak_bytes(lambda: compare(seat, models)) < 4.0 * trace_bytes
+    assert _traced_peak_bytes(lambda: compare(seat, models)) < 3.2 * trace_bytes
+
+
+@pytest.mark.parametrize("n", [3001, 100 * 683])  # 68,300 takes the prime-factor split
+def test_assessment_without_svc_builds_no_head_trace(monkeypatch, n):
+    seat, bundle = random_trace(44, n=n), builtin_bundle("EHM")
+    want = full_assessment(seat, bundle)
+    built = []
+    head_trace = metrics.head_trace
+    monkeypatch.setattr(metrics, "head_trace", lambda *a: built.append(a) or head_trace(*a))
+    timings = {}
+    got = full_assessment(seat, bundle, include_svc=False, timings=timings)
+    assert built == [] and got.msi is None
+    assert set(timings) == {"transmit_s", "rc_s", "ms_s", "svc_s", "total_s"}
+    for regime in ("rc", "ms"):
+        got_result, want_result = getattr(got, regime), getattr(want, regime)
+        assert [got_result.per_axis[a] for a in AXES] == [want_result.per_axis[a] for a in AXES]
+        assert got_result.total == want_result.total
+    full_assessment(seat, bundle, timings=timings)
+    assert len(built) == 1
+
+
+def test_compare_rows_do_not_depend_on_the_model_order():
+    # Only the last model's head spectra are written over the shared seat spectra.
+    seat = random_trace(43, n=3001)
+    forward = compare(seat, ["EXP", "AHM"]).rows
+    backward = compare(seat, ["AHM", "EXP"]).rows
+    assert [row.model_id for row in forward] == ["EXP", "AHM"]
+    assert forward[0] == backward[1] and forward[1] == backward[0]
