@@ -25,7 +25,7 @@ from .metrics import ComfortReport, RegimeResult, assess, combine, full_assessme
 from .report import ComparisonTable, compare, emit_report
 from .svc import MsiSeries, SvcParams, run_svc, svc_states
 from .traceio import MotionTrace, SynthComponent, load_trace, save_trace, synth_trace
-from .transmission import ContributionBreakdown, fft_apply, transmit
+from .transmission import ContributionBreakdown, SeatSpectra, fft_apply, seat_spectra, transmit
 from .weighting import (
     DEFAULT_K_FACTORS,
     MetricRegime,
@@ -60,6 +60,7 @@ __all__ = [
     "MsiSeries",
     "NumericError",
     "RegimeResult",
+    "SeatSpectra",
     "SvcParams",
     "SynthComponent",
     "WeightingCurve",
@@ -85,6 +86,7 @@ __all__ = [
     "rms",
     "run_svc",
     "save_trace",
+    "seat_spectra",
     "svc_states",
     "synth_trace",
     "transmit",

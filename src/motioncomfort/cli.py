@@ -23,7 +23,7 @@ from .metrics import full_assessment
 from .report import compare, emit_report, save_msi_csv
 from .svc import run_svc
 from .traceio import DEMO_COMPONENTS, atomic_write_text, load_trace, save_trace, synth_trace
-from .transmission import transmit
+from .transmission import seat_spectra, transmit
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -97,20 +97,21 @@ def _run(args) -> int:
     cfg = _load_config(args)
     out_dir = Path(args.out) if args.out else (cfg.out_dir or Path("."))
 
+    # No name holds a seat trace past the call that needs it: assess and compare get its
+    # spectra, so it is freed after its forward FFTs, and transmit drops it with the breakdown.
+    # A bundle is resolved before the trace is read, so a bad model id costs no FFT.
     if args.verb == "transmit":
-        seat = load_trace(_trace_path(args, cfg))
         bundle = cfg.resolve_bundle(args.model)
-        head, _ = transmit(seat, bundle)
+        head = transmit(load_trace(_trace_path(args, cfg)), bundle)[0]
         out = out_dir / "head.csv"
         save_trace(head, out)
         print(f"wrote {out}")
         return 0
 
     if args.verb == "assess":
-        seat = load_trace(_trace_path(args, cfg))
         bundle = cfg.resolve_bundle(args.model)
         report = full_assessment(
-            seat,
+            seat_spectra(load_trace(_trace_path(args, cfg))),
             bundle,
             rc=cfg.rc,
             ms=cfg.ms,
@@ -130,10 +131,9 @@ def _run(args) -> int:
     if args.verb == "compare":
         if cfg.bundle is not None:
             raise ConfigError("compare works on named model configurations, not a fixed manifest")
-        seat = load_trace(_trace_path(args, cfg))
         model_ids = [m.strip() for m in args.models.split(",") if m.strip()]
         table = compare(
-            seat,
+            seat_spectra(load_trace(_trace_path(args, cfg))),
             model_ids,
             rc=cfg.rc,
             ms=cfg.ms,

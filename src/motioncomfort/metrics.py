@@ -3,7 +3,10 @@
 Per axis: weight the acceleration, take the RMS.  Per regime: combine the
 six axis values as sqrt(sum k_i^2 v_i^2).  `full_assessment` runs the whole
 pipeline (transmission, both regimes, sickness-incidence accumulation) and
-assembles a report that echoes enough configuration to reproduce it.
+assembles a report that echoes enough configuration to reproduce it.  It
+takes a seat trace or its `seat_spectra`; the spectra are all it reads, and
+it takes them over, so a caller that passes ``seat_spectra(trace)`` and keeps
+no name for the trace frees the trace after its forward FFTs.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .errors import ConfigError, DataError, NumericError
 from .frf import AXES, FrfBundle
 from .svc import MsiSeries, SvcParams, run_svc
 from .traceio import MotionTrace
-from .transmission import _head_spectra_into, head_trace, seat_spectra
+from .transmission import SeatSpectra, _head_spectra_into, _spectra_of, head_trace
 from .weighting import (
     MetricRegime,
     WeightingCurve,
@@ -151,7 +154,7 @@ def _config_echo(rc: MetricRegime, ms: MetricRegime, svc_params: SvcParams | Non
 
 
 def full_assessment(
-    seat: MotionTrace,
+    seat: MotionTrace | SeatSpectra,
     bundle: FrfBundle,
     *,
     rc: MetricRegime | None = None,
@@ -171,27 +174,27 @@ def full_assessment(
     task per axis on every usable CPU.  MSI runs on the head trace, which is
     built (six inverse FFTs) only when `include_svc` is set.
     Results match `transmit` + `assess` + `run_svc` to fp round-off.
+    `seat` is a trace, or its `seat_spectra`, which this takes over: the head
+    spectra and then the head signals overwrite them, and they are left
+    read-only.  A trace is only read.
     Pass a dict as `timings` to collect per-stage wall times in seconds.
     """
-    return _assess_spectra(
-        seat, bundle, None, None, rc, ms, svc_params, registry, include_svc, timings
-    )
+    return _assess_spectra(seat, bundle, None, rc, ms, svc_params, registry, include_svc, timings)
 
 
-def _assess_spectra(seat, bundle, spectra, out, rc, ms, svc_params, registry, include_svc, timings):
-    """`full_assessment` given `spectra`, the seat's `seat_spectra` (built here if None), with
-    the head spectra written to `out`, or over `spectra` if `out` is None."""
+def _assess_spectra(seat, bundle, out, rc, ms, svc_params, registry, include_svc, timings):
+    """`full_assessment` with the head spectra written to `out`, or over the seat spectra if
+    `out` is None."""
     rc = rc if rc is not None else ride_comfort_regime()
     ms = ms if ms is not None else motion_sickness_regime()
     svc_params = svc_params if svc_params is not None else SvcParams()
     rc_curves = _resolve_curves(rc, registry)
     ms_curves = _resolve_curves(ms, registry)
-    fs = seat.sample_rate_hz
-    n = seat.n_samples
 
     t0 = time.perf_counter()
-    spectra = seat_spectra(seat) if spectra is None else spectra  # here, to count in transmit_s
-    rows = _head_spectra_into(seat, bundle, spectra, spectra if out is None else out)
+    spectra = _spectra_of(seat)  # here, to count in transmit_s
+    fs, n = spectra.sample_rate_hz, spectra.n_samples
+    rows = _head_spectra_into(spectra, bundle, spectra.bins if out is None else out)
     t1 = time.perf_counter()
 
     freqs = spectral.bin_frequencies(n, fs)
@@ -215,7 +218,10 @@ def _assess_spectra(seat, bundle, spectra, out, rc, ms, svc_params, registry, in
     t2 = time.perf_counter()
     ms_result = spectral_assess(ms, ms_curves)
     t3 = time.perf_counter()
-    head = head_trace(seat, rows) if include_svc else None  # only SVC reads the head trace
+    if include_svc:  # only SVC reads the head trace
+        head = head_trace(spectra, rows)  # it leaves the rows read-only
+    else:
+        rows.base.flags.writeable = False  # spent: they hold the head spectra
     t4 = time.perf_counter()
 
     msi = run_svc(head, svc_params) if include_svc else None
@@ -233,7 +239,7 @@ def _assess_spectra(seat, bundle, spectra, out, rc, ms, svc_params, registry, in
         rc=rc_result,
         ms=ms_result,
         msi=msi,
-        duration_s=seat.duration_s,
+        duration_s=n / fs,
         sample_rate_hz=fs,
         config_echo=_config_echo(rc, ms, svc_params if include_svc else None),
     )

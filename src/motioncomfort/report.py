@@ -15,7 +15,7 @@ from .frf import AXES, builtin_bundle
 from .metrics import ComfortReport, _assess_spectra
 from .svc import MsiSeries, SvcParams
 from .traceio import MotionTrace, atomic_write_text, format_rows
-from .transmission import seat_spectra
+from .transmission import SeatSpectra, _spectra_of
 from .weighting import MetricRegime, WeightingCurve
 
 REPORT_SCHEMA = 1
@@ -233,7 +233,7 @@ class ComparisonTable:
 
 
 def compare(
-    trace: MotionTrace,
+    trace: MotionTrace | SeatSpectra,
     model_ids: Sequence[str],
     *,
     rc: MetricRegime | None = None,
@@ -247,21 +247,22 @@ def compare(
     Ratios are taken against the NHM baseline, which is computed even when
     NHM is not among the requested models.  Requesting a model twice yields
     two identical rows.  Each model's report, MSI series included, is dropped
-    once its row is built, before the next model runs.
+    once its row is built, before the next model runs.  `trace` may be given
+    as its `seat_spectra`, which the last model takes over, as
+    `full_assessment` does.
     """
     model_ids = [str(m).upper() for m in model_ids]
     if len(model_ids) < 2:
         raise ConfigError("compare needs at least 2 models")
 
-    spectra = seat_spectra(trace)
+    spectra = _spectra_of(trace)
     rows: dict[str, ComparisonRow] = {}
     models = list(dict.fromkeys(["NHM", *model_ids]))  # NHM first: the baseline
     for k, model_id in enumerate(models):
         # Each model's head spectra go to fresh rows, the last model's over the seat spectra.
-        out = np.empty_like(spectra) if k < len(models) - 1 else None
+        out = np.empty_like(spectra.bins) if k < len(models) - 1 else None
         rep = _assess_spectra(
-            trace, builtin_bundle(model_id), spectra, out, rc, ms, svc_params, registry,
-            include_svc, None,
+            spectra, builtin_bundle(model_id), out, rc, ms, svc_params, registry, include_svc, None
         )
         del out  # before the next model's rows are made
         nhm = rows.get("NHM")  # None while NHM itself runs: its ratios are to itself

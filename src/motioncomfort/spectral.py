@@ -32,6 +32,7 @@ from .errors import DataError
 
 _MIN_SPLIT_LENGTH = 65536  # shorter transforms gain too little to pay for the index tables
 _MIN_SPLIT_PRIME = 300  # below it the split's inverse is slower at some lengths near 2e6
+_GATHER_BINS = 65536  # a split rfft gathers its bins from the plane in chunks of this many
 
 
 def bin_frequencies(n: int, sample_rate_hz: float) -> np.ndarray:
@@ -141,18 +142,29 @@ def _plan_of(a: int, p: int) -> _Plan:
         return _plan
 
 
-def rfft(signal: np.ndarray) -> np.ndarray:
-    """The n // 2 + 1 bins of the real FFT of `signal`, as scipy.fft.rfft gives them."""
+def rfft(signal: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The n // 2 + 1 bins of the real FFT of `signal`, as scipy.fft.rfft gives them.
+
+    They are written to the complex row `out` if one is given: a split length
+    gathers them there straight from its two-dimensional transform, in chunks
+    of `_GATHER_BINS`, with no spectrum-sized temporary.
+    """
     n = len(signal)
     split = _split(n)
     if split is None:
-        return _fft.rfft(signal)
-    # Index arrays, not np.take, which would copy the int32 tables to intp first.
+        if out is None:
+            return _fft.rfft(signal)
+        out[:] = _fft.rfft(signal)
+        return out
     plan = _plan_of(*split)
-    plane = _fft.rfft2(np.asarray(signal)[plan.samples], overwrite_x=True)
-    spectrum = plane.ravel()[plan.bins]
-    np.negative(spectrum.imag, out=spectrum.imag, where=plan.bins_conj)
-    return spectrum
+    flat = _fft.rfft2(np.asarray(signal)[plan.samples], overwrite_x=True).ravel()
+    out = np.empty(n // 2 + 1, np.complex128) if out is None else out
+    for lo in range(0, len(out), _GATHER_BINS):
+        chunk = slice(lo, lo + _GATHER_BINS)
+        part = out[chunk]
+        part[:] = flat[plan.bins[chunk]]
+        np.negative(part.imag, out=part.imag, where=plan.bins_conj[chunk])
+    return out
 
 
 def irfft(spectrum: np.ndarray, n: int) -> np.ndarray:

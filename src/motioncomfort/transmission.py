@@ -13,7 +13,10 @@ One spectral core serves `transmit`, `metrics.full_assessment` and
 `report.compare`: `seat_spectra` transforms each seat channel once at the
 exact length, `head_spectra` multiplies those spectra by the 14 tabulated
 responses and sums the products per head axis, and `head_trace` inverts
-each sum once, in place.  `head_spectra` takes the seat spectra over and
+each sum once, in place.  `seat_spectra` returns a `SeatSpectra`: the bins
+with the trace's length and sample rate, which is all that the later stages
+read, so a caller that hands it on without keeping the trace frees the trace
+after its forward FFTs.  `head_spectra` takes the seat spectra over and
 writes the head spectra over them, block by block of bins, so the two are
 never held whole at once; `_head_spectra_into` writes them to another array
 instead, for `compare`, which reuses the seat spectra for every model but
@@ -40,11 +43,12 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import spectral, traceio
+from .errors import DataError
 from .frf import AXES, CHANNEL_IDS, FrfBundle, FrfChannelId, FrfCurve, evaluate_grid
 from .traceio import MotionTrace
 
@@ -77,20 +81,46 @@ def fft_apply(signal, curve: FrfCurve, sample_rate_hz: float) -> np.ndarray:
     )
 
 
-def seat_spectra(seat: MotionTrace) -> np.ndarray:
+class SeatSpectra(NamedTuple):
+    """The exact-length real FFTs of a seat trace's six channels, with its length and rate.
+
+    Row i of `bins`, a complex (6, n_samples // 2 + 1) array, is axis
+    ``AXES[i]``'s spectrum.  `full_assessment` and `compare` take it over: they
+    write the head spectra, and then the head signals, over `bins`, and leave
+    it read-only.  `head_spectra` writes the head spectra over it.
+    """
+
+    bins: np.ndarray
+    n_samples: int
+    sample_rate_hz: float
+
+
+def seat_spectra(seat: MotionTrace) -> SeatSpectra:
     """The exact-length real FFT of each seat channel, one transform per axis.
 
-    Row i of the (6, n // 2 + 1) result is axis ``AXES[i]``'s spectrum; each
-    row is filled by one task on every usable CPU.
+    Each row of the bins is filled in place by one task on every usable CPU.
     """
-    out = np.empty((len(AXES), seat.n_samples // 2 + 1), dtype=np.complex128)
+    bins = np.empty((len(AXES), seat.n_samples // 2 + 1), dtype=np.complex128)
     channels = [seat.channels[axis] for axis in AXES]
 
     def transform(i: int) -> None:
-        out[i] = spectral.rfft(channels[i])
+        spectral.rfft(channels[i], out=bins[i])
 
     traceio._on_every_cpu(transform, len(AXES))
-    return out
+    return SeatSpectra(bins, seat.n_samples, seat.sample_rate_hz)
+
+
+def _spectra_of(seat: MotionTrace | SeatSpectra) -> SeatSpectra:
+    """`seat` if it is a `SeatSpectra` that no run has taken over yet, else its `seat_spectra`."""
+    if not isinstance(seat, SeatSpectra):
+        return seat_spectra(seat)
+    bins, m = seat.bins, seat.n_samples // 2 + 1
+    if bins.dtype != np.complex128 or bins.shape != (len(AXES), m) or not bins.flags.writeable:
+        raise DataError(
+            f"seat spectra must be the writable complex ({len(AXES)}, {m}) bins of seat_spectra; "
+            "a run that took them over left them read-only"
+        )
+    return seat
 
 
 def _held_band(curve: FrfCurve, freqs: np.ndarray) -> tuple[int, int, complex, complex]:
@@ -127,18 +157,14 @@ def _block_response(curve: FrfCurve, band: tuple, freqs: np.ndarray, lo: int, hi
 
 
 def _summed_products(
-    seat: MotionTrace,
-    bundle: FrfBundle,
-    spectra: np.ndarray,
-    row_of: Sequence[int],
-    out: np.ndarray,
+    spectra: SeatSpectra, bundle: FrfBundle, row_of: Sequence[int], out: np.ndarray
 ) -> np.ndarray:
     """Fill the complex rows `out` with sums of channel products; return them as float rows.
 
     Channel ``CHANNEL_IDS[j]``'s product (the `seat_spectra` row of its input
     axis times its response, DC and Nyquist made real) goes to row ``row_of[j]``:
     copied if it is the row's first (adding it to zeros would turn -0.0 into
-    +0.0), else added.  `out` may be `spectra` itself: then each block's sums
+    +0.0), else added.  `out` may be ``spectra.bins`` itself: then each block's sums
     are built in a temporary and copied over the block once all its products
     are taken.  The bins are cut into equal blocks of `size` to 2 * `size` (or
     one block of all), built on every usable CPU, where `size` is the bins
@@ -151,13 +177,13 @@ def _summed_products(
     tabulated band and filled with the held edge value outside it
     (`_block_response`).
     """
-    n = seat.n_samples
+    bins, n = spectra.bins, spectra.n_samples
     m = n // 2 + 1
     inputs = [AXES.index(cid.input_axis) for cid in CHANNEL_IDS]
-    freqs = spectral.bin_frequencies(n, seat.sample_rate_hz)
+    freqs = spectral.bin_frequencies(n, spectra.sample_rate_hz)
     curves = [bundle.channels[cid] for cid in CHANNEL_IDS]
     bands = [_held_band(curve, freqs) for curve in curves]
-    in_place = out is spectra
+    in_place = out is bins
 
     def build(lo: int, hi: int) -> None:
         sums = np.empty((len(out), hi - lo), np.complex128) if in_place else out[:, lo:hi]
@@ -167,7 +193,7 @@ def _summed_products(
             if hi == m and n % 2 == 0:  # the RC and MS read-offs would read its imaginary part
                 response[-1] = response[-1].real
             # This operand order: the swapped one differs in the last bit on some CPUs.
-            np.multiply(spectra[k, lo:hi], response, out=response)
+            np.multiply(bins[k, lo:hi], response, out=response)
             if row in filled:
                 np.add(sums[row], response, out=sums[row])
             else:
@@ -198,34 +224,36 @@ def _inverted_rows(rows: np.ndarray, n: int) -> np.ndarray:
     return rows[:, :n]
 
 
-def head_spectra(seat: MotionTrace, bundle: FrfBundle, spectra: np.ndarray) -> np.ndarray:
-    """The six head spectra of `seat`, written over its `seat_spectra`, after the undersampling
+def head_spectra(spectra: SeatSpectra, bundle: FrfBundle) -> np.ndarray:
+    """The six head spectra of a seat, written over its `seat_spectra`, after the undersampling
     check.
 
-    Takes `spectra` over: it holds the head spectra on return.  Row i of the
-    float result, a view of `spectra`, holds axis ``AXES[i]``'s n // 2 + 1
+    Takes `spectra` over: its bins hold the head spectra on return.  Row i of
+    the float result, a view of the bins, holds axis ``AXES[i]``'s n // 2 + 1
     complex bins (``rows.view(np.complex128)[i]``): the sum of the channel
     products feeding it, with room for the signal that `head_trace` writes
     over it.
     """
-    return _head_spectra_into(seat, bundle, spectra, spectra)
+    return _head_spectra_into(spectra, bundle, spectra.bins)
 
 
-def _head_spectra_into(seat: MotionTrace, bundle: FrfBundle, spectra, out) -> np.ndarray:
-    """`head_spectra` written to the complex (6, n // 2 + 1) array `out`, which may be `spectra`."""
-    _warn_if_undersampled(seat.sample_rate_hz, bundle.max_freq_hz, f"bundle {bundle.model_id}")
+def _head_spectra_into(spectra: SeatSpectra, bundle: FrfBundle, out) -> np.ndarray:
+    """`head_spectra` written to the complex (6, n // 2 + 1) array `out`, which may be
+    ``spectra.bins``."""
+    _warn_if_undersampled(spectra.sample_rate_hz, bundle.max_freq_hz, f"bundle {bundle.model_id}")
     row_of = [AXES.index(c.output_axis) for c in CHANNEL_IDS]
-    return _summed_products(seat, bundle, spectra, row_of, out)
+    return _summed_products(spectra, bundle, row_of, out)
 
 
-def head_trace(seat: MotionTrace, rows: np.ndarray) -> MotionTrace:
-    """The head trace of `seat` from its `head_spectra` rows: one inverse FFT per head axis.
+def head_trace(spectra: SeatSpectra, rows: np.ndarray) -> MotionTrace:
+    """The head trace from the `head_spectra` rows of the seat `spectra`: one inverse FFT per
+    head axis, at the seat's length and sample rate.
 
     Each axis's signal overwrites the spectrum it came from, and the trace
     keeps those rows (now read-only) without copying.
     """
-    signals = _inverted_rows(rows, seat.n_samples)
-    return MotionTrace(seat.sample_rate_hz, dict(zip(AXES, signals)), "head", _owned=True)
+    signals = _inverted_rows(rows, spectra.n_samples)
+    return MotionTrace(spectra.sample_rate_hz, dict(zip(AXES, signals)), "head", _owned=True)
 
 
 @dataclass(frozen=True)
@@ -242,12 +270,13 @@ class ContributionBreakdown:
 
     @cached_property
     def contributions(self) -> Mapping[str, Mapping[FrfChannelId, np.ndarray]]:
-        products = np.empty((len(CHANNEL_IDS), self.seat.n_samples // 2 + 1), np.complex128)
-        rows = _summed_products(
-            self.seat, self.bundle, seat_spectra(self.seat), range(len(CHANNEL_IDS)), products
-        )
+        spectra = seat_spectra(self.seat)
+        n = spectra.n_samples
+        products = np.empty((len(CHANNEL_IDS), n // 2 + 1), np.complex128)
+        rows = _summed_products(spectra, self.bundle, range(len(CHANNEL_IDS)), products)
+        del spectra  # before the inverse FFTs
         parts: dict[str, dict[FrfChannelId, np.ndarray]] = {axis: {} for axis in AXES}
-        for cid, signal in zip(CHANNEL_IDS, _inverted_rows(rows, self.seat.n_samples)):
+        for cid, signal in zip(CHANNEL_IDS, _inverted_rows(rows, n)):
             parts[cid.output_axis][cid] = signal
         return MappingProxyType({axis: MappingProxyType(parts[axis]) for axis in AXES})
 
@@ -261,5 +290,6 @@ def transmit(seat: MotionTrace, bundle: FrfBundle) -> tuple[MotionTrace, Contrib
     Returns the head trace (six forward and six inverse FFTs) and the
     per-channel breakdown, which costs nothing until `contributions` is read.
     """
-    head = head_trace(seat, head_spectra(seat, bundle, seat_spectra(seat)))
+    spectra = seat_spectra(seat)
+    head = head_trace(spectra, head_spectra(spectra, bundle))
     return head, ContributionBreakdown(seat=seat, bundle=bundle)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import logging
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from motioncomfort import cli, metrics
 from motioncomfort.cli import main
 from motioncomfort import load_trace, save_trace
 from motioncomfort.traceio import TRACE_HEADER
@@ -58,6 +61,39 @@ def test_compare_writes_table(tmp_path, capsys):
     lines = (tmp_path / "comparison.csv").read_text().strip().splitlines()
     assert len(lines) == 3
     assert "EXP" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", [3001, 100 * 683])  # 68,300 takes the prime-factor split
+@pytest.mark.parametrize("verb", ["assess", "compare", "transmit"])
+def test_the_seat_trace_is_freed_before_the_head_is_built_or_written(
+    monkeypatch, tmp_path, verb, n
+):
+    # assess and compare hand the trace's spectra on, so no name holds the trace after its
+    # forward FFTs; transmit drops it with the breakdown before head.csv is written.
+    path = tmp_path / "trace.csv"
+    save_trace(random_trace(45, n=n), path)
+    traces, alive = [], []
+    load = cli.load_trace
+
+    def load_and_watch(trace_path):
+        trace = load(trace_path)
+        traces.append(weakref.ref(trace))
+        return trace
+
+    owner, name = (cli, "save_trace") if verb == "transmit" else (metrics, "_head_spectra_into")
+    spied = getattr(owner, name)
+    monkeypatch.setattr(cli, "load_trace", load_and_watch)
+    monkeypatch.setattr(
+        owner, name, lambda *a, **k: alive.append(traces[0]() is not None) or spied(*a, **k)
+    )
+    args = ["--model", "EXP"] if verb != "compare" else ["--models", "EXP,NHM"]
+    gc.disable()  # freed by its last reference going, not by a cycle collection
+    try:
+        assert main([verb, "--trace", str(path), *args, "--out", str(tmp_path)]) == 0
+    finally:
+        gc.enable()
+    assert len(traces) == 1 and alive[0] is False
+    assert len(alive) == (2 if verb == "compare" else 1)
 
 
 @pytest.mark.parametrize("verb", ["compare", "svc", "synth"])
@@ -135,10 +171,15 @@ def test_svc_values_that_overflow_at_run_time_are_one_numeric_error(tmp_path, ca
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-def test_unknown_model_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("verb", ["assess", "transmit"])
+def test_unknown_model_is_config_error_before_the_trace_is_read(
+    tmp_path, capsys, monkeypatch, verb
+):
     trace = _synth(tmp_path)
-    rc = main(["assess", "--trace", str(trace), "--model", "XXX", "--out", str(tmp_path)])
-    assert rc == 2
+    read = []
+    monkeypatch.setattr(cli, "load_trace", lambda path: read.append(path))
+    rc = main([verb, "--trace", str(trace), "--model", "XXX", "--out", str(tmp_path)])
+    assert rc == 2 and read == []
     assert capsys.readouterr().err.startswith("error[config]:")
 
 

@@ -111,7 +111,7 @@ def test_overflowing_trace_is_numeric_error(path):
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_read_offs_take_one_task_per_axis_and_match_the_serial_formula(monkeypatch, cpus):
     seat, bundle = random_trace(42, n=3001), builtin_bundle("AHM")
-    sums = head_spectra(seat, bundle, seat_spectra(seat)).view(np.complex128)
+    sums = head_spectra(seat_spectra(seat), bundle).view(np.complex128)
     power = {axis: np.square(np.abs(sums[i])) for i, axis in enumerate(AXES)}
     freqs = spectral.bin_frequencies(seat.n_samples, seat.sample_rate_hz)
     curves = builtin_weightings()
@@ -364,6 +364,64 @@ def test_peak_memory_stays_a_small_multiple_of_the_trace(monkeypatch):
     assert _traced_peak_bytes(lambda: run_svc(seat)) < 1.0 * trace_bytes
     models = ["EXP", "AHM", "EHM", "NHM"]
     assert _traced_peak_bytes(lambda: compare(seat, models)) < 3.2 * trace_bytes
+
+
+def test_peak_memory_at_a_split_length_on_8_cpus(monkeypatch):
+    # 1,049,088 = 2^9 * 3 * 683 samples take the prime-factor split, whose index tables are
+    # built first: they are kept after a run.  Each forward or inverse transform holds a
+    # gathered (p, a) plane and its output, a third of the seat's bytes, and on 6 or more
+    # usable CPUs all six run at once.  Measured: seat_spectra 3.00x the seat's bytes
+    # (1.33x, 1.67x and 2.33x on 1, 2 and 4 CPUs), full_assessment 3.09x.  Gathering the
+    # bins straight into the rows did not move these peaks, which the planes set.
+    n = 2**9 * 3 * 683
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 8)
+    seat = random_trace(8, n=n)
+    spectral._plan_of(*spectral._split(n))
+    trace_bytes = sum(channel.nbytes for channel in seat.channels.values())
+    assert _traced_peak_bytes(lambda: seat_spectra(seat)) < 3.15 * trace_bytes
+    assert _traced_peak_bytes(lambda: full_assessment(seat, builtin_bundle("EXP"))) < (
+        3.25 * trace_bytes
+    )
+
+
+def _assert_same_report(got, want):
+    assert (got.model_id, got.rc, got.ms) == (want.model_id, want.rc, want.ms)
+    assert (got.duration_s, got.sample_rate_hz) == (want.duration_s, want.sample_rate_hz)
+    assert got.config_echo == want.config_echo
+    for name in ("time_s", "msi_percent"):
+        assert getattr(got.msi, name).tobytes() == getattr(want.msi, name).tobytes()
+
+
+@pytest.mark.parametrize("n", [3001, 100 * 683])  # 68,300 takes the prime-factor split
+def test_seat_spectra_in_place_of_the_trace_give_the_same_bits(n):
+    seat, bundle = random_trace(46, n=n), builtin_bundle("EXP")
+    given_bytes = {axis: seat.channels[axis].tobytes() for axis in AXES}
+    want = full_assessment(seat, bundle)
+    _assert_same_report(full_assessment(seat_spectra(seat), bundle), want)
+    models = ["EXP", "AHM", "NHM"]
+    assert compare(seat_spectra(seat), models) == compare(seat, models)
+    # A caller that passes its own trace keeps it, unchanged and read-only.
+    for axis in AXES:
+        assert seat.channels[axis].tobytes() == given_bytes[axis]
+        assert not seat.channels[axis].flags.writeable
+
+
+@pytest.mark.parametrize("include_svc", [True, False])
+def test_seat_spectra_are_taken_over_and_refused_a_second_time(include_svc):
+    seat, bundle = random_trace(47, n=700), builtin_bundle("AHM")
+    spectra = seat_spectra(seat)
+    full_assessment(spectra, bundle, include_svc=include_svc)
+    assert not spectra.bins.flags.writeable
+    with pytest.raises(DataError, match="took them over"):
+        full_assessment(spectra, bundle)
+    with pytest.raises(DataError, match="took them over"):
+        compare(spectra, ["EXP", "AHM"])
+    spectra = seat_spectra(seat)
+    compare(spectra, ["EXP", "AHM"], include_svc=include_svc)  # the last model takes them over
+    assert not spectra.bins.flags.writeable
+    wrong = spectra._replace(bins=np.zeros((len(AXES), 3), np.complex128))
+    with pytest.raises(DataError, match=r"complex \(6, 351\) bins"):
+        full_assessment(wrong, bundle)
 
 
 @pytest.mark.parametrize("n", [3001, 100 * 683])  # 68,300 takes the prime-factor split

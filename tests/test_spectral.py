@@ -119,6 +119,24 @@ def test_lengths_that_are_not_split_give_scipys_bits(n, seed):
     assert np.array_equal(spectral.irfft(spectrum[:-1], n), scipy_fft.irfft(spectrum[:-1], n=n))
 
 
+@pytest.mark.parametrize("n", [3001, 100 * 683, 2**9 * 3 * 683])  # the last two are split
+def test_rfft_into_a_row_gives_the_bits_of_one_whole_gather(monkeypatch, n):
+    x = np.random.default_rng(5).standard_normal(n)
+    want = scipy_fft.rfft(x)
+    if spectral._split(n) is not None:  # the bins gathered from the plane all at once
+        plan = spectral._plan_of(*spectral._split(n))
+        want = scipy_fft.rfft2(x[plan.samples]).ravel()[plan.bins]
+        np.negative(want.imag, out=want.imag, where=plan.bins_conj)
+    assert spectral.rfft(x).tobytes() == want.tobytes()
+    for chunk in (65536, 1000, 7):
+        monkeypatch.setattr(spectral, "_GATHER_BINS", chunk)
+        rows = np.full((3, n // 2 + 1), np.nan, np.complex128)
+        row = rows[1]
+        assert spectral.rfft(x, out=row) is row
+        assert row.tobytes() == want.tobytes()
+        assert np.isnan(rows[[0, 2]]).all()  # nothing written outside the row
+
+
 def test_a_spectrum_of_another_length_is_not_split():
     n = 100 * 683
     spectrum = scipy_fft.rfft(np.random.default_rng(4).standard_normal(n))
@@ -149,11 +167,12 @@ def test_split_core_is_bit_equal_on_1_2_and_3_cpus(n, model, seed):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(traceio, "_usable_cpus", lambda: cpus)
             spectra = seat_spectra(seat)
-            head = head_trace(seat, head_spectra(seat, bundle, spectra.copy()))  # overwrites them
+            taken = spectra._replace(bins=spectra.bins.copy())  # head_spectra overwrites them
+            head = head_trace(taken, head_spectra(taken, bundle))
             transmitted, _ = transmit(seat, bundle)
         assert threading.active_count() == threads
         for i, axis in enumerate(AXES):
-            assert np.array_equal(spectra[i], want_spectra[axis])
+            assert np.array_equal(spectra.bins[i], want_spectra[axis])
             assert np.array_equal(head.channels[axis], want_head[axis])
             assert np.array_equal(transmitted.channels[axis], want_head[axis])
 

@@ -30,7 +30,13 @@ from motioncomfort import (
 )
 from motioncomfort import metrics, spectral, traceio, transmission
 from motioncomfort.frf import CHANNEL_IDS, evaluate_grid
-from motioncomfort.transmission import _summed_products, head_spectra, head_trace, seat_spectra
+from motioncomfort.transmission import (
+    SeatSpectra,
+    _summed_products,
+    head_spectra,
+    head_trace,
+    seat_spectra,
+)
 from conftest import random_trace, rel_err
 
 
@@ -352,10 +358,11 @@ def test_threaded_core_is_bit_equal_to_sequential_scipy_calls(n, cpus, model, se
         mp.setattr(traceio, "_usable_cpus", lambda: cpus)
         spectra = seat_spectra(seat)
         assert threading.active_count() == threads
-        head = head_trace(seat, head_spectra(seat, bundle, spectra.copy()))  # it overwrites them
+        taken = spectra._replace(bins=spectra.bins.copy())  # head_spectra overwrites them
+        head = head_trace(taken, head_spectra(taken, bundle))
         assert threading.active_count() == threads
     for i, axis in enumerate(AXES):
-        assert np.array_equal(spectra[i], want_spectra[axis])
+        assert np.array_equal(spectra.bins[i], want_spectra[axis])
         assert np.array_equal(head.channels[axis], want_head[axis])
 
 
@@ -368,9 +375,10 @@ def test_core_is_bit_equal_with_more_threads_than_cores_and_fast_switching(monke
     try:
         for _ in range(5):
             spectra = seat_spectra(seat)
-            head = head_trace(seat, head_spectra(seat, bundle, spectra.copy()))
+            taken = spectra._replace(bins=spectra.bins.copy())
+            head = head_trace(taken, head_spectra(taken, bundle))
             for i, axis in enumerate(AXES):
-                assert np.array_equal(spectra[i], want_spectra[axis])
+                assert np.array_equal(spectra.bins[i], want_spectra[axis])
                 assert np.array_equal(head.channels[axis], want_head[axis])
     finally:
         sys.setswitchinterval(interval)
@@ -446,9 +454,9 @@ def test_block_core_is_bit_equal_to_one_full_length_build(
         mp.setattr(transmission, "_BLOCK_BINS", block)
         mp.setattr(traceio, "_usable_cpus", lambda: cpus)
         row_of = [AXES.index(cid.output_axis) for cid in CHANNEL_IDS]
-        stacked = np.array([spectra[axis] for axis in AXES])
-        sums = _summed_products(seat, bundle, stacked, row_of, np.empty_like(stacked))
-        head = head_trace(seat, head_spectra(seat, bundle, stacked))
+        stacked = SeatSpectra(np.array([spectra[axis] for axis in AXES]), n, seat.sample_rate_hz)
+        sums = _summed_products(stacked, bundle, row_of, np.empty_like(stacked.bins))
+        head = head_trace(stacked, head_spectra(stacked, bundle))
         _, breakdown = transmit(seat, bundle)
         contributions = breakdown.contributions
         assert threading.active_count() == threads
@@ -522,10 +530,12 @@ def test_held_band_fill_is_bit_equal_to_one_full_length_build(case):
         mp.setattr(transmission, "_BLOCK_BINS", case["block"])
         mp.setattr(traceio, "_usable_cpus", lambda: case["cpus"])
         row_of = [AXES.index(cid.output_axis) for cid in CHANNEL_IDS]
-        stacked = np.array([spectra[axis] for axis in AXES])
-        sums = _summed_products(seat, bundle, stacked, row_of, np.empty_like(stacked))
-        products = np.empty((len(CHANNEL_IDS), stacked.shape[1]), np.complex128)
-        parts = _summed_products(seat, bundle, stacked, range(len(CHANNEL_IDS)), products)
+        stacked = SeatSpectra(
+            np.array([spectra[axis] for axis in AXES]), seat.n_samples, seat.sample_rate_hz
+        )
+        sums = _summed_products(stacked, bundle, row_of, np.empty_like(stacked.bins))
+        products = np.empty((len(CHANNEL_IDS), stacked.bins.shape[1]), np.complex128)
+        parts = _summed_products(stacked, bundle, range(len(CHANNEL_IDS)), products)
     for total, want in zip(sums.view(np.complex128), (want_sums[axis] for axis in AXES)):
         assert np.array_equal(total.view(np.uint64), want.view(np.uint64))
     for part, want in zip(parts.view(np.complex128), want_parts):
