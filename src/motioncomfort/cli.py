@@ -4,7 +4,9 @@ Verbs: transmit, assess, compare, svc, synth, bench.  Errors print a single
 ``error[<kind>]: message`` line to stderr and exit with 2 (config), 3 (data)
 or 4 (numeric failure).  That line is always the last on stderr: ``WARNING``
 lines logged earlier in the run (an undersampled trace, a defaulted cross
-channel) may come before it.
+channel) may come before it.  The summary goes to stdout once every output
+is written; a stdout that its reader has closed loses only the summary, and
+the run still exits 0.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -20,7 +23,7 @@ from .config import RunConfig, load_run_config
 from .errors import ComfortError, ConfigError
 from .frf import read_json_file
 from .metrics import full_assessment
-from .report import compare, emit_report, save_msi_csv
+from .report import compare, compared_models, emit_report, save_msi_csv
 from .svc import run_svc
 from .traceio import DEMO_COMPONENTS, atomic_write_text, load_trace, save_trace, synth_trace
 from .transmission import seat_spectra, transmit
@@ -93,20 +96,20 @@ def _trace_path(args, cfg: RunConfig):
     return path
 
 
-def _run(args) -> int:
+def _run(args) -> list[str]:
+    """Run one verb; return the summary lines for stdout, printed once every output is written."""
     cfg = _load_config(args)
     out_dir = Path(args.out) if args.out else (cfg.out_dir or Path("."))
 
     # No name holds a seat trace past the call that needs it: assess and compare get its
     # spectra, so it is freed after its forward FFTs, and transmit drops it with the breakdown.
-    # A bundle is resolved before the trace is read, so a bad model id costs no FFT.
+    # A bundle or model id is resolved before the trace is read, so a bad one costs no FFT.
     if args.verb == "transmit":
         bundle = cfg.resolve_bundle(args.model)
         head = transmit(load_trace(_trace_path(args, cfg)), bundle)[0]
         out = out_dir / "head.csv"
         save_trace(head, out)
-        print(f"wrote {out}")
-        return 0
+        return [f"wrote {out}"]
 
     if args.verb == "assess":
         bundle = cfg.resolve_bundle(args.model)
@@ -120,18 +123,15 @@ def _run(args) -> int:
             include_svc=not args.no_svc,
         )
         written = emit_report(report, out_dir)
-        print(f"rc_total={report.rc.total:.6g} ms_total={report.ms.total:.6g}", end="")
+        totals = f"rc_total={report.rc.total:.6g} ms_total={report.ms.total:.6g}"
         if report.msi is not None:
-            print(f" msi_final={report.msi.final:.6g}", end="")
-        print()
-        for path in written.values():
-            print(f"wrote {path}")
-        return 0
+            totals += f" msi_final={report.msi.final:.6g}"
+        return [totals] + [f"wrote {path}" for path in written.values()]
 
     if args.verb == "compare":
         if cfg.bundle is not None:
             raise ConfigError("compare works on named model configurations, not a fixed manifest")
-        model_ids = [m.strip() for m in args.models.split(",") if m.strip()]
+        model_ids = compared_models([m.strip() for m in args.models.split(",") if m.strip()])
         table = compare(
             seat_spectra(load_trace(_trace_path(args, cfg))),
             model_ids,
@@ -142,18 +142,14 @@ def _run(args) -> int:
         )
         out = out_dir / "comparison.csv"
         atomic_write_text(out, table.to_csv())
-        print(table.to_text())
-        print(f"wrote {out}")
-        return 0
+        return [table.to_text(), f"wrote {out}"]
 
     if args.verb == "svc":
         head = load_trace(_trace_path(args, cfg))
         series = run_svc(head, cfg.svc_params)
         out = out_dir / "msi.csv"
         save_msi_csv(series, out)
-        print(f"msi_final={series.final:.6g}")
-        print(f"wrote {out}")
-        return 0
+        return [f"msi_final={series.final:.6g}", f"wrote {out}"]
 
     if args.verb == "synth":
         if args.spec:
@@ -165,17 +161,14 @@ def _run(args) -> int:
         trace = synth_trace(components, args.duration, args.rate)
         out = out_dir / "trace.csv"
         save_trace(trace, out)
-        print(f"wrote {out}")
-        return 0
+        return [f"wrote {out}"]
 
     if args.verb == "bench":
         bundle = cfg.resolve_bundle(args.model)
         result = benchmark(args.duration, args.rate, bundle, include_svc=not args.no_svc)
         out = out_dir / "bench.json"
         atomic_write_text(out, json.dumps(result.as_dict(), indent=2, sort_keys=True) + "\n")
-        print(result.summary())
-        print(f"wrote {out}")
-        return 0
+        return [result.summary(), f"wrote {out}"]
 
     raise ConfigError(f"unknown verb {args.verb!r}")
 
@@ -187,10 +180,19 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return _run(args)
+        lines = _run(args)
     except ComfortError as exc:
         print(f"error[{exc.kind}]: {exc}", file=sys.stderr)
         return exc.exit_code
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout (`... | head -1`).  Every output is written by now, so only
+        # the summary is lost; the exit's own flush of it goes to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return 0
 
 
 def entry() -> None:

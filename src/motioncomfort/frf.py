@@ -426,9 +426,15 @@ def builtin_bundle(model_id: str) -> FrfBundle:
     the bundle manifests); substitute measured data via an explicit manifest
     for production use.
     """
-    model_id = str(model_id).upper()
+    model_id = known_model_id(model_id)
     if model_id == "NHM":
         return identity_bundle()
-    if model_id in MODEL_IDS:
-        return load_frf_bundle(_DATA_DIR / "bundles" / model_id.lower() / "manifest.json")
-    raise ConfigError(f"unknown model id {model_id!r}, expected one of {MODEL_IDS}")
+    return load_frf_bundle(_DATA_DIR / "bundles" / model_id.lower() / "manifest.json")
+
+
+def known_model_id(model_id: str) -> str:
+    """`model_id` upper-cased, if it is one of `MODEL_IDS`; else a ConfigError."""
+    model_id = str(model_id).upper()
+    if model_id not in MODEL_IDS:
+        raise ConfigError(f"unknown model id {model_id!r}, expected one of {MODEL_IDS}")
+    return model_id

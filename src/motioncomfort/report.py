@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .frf import AXES, builtin_bundle
+from .frf import AXES, builtin_bundle, known_model_id
 from .metrics import ComfortReport, _assess_spectra
 from .svc import MsiSeries, SvcParams
 from .traceio import MotionTrace, atomic_write_text, format_rows
@@ -232,6 +232,15 @@ class ComparisonTable:
         return "\n".join(lines)
 
 
+def compared_models(model_ids: Sequence[str]) -> list[str]:
+    """The model ids of a comparison, upper-cased; a ConfigError for fewer than 2 or for an
+    unknown one.  The CLI checks them so before it reads the trace."""
+    model_ids = list(model_ids)
+    if len(model_ids) < 2:
+        raise ConfigError("compare needs at least 2 models")
+    return [known_model_id(m) for m in model_ids]
+
+
 def compare(
     trace: MotionTrace | SeatSpectra,
     model_ids: Sequence[str],
@@ -249,21 +258,19 @@ def compare(
     two identical rows.  Each model's report, MSI series included, is dropped
     once its row is built, before the next model runs.  `trace` may be given
     as its `seat_spectra`, which the last model takes over, as
-    `full_assessment` does.
+    `full_assessment` does.  Every model's bundle is resolved before any
+    FFT, so an unknown id costs none.
     """
-    model_ids = [str(m).upper() for m in model_ids]
-    if len(model_ids) < 2:
-        raise ConfigError("compare needs at least 2 models")
+    model_ids = compared_models(model_ids)
+    # NHM first: the baseline.
+    bundles = {m: builtin_bundle(m) for m in dict.fromkeys(["NHM", *model_ids])}
 
     spectra = _spectra_of(trace)
     rows: dict[str, ComparisonRow] = {}
-    models = list(dict.fromkeys(["NHM", *model_ids]))  # NHM first: the baseline
-    for k, model_id in enumerate(models):
+    for k, (model_id, bundle) in enumerate(bundles.items()):
         # Each model's head spectra go to fresh rows, the last model's over the seat spectra.
-        out = np.empty_like(spectra.bins) if k < len(models) - 1 else None
-        rep = _assess_spectra(
-            spectra, builtin_bundle(model_id), out, rc, ms, svc_params, registry, include_svc, None
-        )
+        out = np.empty_like(spectra.bins) if k < len(bundles) - 1 else None
+        rep = _assess_spectra(spectra, bundle, out, rc, ms, svc_params, registry, include_svc, None)
         del out  # before the next model's rows are made
         nhm = rows.get("NHM")  # None while NHM itself runs: its ratios are to itself
         rows[model_id] = ComparisonRow(

@@ -12,11 +12,13 @@ two-dimensional DFT under the Good-Thomas prime-factor index maps, with no
 twiddle factors and no padding, where pocketfft would run a generic radix-p
 pass (p^2 <= n) or a Bluestein transform of the whole length.  The length
 stays exact; the results differ from pocketfft's in the last bits only, and
-are the same on every run and thread.  Every other length, and
-`apply_response` (the time-domain oracle's path), calls scipy.fft directly.
-The index tables of the last split length (9 bytes a sample) are kept on
-purpose after the run that built them, so that `report.compare`'s models and
-the contribution breakdown reuse them.
+are the same on every run and thread.  `rfft` at every other length, and
+`apply_response` (the time-domain oracle's path), call scipy.fft directly;
+`irfft` there runs the same pocketfft pass in place, through scipy.fftpack,
+with scipy.fft's bits, so that a row given as `out=` takes the signal with
+no signal-sized numpy temporary.  The index tables of the last split length
+(9 bytes a sample) are kept on purpose after the run that built them, so that
+`report.compare`'s models and the contribution breakdown reuse them.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import fft as _fft
+from scipy import fftpack as _fftpack
 
 from .errors import DataError
 
@@ -167,11 +170,32 @@ def rfft(signal: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def irfft(spectrum: np.ndarray, n: int) -> np.ndarray:
-    """The length-n real inverse FFT of `spectrum`, as scipy.fft.irfft(spectrum, n=n)."""
-    split = _split(n) if len(spectrum) == n // 2 + 1 else None
+def irfft(spectrum: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The length-n real inverse FFT of `spectrum`, as scipy.fft.irfft(spectrum, n=n).
+
+    It is written to the float row `out` of n samples if one is given, which
+    may be the first n floats of the complex `spectrum`'s own memory: the
+    spectrum is then inverted in place.  A length that is not split shifts the
+    bins down one float, into FFTPACK's half-complex order (Re 0, Re 1, Im 1,
+    Re 2, ...), and runs pocketfft's backward pass over them in place
+    (`scipy.fftpack.irfft`), the pass that scipy.fft.irfft runs on a copy.  A
+    split length scatters its (p, a) plane's transform straight into the row.
+    """
+    if len(spectrum) != n // 2 + 1:  # scipy.fft pads or cuts it
+        if out is None:
+            return _fft.irfft(spectrum, n=n)
+        out[:] = _fft.irfft(spectrum, n=n)
+        return out
+    split = _split(n)
     if split is None:
-        return _fft.irfft(spectrum, n=n)
+        floats = np.ascontiguousarray(spectrum, np.complex128).view(np.float64)
+        out = np.empty(n) if out is None else out
+        out[0] = floats[0]  # irfft reads only the real part of DC and, for even n, of Nyquist
+        out[1:] = floats[2 : n + 1]
+        signal = _fftpack.irfft(out, overwrite_x=True)
+        if not np.may_share_memory(signal, out):  # scipy did not transform it in place
+            out[:] = signal
+        return out
     plan = _plan_of(*split)
     plane = np.asarray(spectrum, np.complex128)[plan.plane]
     np.negative(plane.imag, out=plane.imag, where=plan.plane_conj)
@@ -181,9 +205,9 @@ def irfft(spectrum: np.ndarray, n: int) -> np.ndarray:
         plane[0, -1] = plane[0, -1].real
     values = _fft.irfft2(plane, s=(plan.p, plan.a), overwrite_x=True)
     del plane  # before the output is allocated
-    signal = np.empty(n)
-    signal[plan.samples] = values
-    return signal
+    out = np.empty(n) if out is None else out
+    out[plan.samples] = values
+    return out
 
 
 def spectrum_mean_square(weighted_power: np.ndarray, n: int) -> float:

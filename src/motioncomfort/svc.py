@@ -23,34 +23,28 @@ evaluated with `scipy.signal.lfilter`, which reproduces the Euler update
 exactly.  All parameters are exposed on `SvcParams` and can be substituted;
 the defaults give plausible shapes but are not fitted to any dataset.
 
-The per-sample stages (sensed force, conflict, squash) run in blocks of
-samples (`_BLOCK_SAMPLES`) on every usable CPU (`traceio._on_every_cpu`).
-Every step works sample by sample, so the bits do not depend on the blocks
-or the threads.  The nine `lfilter` recurrences run on the calling thread:
-`lfilter` holds the GIL, so a second thread would only wait for it.
-
-One generator runs the model stage by stage and drops each array once no
-later stage needs it.  Steps 2 to 4 run one sensed axis at a time: the
-axis's sensed force, then its subjective vertical, then its squared
-difference added into the conflict, after which both rows are dropped.
-`svc_states` keeps every stage and stacks the three axes' rows; `run_svc`
-keeps only the MSI.
+The model streams over the trace in blocks of `_BLOCK_SAMPLES` samples, one
+loop on the calling thread.  Each block runs every stage in model order; the
+nine `lfilter` recurrences carry their state from each block to the next
+(`zi` in, `zf` out), and so does the running maximum.  Every other step
+works sample by sample, so the bits do not depend on the block size.
+`run_svc` holds only the MSI, the time column and one block of each stage;
+`svc_states` writes every block into its 13 full-length arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, asdict, dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 from scipy.signal import lfilter
 
-from . import traceio
 from .errors import DataError, NumericError
 from .frf import _frozen_array, _is_real
 from .traceio import MotionTrace
 
-_BLOCK_SAMPLES = 65536  # samples per task of the per-sample stages
+_BLOCK_SAMPLES = 65536  # samples per block of the streamed model
 
 
 @dataclass(frozen=True)
@@ -114,30 +108,27 @@ class MsiSeries:
         return float(self.msi_percent[-1])
 
 
-def _euler_stage(x: np.ndarray, gain_dt: float, decay: float, y0: float) -> np.ndarray:
-    # y[k+1] = decay*y[k] + gain_dt*x[k], y[0] = y0, evaluated in C by lfilter.
-    b = np.array([0.0, gain_dt])
-    a = np.array([1.0, -decay])
-    y, _ = lfilter(b, a, x, zi=np.array([float(y0)]))
-    return y
+class _Euler:
+    """One explicit Euler recurrence y[k+1] = decay*y[k] + gain_dt*x[k], y[0] = y0, run block
+    by block by `lfilter` (in C): each call carries the state on to the next block, so the bits
+    are those of one call on the whole input."""
+
+    def __init__(self, gain_dt: float, decay: float, y0: float):
+        self.b, self.a = np.array([0.0, gain_dt]), np.array([1.0, -decay])
+        self.state = np.array([float(y0)])
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        y, self.state = lfilter(self.b, self.a, x, zi=self.state)
+        return y
 
 
-def _per_sample(task: Callable[[int, int], None], n: int) -> None:
-    """Run ``task(lo, hi)`` over blocks of `_BLOCK_SAMPLES` samples (`traceio._in_blocks`).
+def _blocks(head: MotionTrace, params: SvcParams | None) -> Iterator[tuple[slice, dict]]:
+    """Yield (samples, stages) for each block of `_BLOCK_SAMPLES` samples in turn.
 
-    Each task ignores overflow and invalid results: the inf or NaN they leave
-    is reported by the finiteness checks.
+    `stages` maps each stage's name, in model order, to its values on those
+    samples; ``sensed`` and ``subjective_vertical`` are (3, m) rows.  The first
+    block with a non-finite conflict or MSI raises a NumericError.
     """
-
-    def run(lo: int, hi: int) -> None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            task(lo, hi)
-
-    traceio._in_blocks(run, n, _BLOCK_SAMPLES)
-
-
-def _stages(head: MotionTrace, params: SvcParams | None) -> Iterator[tuple[str, np.ndarray]]:
-    """Yield (name, trajectory) in model order; drop each array once no later stage needs it."""
     p = params if params is not None else SvcParams()
     fs = head.sample_rate_hz
     dt = 1.0 / fs
@@ -153,74 +144,57 @@ def _stages(head: MotionTrace, params: SvcParams | None) -> Iterator[tuple[str, 
                 "each explicit integration stage needs sample_rate_hz * time constant >= 1"
             )
     channels = head.channels
-    n = head.n_samples
-
     leak = decay["orientation_leak_s"]
-    roll = _euler_stage(_euler_stage(channels["roll"], dt, leak, 0.0), dt, leak, 0.0)
-    yield "roll_angle", roll
-    pitch = _euler_stage(_euler_stage(channels["pitch"], dt, leak, 0.0), dt, leak, 0.0)
-    yield "pitch_angle", pitch
-
-    # Head acceleration plus gravity in the tilted head frame (magnitude g for any angles):
-    # g sin(p), (-g cos(p)) sin(r), (g cos(p)) cos(r) on sensed axis 0, 1, 2.
-    def sense(i: int) -> np.ndarray:
-        row, channel = np.empty(n), channels[("x", "y", "z")[i]]
-
-        def task(lo: int, hi: int) -> None:
-            out = row[lo:hi]
-            if i == 0:
-                np.multiply(np.sin(pitch[lo:hi], out=out), p.g, out=out)
-            else:
-                g_cos_p = np.cos(pitch[lo:hi])
-                np.multiply(g_cos_p, -p.g if i == 1 else p.g, out=g_cos_p)
-                trig = np.sin if i == 1 else np.cos
-                np.multiply(g_cos_p, trig(roll[lo:hi], out=out), out=out)
-            out += channel[lo:hi]
-
-        _per_sample(task, n)
-        return row
-
-    # |sensed - vertical|, summed axis by axis.  Each axis's sensed force and subjective
-    # vertical are dropped before the next axis is sensed.
-    conflict = np.zeros(n)
-    for i, rest in enumerate((0.0, 0.0, p.g)):
-        sensed = sense(i)
-        yield "sensed", sensed
-        vertical = _euler_stage(sensed, step["tau_s"], decay["tau_s"], rest)
-        yield "subjective_vertical", vertical
-
-        def measure(lo: int, hi: int) -> None:
-            out, diff = conflict[lo:hi], np.subtract(sensed[lo:hi], vertical[lo:hi])
-            out += np.square(diff, out=diff)
-            if i == 2:  # the last axis
-                np.sqrt(out, out=out)
-
-        _per_sample(measure, n)
-        del sensed, vertical
-    del pitch, roll
-    if not np.all(np.isfinite(conflict)):
-        raise NumericError("SVC produced non-finite conflict values")
-    yield "conflict", conflict
-
-    stage = np.empty(n)
+    roll_rate, roll_angle, pitch_rate, pitch_angle = (_Euler(dt, leak, 0.0) for _ in range(4))
+    verticals = [_Euler(step["tau_s"], decay["tau_s"], rest) for rest in (0.0, 0.0, p.g)]
+    accumulators = [_Euler(step["mu_s"], decay["mu_s"], 0.0) for _ in range(2)]
     b_n = p.b**p.n
-
-    def squash(lo: int, hi: int) -> None:
-        cn = conflict[lo:hi] ** p.n
-        np.divide(cn, b_n + cn, out=stage[lo:hi])
-
-    _per_sample(squash, n)
-    del conflict
-    yield "squashed", stage
-    for name in ("stage1", "stage2"):  # rebinding `stage` drops the stage before
-        stage = _euler_stage(stage, step["mu_s"], decay["mu_s"], 0.0)
-        yield name, stage
-
-    msi = 100.0 * np.maximum.accumulate(stage)
-    del stage
-    if not np.all(np.isfinite(msi)):
-        raise NumericError("SVC produced non-finite msi values")
-    yield "msi_percent", msi
+    peak = -np.inf  # the running maximum of stage2 up to the block
+    for lo in range(0, head.n_samples, _BLOCK_SAMPLES):
+        block = slice(lo, lo + _BLOCK_SAMPLES)
+        roll = roll_angle(roll_rate(channels["roll"][block]))
+        pitch = pitch_angle(pitch_rate(channels["pitch"][block]))
+        m = len(roll)
+        sensed, vertical, conflict = np.empty((3, m)), np.empty((3, m)), np.zeros(m)
+        # Overflow and invalid results are ignored: the finiteness checks report their inf or NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Head acceleration plus gravity in the tilted head frame (magnitude g for any
+            # angles): g sin(p), (-g cos(p)) sin(r), (g cos(p)) cos(r) on sensed axis 0, 1, 2.
+            cos_p = np.cos(pitch)
+            np.multiply(np.sin(pitch, out=sensed[0]), p.g, out=sensed[0])
+            g_cos_p = np.multiply(cos_p, -p.g)
+            np.multiply(g_cos_p, np.sin(roll, out=sensed[1]), out=sensed[1])
+            np.multiply(cos_p, p.g, out=g_cos_p)
+            np.multiply(g_cos_p, np.cos(roll, out=sensed[2]), out=sensed[2])
+            for i, axis in enumerate(("x", "y", "z")):
+                sensed[i] += channels[axis][block]
+                vertical[i] = verticals[i](sensed[i])
+                diff = np.subtract(sensed[i], vertical[i])
+                conflict += np.square(diff, out=diff)  # |sensed - vertical|, summed axis by axis
+            np.sqrt(conflict, out=conflict)
+            if not np.all(np.isfinite(conflict)):
+                raise NumericError("SVC produced non-finite conflict values")
+            cn = conflict**p.n
+            squashed = np.divide(cn, b_n + cn, out=cn)
+            stage1 = accumulators[0](squashed)
+            stage2 = accumulators[1](stage1)
+            running = np.maximum.accumulate(stage2)
+            np.maximum(running, peak, out=running)
+            peak = running[-1]
+            msi = 100.0 * running
+        if not np.all(np.isfinite(msi)):
+            raise NumericError("SVC produced non-finite msi values")
+        yield block, {
+            "roll_angle": roll,
+            "pitch_angle": pitch,
+            "sensed": sensed,
+            "subjective_vertical": vertical,
+            "conflict": conflict,
+            "squashed": squashed,
+            "stage1": stage1,
+            "stage2": stage2,
+            "msi_percent": msi,
+        }
 
 
 def svc_states(head: MotionTrace, params: SvcParams | None = None) -> Mapping[str, np.ndarray]:
@@ -230,27 +204,25 @@ def svc_states(head: MotionTrace, params: SvcParams | None = None) -> Mapping[st
     ``pitch_angle`` (rad), ``sensed`` and ``subjective_vertical`` (3, n)
     specific forces, ``conflict`` (m/s^2), ``squashed`` (unitless), the two
     accumulator stages ``stage1`` and ``stage2``, and ``msi_percent``.
-    All of them are kept, 13 arrays of the trace's length.
+    All of them are kept, 13 arrays of the trace's length, each written block
+    by block.
     """
+    n = head.n_samples
     states: dict[str, np.ndarray] = {}
-    axis = 0  # the sensed axis of the next sensed/subjective_vertical row
-    for name, trajectory in _stages(head, params):
-        if name not in ("sensed", "subjective_vertical"):
-            states[name] = trajectory
-            continue
-        if name not in states:  # its first row: axis 0
-            states[name] = np.empty((3, trajectory.size))
-        states[name][axis] = trajectory
-        axis += name == "subjective_vertical"  # the last row of each axis
+    for block, stages in _blocks(head, params):
+        for name, values in stages.items():
+            if name not in states:
+                states[name] = np.empty(values.shape[:-1] + (n,))
+            states[name][..., block] = values
     return states
 
 
 def run_svc(head: MotionTrace, params: SvcParams | None = None) -> MsiSeries:
     """Run the model over a head trace and return the incidence time series.
 
-    Keeps only the incidence: about 5 arrays of the trace's length are live at once (both
-    angles, the conflict, and one sensed axis with its subjective vertical).
+    Keeps only the incidence, the time column and one block of each stage.
     """
-    for _, msi in _stages(head, params):
-        pass
+    msi = np.empty(head.n_samples)
+    for block, stages in _blocks(head, params):
+        msi[block] = stages["msi_percent"]
     return MsiSeries(time_s=head.time_s, msi_percent=msi, _owned=True)

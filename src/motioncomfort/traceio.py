@@ -97,7 +97,9 @@ class MotionTrace:
 
     @property
     def time_s(self) -> np.ndarray:
-        return np.arange(self.n_samples) / self.sample_rate_hz
+        t = np.arange(self.n_samples, dtype=np.float64)  # divided in place: one array, not two
+        t /= self.sample_rate_hz
+        return t
 
     @classmethod
     def from_channels(cls, sample_rate_hz, frame_label="seat", **channels) -> "MotionTrace":
@@ -248,6 +250,16 @@ def _strict_rows(data: np.ndarray) -> int | None:
     return rows if separators == b",,,,,,\n" * rows else None
 
 
+def _compiled_reader() -> tuple[Callable, Callable] | None:
+    """scipy's compiled Matrix Market reader, as (_get_read_cursor, _read_body_array), or None
+    where this scipy does not have it."""
+    try:
+        from scipy.io._fast_matrix_market import _get_read_cursor, _read_body_array
+    except ImportError:
+        return None
+    return _get_read_cursor, _read_body_array
+
+
 def _strict_blocks(raw: bytes) -> tuple[list[np.ndarray], int]:
     """The leading blocks of `raw` that `_strict_rows` accepts, read as (7, rows) channel-major
     values, and the offset where they end: where a block is declined or the reader fails, or
@@ -256,11 +268,13 @@ def _strict_blocks(raw: bytes) -> tuple[list[np.ndarray], int]:
     Each block of about `_STRICT_BLOCK_BYTES` of whole rows is checked, then read with one
     thread by scipy's compiled Matrix Market reader (what `scipy.io.mmread` runs) as the body
     of a 7 x rows `array`, which lists the values column by column.  That reader drops the sign
-    of a zero, so a zero whose token starts with '-' is made -0.0 again.
+    of a zero, so a zero whose token starts with '-' is made -0.0 again.  A reader that this
+    scipy lacks, or that takes other arguments, declines the block.
     """
-    # Imported by _parse_chunks before any worker forks.
-    from scipy.io._fast_matrix_market import _get_read_cursor, _read_body_array
-
+    reader = _compiled_reader()  # imported by _parse_chunks before any worker forks
+    if reader is None:
+        return [], 0
+    get_read_cursor, read_body_array = reader
     data = np.frombuffer(raw, np.uint8)
     parts, lo = [], 0
     while lo < len(raw):
@@ -272,8 +286,8 @@ def _strict_blocks(raw: bytes) -> tuple[list[np.ndarray], int]:
         head = b"%%%%MatrixMarket matrix array real general\n7 %d\n" % rows
         stream = io.BytesIO(head + raw[lo:hi].translate(_COMMA_TO_LF))
         try:
-            values = _read_body_array(_get_read_cursor(stream, parallelism=1)[0])
-        except ValueError:
+            values = read_body_array(get_read_cursor(stream, parallelism=1)[0])
+        except (ValueError, AttributeError, TypeError):  # a bad block, or another reader API
             break
         if not values.all():
             zero = np.flatnonzero(values.T == 0.0)  # token indices, row by row
@@ -372,8 +386,7 @@ def _fork_map(workers: int, fn, tasks: list[tuple]) -> Iterator:
 
 def _parse_chunks(path, bounds: list[int]) -> list[list[np.ndarray] | _BadLine]:
     """Parse the ranges between consecutive `bounds`: in forked workers when there are several."""
-    import scipy.io._fast_matrix_market  # noqa: F401 (for _strict_blocks; before any fork)
-
+    _compiled_reader()  # imported for _strict_blocks before any fork
     ranges = [(path, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     return list(_fork_map(len(ranges), _parse_chunk, ranges))
 

@@ -13,7 +13,8 @@ One spectral core serves `transmit`, `metrics.full_assessment` and
 `report.compare`: `seat_spectra` transforms each seat channel once at the
 exact length, `head_spectra` multiplies those spectra by the 14 tabulated
 responses and sums the products per head axis, and `head_trace` inverts
-each sum once, in place.  `seat_spectra` returns a `SeatSpectra`: the bins
+each sum once, in place: each inverse FFT writes its signal into its own
+row's memory, with no signal-sized temporary.  `seat_spectra` returns a `SeatSpectra`: the bins
 with the trace's length and sample rate, which is all that the later stages
 read, so a caller that hands it on without keeping the trace frees the trace
 after its forward FFTs.  `head_spectra` takes the seat spectra over and
@@ -210,13 +211,14 @@ def _summed_products(
 def _inverted_rows(rows: np.ndarray, n: int) -> np.ndarray:
     """Overwrite each row's spectrum with its length-n inverse FFT, on every usable CPU.
 
-    Returns the signals, views of `rows`; `rows` and the array that owns its memory are made
-    read-only.
+    Each transform writes its signal straight into the row's own float memory
+    (`spectral.irfft`'s `out=`).  Returns the signals, views of `rows`; `rows`
+    and the array that owns its memory are made read-only.
     """
     spectra = rows.view(np.complex128)
 
     def invert(i: int) -> None:
-        rows[i, :n] = spectral.irfft(spectra[i], n=n)
+        spectral.irfft(spectra[i], n, out=rows[i, :n])
 
     traceio._on_every_cpu(invert, len(rows))
     for array in (rows, rows.base):

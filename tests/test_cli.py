@@ -5,6 +5,9 @@ import gc
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 import weakref
@@ -181,6 +184,44 @@ def test_unknown_model_is_config_error_before_the_trace_is_read(
     rc = main([verb, "--trace", str(trace), "--model", "XXX", "--out", str(tmp_path)])
     assert rc == 2 and read == []
     assert capsys.readouterr().err.startswith("error[config]:")
+
+
+@pytest.mark.parametrize("models", ["EXP,AHM,FOO", "EXP", "EXP,,"])
+def test_compare_model_ids_are_checked_before_the_trace_is_read(
+    tmp_path, capsys, monkeypatch, models
+):
+    trace = _synth(tmp_path)
+    read = []
+    monkeypatch.setattr(cli, "load_trace", lambda path: read.append(path))
+    rc = main(["compare", "--trace", str(trace), "--models", models, "--out", str(tmp_path)])
+    assert rc == 2 and read == []
+    assert capsys.readouterr().err.startswith("error[config]:")
+    assert not (tmp_path / "comparison.csv").exists()
+
+
+@pytest.mark.parametrize("verb", ["assess", "compare"])
+def test_a_closed_stdout_exits_0_with_every_output_written_and_no_traceback(tmp_path, verb):
+    # The pipe's read end is closed before the run starts, as in `motioncomfort assess ... |
+    # true`: the summary cannot be printed, but the files are written first.
+    trace = _synth(tmp_path)
+    args = ["--model", "EXP"] if verb == "assess" else ["--models", "EXP,NHM"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "motioncomfort.cli", verb, "--trace", str(trace), *args,
+             "--out", str(tmp_path / "out")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    written = ["report.json", "msi.csv", "report.svg"] if verb == "assess" else ["comparison.csv"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(written)
 
 
 def test_config_overrides_flow_into_report(tmp_path):

@@ -384,6 +384,30 @@ def test_peak_memory_at_a_split_length_on_8_cpus(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_in_place_inverse_ffts_and_streamed_svc_hold_little(monkeypatch, cpus):
+    # 2^20 samples.  Each inverse FFT writes its signal into its own row with no numpy
+    # temporary: head_trace holds 0.02x the seat's bytes (its finiteness masks) on every CPU
+    # count, where a signal-sized temporary per thread took 0.17x, 0.33x and 1.00x on 1, 2
+    # and 8 CPUs.  run_svc holds the MSI, the time column and one block of each stage:
+    # 0.47x, where the stage generator with whole-length arrays took 0.84-0.88x.  On 1 and
+    # 2 CPUs these set full_assessment's peak, 1.55x (1.93x before), and compare's, 2.55x
+    # (2.93x before); on 8 the forward FFTs' temporaries set them.
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: cpus)
+    seat, bundle = random_trace(7, n=2**20), builtin_bundle("EXP")
+    trace_bytes = sum(channel.nbytes for channel in seat.channels.values())
+    spectra = seat_spectra(seat)
+    rows = head_spectra(spectra, bundle)
+    assert _traced_peak_bytes(lambda: transmission.head_trace(spectra, rows)) < (
+        0.05 * trace_bytes
+    )
+    assert _traced_peak_bytes(lambda: run_svc(seat)) < 0.5 * trace_bytes
+    if cpus < 8:
+        assert _traced_peak_bytes(lambda: full_assessment(seat, bundle)) < 1.65 * trace_bytes
+        models = ["EXP", "AHM", "EHM", "NHM"]
+        assert _traced_peak_bytes(lambda: compare(seat, models)) < 2.65 * trace_bytes
+
+
 def _assert_same_report(got, want):
     assert (got.model_id, got.rc, got.ms) == (want.model_id, want.rc, want.ms)
     assert (got.duration_s, got.sample_rate_hz) == (want.duration_s, want.sample_rate_hz)

@@ -17,6 +17,8 @@ from motioncomfort import (
     full_assessment,
     identity_bundle,
 )
+from motioncomfort import report as report_module
+from motioncomfort import spectral
 from motioncomfort.errors import ConfigError
 from motioncomfort.report import render_report_svg
 from motioncomfort.svc import MsiSeries
@@ -211,6 +213,23 @@ def test_compare_zero_nhm_baseline_has_no_ratio():
 def test_compare_needs_two_models():
     with pytest.raises(ConfigError, match="2 models"):
         compare(random_trace(43, n=300), ["NHM"])
+
+
+def test_compare_resolves_every_model_id_before_any_fft(monkeypatch):
+    transforms, assessed = [], []
+    rfft, assess_spectra = spectral.rfft, report_module._assess_spectra
+
+    def assess(spectra, bundle, *args):
+        assessed.append(bundle.model_id)
+        return assess_spectra(spectra, bundle, *args)
+
+    monkeypatch.setattr(spectral, "rfft", lambda *a, **k: transforms.append(1) or rfft(*a, **k))
+    monkeypatch.setattr(report_module, "_assess_spectra", assess)
+    with pytest.raises(ConfigError, match="unknown model id 'FOO'"):
+        compare(random_trace(43, n=300), ["EXP", "AHM", "foo"])
+    assert transforms == [] and assessed == []
+    compare(random_trace(43, n=300), ["ehm", "EXP"])
+    assert len(transforms) == 6 and assessed == ["NHM", "EHM", "EXP"]
 
 
 def test_emit_without_svc(tmp_path):

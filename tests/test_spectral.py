@@ -137,6 +137,42 @@ def test_rfft_into_a_row_gives_the_bits_of_one_whole_gather(monkeypatch, n):
         assert np.isnan(rows[[0, 2]]).all()  # nothing written outside the row
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(
+        st.integers(2, 5000),
+        st.sampled_from([2, 3, 4, 5, 6007, 65537, 2**7 * 5**4, 100 * 683, 99 * 683, 3 * 65537]),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, seed=0)
+@example(n=3, seed=1)
+@example(n=100 * 683, seed=2)  # split, even
+@example(n=99 * 683, seed=3)  # split, odd
+def test_irfft_into_the_spectrums_own_row_gives_the_bits_of_a_fresh_output(n, seed):
+    # Even, odd, prime and split lengths.  The imaginary parts of DC and, for even n, of
+    # Nyquist are not 0: the in-place shift must drop them as scipy does.  An unsplit length
+    # gives scipy.fft's bits; a split one those of the split into fresh memory.
+    rng = np.random.default_rng(seed)
+    m = n // 2 + 1
+    spectrum = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    want = scipy_fft.irfft(spectrum, n=n)
+    if spectral._split(n) is not None:
+        assert np.max(np.abs(spectral.irfft(spectrum, n) - want)) <= 1e-12 * np.max(np.abs(want))
+        want = spectral.irfft(spectrum, n)
+    rows = np.full((3, m), np.nan, np.complex128)
+    rows[1] = spectrum
+    row = rows.view(np.float64)[1, :n]
+    assert spectral.irfft(rows[1], n, out=row) is row
+    assert row.tobytes() == want.tobytes()
+    assert np.isnan(rows[[0, 2]]).all()  # nothing written outside the row
+    given = spectrum.copy()
+    out = np.empty(n)
+    assert spectral.irfft(spectrum, n, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    assert spectrum.tobytes() == given.tobytes()  # a spectrum apart from `out` is only read
+
+
 def test_a_spectrum_of_another_length_is_not_split():
     n = 100 * 683
     spectrum = scipy_fft.rfft(np.random.default_rng(4).standard_normal(n))

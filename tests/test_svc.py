@@ -22,7 +22,7 @@ from motioncomfort import (
     run_svc,
     synth_trace,
 )
-from motioncomfort import svc, traceio
+from motioncomfort import svc
 from motioncomfort.svc import svc_states
 
 
@@ -296,65 +296,70 @@ def _states_all_at_once(head: MotionTrace, p: SvcParams) -> dict:
     }
 
 
-@settings(max_examples=60, deadline=None)
-@given(_accepted_run())
-def test_streamed_stages_are_bit_equal_to_keeping_every_stage(run):
+# Blocks of a * n + b samples: 1, 2 and 7, then n - 1 (a tail block of 1 sample), n and 2 * n.
+_BLOCK_SIZES = [(0, 1), (0, 2), (0, 7), (1, -1), (1, 0), (2, 0)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(run=_accepted_run(), size=st.sampled_from(_BLOCK_SIZES))
+def test_streamed_stages_are_bit_equal_to_keeping_every_stage(run, size):
     head, params = run
-    states = svc_states(head, params)
     want = _states_all_at_once(head, params)
+
+    def no_thread(self):
+        raise AssertionError("SVC started a thread")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(svc, "_BLOCK_SAMPLES", max(1, size[0] * head.n_samples + size[1]))
+        mp.setattr(threading.Thread, "start", no_thread)
+        states = svc_states(head, params)
+        series = run_svc(head, params)
     assert list(states) == list(want)
     for name, trajectory in want.items():
         assert states[name].shape == trajectory.shape
         assert states[name].tobytes() == trajectory.tobytes(), name
-    assert run_svc(head, params).msi_percent.tobytes() == states["msi_percent"].tobytes()
-
-
-@settings(max_examples=40, deadline=None)
-@given(run=_accepted_run(), block=st.integers(2, 16), cpus=st.sampled_from([1, 2, 3]))
-def test_per_sample_stages_in_blocks_are_bit_equal_to_one_block(run, block, cpus):
-    head, params = run
-    want = svc_states(head, params)  # n <= 300: one block
-    threads = threading.active_count()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(svc, "_BLOCK_SAMPLES", block)
-        mp.setattr(traceio, "_usable_cpus", lambda: cpus)
-        states = svc_states(head, params)
-        series = run_svc(head, params)
-    assert threading.active_count() == threads
-    assert list(states) == list(want)
-    for name, trajectory in want.items():
-        assert states[name].tobytes() == trajectory.tobytes(), name
     assert series.msi_percent.tobytes() == want["msi_percent"].tobytes()
 
 
+def test_a_tail_block_of_one_sample_carries_every_state():
+    # 15 samples in blocks of 7: 7, 7 and 1.  A 2 s pulse of heave and roll: every state is
+    # away from rest at the last sample, and stage2 peaks at sample 8 and then falls, so the
+    # MSI of the lone last sample is the maximum carried from the block before.
+    z, roll = np.zeros(15), np.zeros(15)
+    z[:4], roll[:2], roll[2:4] = 3.0, 0.5, -0.5
+    head = _head({"z": z, "roll": roll}, fs=2.0)
+    params = SvcParams(tau_s=1.0, mu_s=1.0, orientation_leak_s=1.0)
+    want = _states_all_at_once(head, params)
+    assert np.argmax(want["stage2"]) == 8 and want["stage2"][-1] < 0.3 * want["stage2"][8]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(svc, "_BLOCK_SAMPLES", 7)
+        states = svc_states(head, params)
+    for name, trajectory in want.items():
+        assert states[name].tobytes() == trajectory.tobytes(), name
+
+
 @pytest.mark.parametrize("params", [{"b": 1.0, "n": 1e300}, {"g": 1e300}])
-def test_overflow_in_a_helper_block_is_one_numeric_error(monkeypatch, params):
+def test_overflow_in_a_later_block_is_one_numeric_error(monkeypatch, params):
     # At rest for the first 50 samples, so the conflict is 0 there and only the
-    # second block, which the helper thread takes, overflows.
+    # second block overflows, after the first has been yielded.
     z = np.concatenate([np.zeros(50), np.full(50, 30.0)])
     head = _head({"z": z, "roll": np.where(z > 0.0, 0.5, 0.0)}, fs=100.0)
     assert not np.any(svc_states(head)["conflict"][:50])
     monkeypatch.setattr(svc, "_BLOCK_SAMPLES", 50)
-    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 2)
-    ran_on = set()
-    per_sample = svc._per_sample
+    yielded, blocks = [], svc._blocks
 
-    def recorded(task, n):
-        def spied(lo, hi):
-            ran_on.add((lo, threading.current_thread() is threading.main_thread()))
-            task(lo, hi)
+    def recorded(*args):
+        for block, stages in blocks(*args):
+            yielded.append((block.start, block.stop))
+            yield block, stages
 
-        per_sample(spied, n)
-
-    monkeypatch.setattr(svc, "_per_sample", recorded)
-    threads = threading.active_count()
+    monkeypatch.setattr(svc, "_blocks", recorded)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(NumericError, match="non-finite"):
             run_svc(head, SvcParams(**params))
-    assert threading.active_count() == threads
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert ran_on == {(0, True), (50, False)}
+    assert yielded == [(0, 50)]
 
 
 def test_series_time_matches_trace():
@@ -365,26 +370,18 @@ def test_series_time_matches_trace():
 
 
 def test_run_svc_hands_its_arrays_over_and_public_series_copy(monkeypatch):
-    copied, frozen_array = [], svc._frozen_array
+    copied, kept, frozen_array = [], [], svc._frozen_array
 
     def spy(values, owned=False):
-        if not owned:
-            copied.append(values)
+        (kept if owned else copied).append(values)
         return frozen_array(values, owned)
 
     monkeypatch.setattr(svc, "_frozen_array", spy)
-    stages = svc._stages
-    yielded = {}
-
-    def recorded(*args):
-        for name, trajectory in stages(*args):
-            yielded[name] = trajectory
-            yield name, trajectory
-
-    monkeypatch.setattr(svc, "_stages", recorded)
+    monkeypatch.setattr(svc, "_BLOCK_SAMPLES", 30)  # the MSI is written in 4 blocks
     series = run_svc(_head({"z": np.ones(100)}, fs=50.0))
     assert copied == []  # kept, not copied
-    assert series.msi_percent is yielded["msi_percent"]
+    assert [id(a) for a in kept] == [id(series.time_s), id(series.msi_percent)]
+    assert series.msi_percent.base is None  # the array run_svc filled, not a view of a block
     assert not series.time_s.flags.writeable and not series.msi_percent.flags.writeable
     t, m = np.arange(4.0), np.zeros(4)
     given_series = MsiSeries(t, m)

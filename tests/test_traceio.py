@@ -4,6 +4,7 @@ import errno
 import io
 import os
 import re
+import sys
 import tempfile
 import threading
 import warnings
@@ -736,6 +737,36 @@ def test_on_every_cpu_runs_each_task_once_and_no_task_as_a_no_op(monkeypatch, cp
 
 def _replace_line(at: int, *new: str):
     return lambda lines: lines.__setitem__(slice(at - 1, at), list(new))
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_numpy_reads_every_block_when_scipys_compiled_reader_is_missing_or_changed(
+    tmp_path, cpus
+):
+    # The module hidden (an ImportError), or a reader that takes other arguments (TypeError)
+    # or lacks a name (AttributeError): the blocks are declined, and numpy reads the same bits,
+    # inline and in forked workers alike.
+    path = tmp_path / "t.csv"
+    save_trace(random_trace(27, n=300), path)
+    want = _outcome(lambda p: _load(p, cpus), path)
+    body = path.read_bytes().split(b"\n", 1)[1]
+
+    def other_api(stream, parallelism):
+        raise TypeError("unexpected keyword argument 'parallelism'")
+
+    def no_body_reader(cursor):
+        raise AttributeError("module has no attribute '_read_body_array'")
+
+    reader = traceio._compiled_reader()
+    for patch in (
+        lambda mp: mp.setitem(sys.modules, "scipy.io._fast_matrix_market", None),
+        lambda mp: mp.setattr(traceio, "_compiled_reader", lambda: (other_api, reader[1])),
+        lambda mp: mp.setattr(traceio, "_compiled_reader", lambda: (reader[0], no_body_reader)),
+    ):
+        with pytest.MonkeyPatch.context() as mp:
+            patch(mp)
+            assert traceio._strict_blocks(body) == ([], 0)
+            assert _outcome(lambda p: _load(p, cpus), path) == want
 
 
 @pytest.mark.parametrize(

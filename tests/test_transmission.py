@@ -414,10 +414,10 @@ class _RowFailure(Exception):
 def test_error_in_a_helper_row_reaches_the_caller_and_leaves_no_thread(monkeypatch):
     inverse = spectral.irfft
 
-    def fails_off_the_calling_thread(spectrum, n):
+    def fails_off_the_calling_thread(spectrum, n, out=None):
         if threading.current_thread() is not threading.main_thread():
             raise _RowFailure("helper row")
-        return inverse(spectrum, n=n)
+        return inverse(spectrum, n, out=out)
 
     monkeypatch.setattr(spectral, "irfft", fails_off_the_calling_thread)
     monkeypatch.setattr(traceio, "_usable_cpus", lambda: 2)
