@@ -25,7 +25,14 @@ from .metrics import ComfortReport, RegimeResult, assess, combine, full_assessme
 from .report import ComparisonTable, compare, emit_report
 from .svc import MsiSeries, SvcParams, run_svc, svc_states
 from .traceio import MotionTrace, SynthComponent, load_trace, save_trace, synth_trace
-from .transmission import ContributionBreakdown, SeatSpectra, fft_apply, seat_spectra, transmit
+from .transmission import (
+    ContributionBreakdown,
+    SeatSpectra,
+    fft_apply,
+    load_seat_spectra,
+    seat_spectra,
+    transmit,
+)
 from .weighting import (
     DEFAULT_K_FACTORS,
     MetricRegime,
@@ -78,6 +85,7 @@ __all__ = [
     "identity_bundle",
     "interpolate_frf",
     "load_frf_bundle",
+    "load_seat_spectra",
     "load_trace",
     "load_weighting_csv",
     "motion_sickness_regime",

@@ -26,7 +26,7 @@ from .metrics import full_assessment
 from .report import compare, compared_models, emit_report, save_msi_csv
 from .svc import run_svc
 from .traceio import DEMO_COMPONENTS, atomic_write_text, load_trace, save_trace, synth_trace
-from .transmission import seat_spectra, transmit
+from .transmission import load_seat_spectra, transmit
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -114,7 +114,7 @@ def _run(args) -> list[str]:
     if args.verb == "assess":
         bundle = cfg.resolve_bundle(args.model)
         report = full_assessment(
-            seat_spectra(load_trace(_trace_path(args, cfg))),
+            load_seat_spectra(_trace_path(args, cfg)),
             bundle,
             rc=cfg.rc,
             ms=cfg.ms,
@@ -133,7 +133,7 @@ def _run(args) -> list[str]:
             raise ConfigError("compare works on named model configurations, not a fixed manifest")
         model_ids = compared_models([m.strip() for m in args.models.split(",") if m.strip()])
         table = compare(
-            seat_spectra(load_trace(_trace_path(args, cfg))),
+            load_seat_spectra(_trace_path(args, cfg)),
             model_ids,
             rc=cfg.rc,
             ms=cfg.ms,

@@ -150,7 +150,10 @@ def rfft(signal: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     They are written to the complex row `out` if one is given: a split length
     gathers them there straight from its two-dimensional transform, in chunks
-    of `_GATHER_BINS`, with no spectrum-sized temporary.
+    of `_GATHER_BINS`, with no spectrum-sized temporary.  `out` may be the
+    signal's own memory (its row, with room for the bins): the signal is read
+    whole, into a split length's (p, a) plane or by scipy's transform, before
+    any bin is written.
     """
     n = len(signal)
     split = _split(n)

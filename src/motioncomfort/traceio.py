@@ -13,6 +13,8 @@ written with 17 significant digits so a save/load round trip is bit exact.
 from __future__ import annotations
 
 import io
+import itertools
+import mmap
 import numbers
 import os
 import re
@@ -36,6 +38,7 @@ UNIFORMITY_TOL = 1e-6  # max relative deviation of the time step
 _BLOCK_ROWS = 65536  # rows per formatted chunk; bounds the temporary argument tuple
 _MIN_WORKER_ROWS = 4 * _BLOCK_ROWS  # fewest rows format_rows gives a worker process
 _MIN_CHUNK_BYTES = 16 << 20  # smallest range load_trace gives a worker process
+_READ_BYTES = 4 << 20  # a trace parse reads its range in pieces of about this many bytes
 MAX_SYNTH_SAMPLES = 50_000_000  # about 139 h at 100 Hz, 400 MB per float64 channel
 
 
@@ -227,6 +230,10 @@ _FOLLOWS = bytes(
 _LONE_CR = re.compile(rb"\r(?!\n)")
 _COMMA_TO_LF = bytes.maketrans(b",", b"\n")
 _STRICT_BLOCK_BYTES = 2 << 20  # about this many bytes of whole rows per compiled read
+# The (time column, channel rows) that the parse workers of each load in progress write, by
+# key: a forked worker inherits them, where a task's arguments would be pickled copies.
+_DESTINATIONS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_LOADS = itertools.count()
 
 
 def _strict_rows(data: np.ndarray) -> int | None:
@@ -342,20 +349,63 @@ def _loose_parse(raw: bytes) -> np.ndarray | _BadLine:
     return _BadLine(keep[lo], _row_error(rows[lo]))
 
 
-def _parse_chunk(path, start: int, stop: int) -> list[np.ndarray] | _BadLine:
-    """Parse bytes [start, stop) of a trace file, which begin and end on line boundaries, as
-    (7, rows) channel-major parts: strictly block by block while it can (`_strict_blocks`),
-    then the rest, from the first block it declines, with numpy (`_loose_parse`)."""
+def _pieces(fh, start: int, stop: int) -> Iterator[bytes]:
+    """Bytes [start, stop) of the binary file `fh`, where `stop` follows an LF or is the end of
+    the file, in pieces of about `_READ_BYTES` that each end after an LF or at `stop`."""
+    fh.seek(start)
+    while fh.tell() < stop:
+        piece = fh.read(min(_READ_BYTES, stop - fh.tell()))
+        if not piece:  # the file shrank
+            return
+        if piece[-1:] != b"\n" and fh.tell() < stop:
+            piece += fh.readline()  # the next LF is at most at `stop`
+        yield piece
+
+
+def _line_ends(path, start: int, stop: int) -> tuple[int, int]:
+    """Bytes [start, stop) of a trace file, which begin and end on line boundaries, as (a bound
+    on their rows, their lines): their LF and CR bytes, and their lines as `bytes.splitlines`
+    counts them (a CRLF ends one line), each plus one for a last line with no line end."""
+    ends = lines = 0
+    last = b"\n"
     with open(path, "rb") as fh:
-        fh.seek(start)
-        raw = fh.read(stop - start)
-    parts, strict_stop = _strict_blocks(raw)
-    if strict_stop < len(raw):
-        rest = _loose_parse(raw[strict_stop:])
-        if isinstance(rest, _BadLine):  # each strict row is one line
-            return rest._replace(index=rest.index + sum(part.shape[1] for part in parts))
-        parts.append(rest)
-    return parts
+        for piece in _pieces(fh, start, stop):
+            lf = piece.count(b"\n")
+            cr = piece.count(b"\r") if b"\r" in piece else 0
+            ends += lf + cr
+            lines += lf + cr - (piece.count(b"\r\n") if cr else 0)
+            last = piece[-1:]
+    unended = last not in (b"\n", b"\r")
+    return ends + unended, lines + unended
+
+
+def _parse_chunk(key: int, path, start: int, stop: int, at: int) -> int | _BadLine:
+    """Parse bytes [start, stop) of a trace file, which begin and end on line boundaries, into
+    the destination ``_DESTINATIONS[key]`` from column `at` on; return the number of rows, or
+    the first line that is not 7 numbers.  Piece by piece (`_pieces`), the rows are read
+    strictly block by block while they can be (`_strict_blocks`); the rest of the range, from
+    the first block it declines, is read with numpy (`_loose_parse`)."""
+    t, channels = _DESTINATIONS[key]
+    end = at
+
+    def write(values: np.ndarray) -> None:  # (7, rows) channel-major values
+        nonlocal end
+        lo, end = end, end + values.shape[1]
+        t[lo:end], channels[:, lo:end] = values[0], values[1:]
+
+    with open(path, "rb") as fh:
+        for piece in _pieces(fh, start, stop):
+            parts, strict_stop = _strict_blocks(piece)
+            for part in parts:
+                write(part)
+            del parts
+            if strict_stop < len(piece):
+                rest = _loose_parse(piece[strict_stop:] + fh.read(stop - fh.tell()))
+                if isinstance(rest, _BadLine):  # each strict row is one line
+                    return rest._replace(index=rest.index + end - at)
+                write(rest)
+                break
+    return end - at
 
 
 def _fork_map(workers: int, fn, tasks: list[tuple]) -> Iterator:
@@ -384,11 +434,52 @@ def _fork_map(workers: int, fn, tasks: list[tuple]) -> Iterator:
     yield from (fn(*args) for args in tasks)
 
 
-def _parse_chunks(path, bounds: list[int]) -> list[list[np.ndarray] | _BadLine]:
-    """Parse the ranges between consecutive `bounds`: in forked workers when there are several."""
+def _shared_floats(count: int) -> np.ndarray:
+    """`count` zeros in a fresh anonymous mapping, which forked workers write through: it is
+    MAP_SHARED, mmap's default on POSIX (not `multiprocessing.shared_memory`, whose /dev/shm is
+    often small)."""
+    return np.frombuffer(mmap.mmap(-1, 8 * max(count, 1)), np.float64)[:count]  # no length 0
+
+
+def _parse_chunks(path, bounds: list[int], header_line: int) -> tuple[np.ndarray, np.ndarray]:
+    """The time column and the (6, room) channel rows of the ranges between consecutive
+    `bounds`, each range parsed in a forked worker when there are several.
+
+    Each worker first counts its range's line ends (`_line_ends`), a bound on its rows.  Then
+    the time column and the channel rows are mapped (`_shared_floats`), each range gets the
+    columns its bound allows from where the ranges before it end, and each worker writes its
+    rows there (`_parse_chunk`), handing back only its row count.  Last, the gaps that blank
+    and comment lines leave are closed in place.  A row that is not 7 numbers is a DataError
+    naming its 1-based line, counted from the `header_line`.
+    """
     _compiled_reader()  # imported for _strict_blocks before any fork
-    ranges = [(path, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return list(_fork_map(len(ranges), _parse_chunk, ranges))
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+    counts = list(_fork_map(len(ranges), _line_ends, [(path, lo, hi) for lo, hi in ranges]))
+    slots = list(itertools.accumulate((rows for rows, _ in counts), initial=0))
+    room = 2 * (slots[-1] // 2 + 1)  # for the spectrum of every length up to the bound
+    key = next(_LOADS)
+    _DESTINATIONS[key] = t, channels = (
+        _shared_floats(slots[-1]), _shared_floats(len(AXES) * room).reshape(len(AXES), room)
+    )
+    try:
+        tasks = [(key, path, lo, hi, at) for (lo, hi), at in zip(ranges, slots)]
+        results = list(_fork_map(len(ranges), _parse_chunk, tasks))
+    finally:
+        del _DESTINATIONS[key]
+    line = header_line
+    for (_, lines), result in zip(counts, results):
+        if isinstance(result, _BadLine):
+            raise DataError(f"{path}: line {line + result.index + 1}: {result.reason}")
+        line += lines
+    n = 0
+    for at, rows in zip(slots, results):
+        # Ascending blocks: a block's source lies past what the blocks before it wrote.
+        for lo in range(0, rows if at > n else 0, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, rows)
+            t[n + lo : n + hi] = t[at + lo : at + hi]
+            channels[:, n + lo : n + hi] = channels[:, at + lo : at + hi]
+        n += rows
+    return t[:n], channels
 
 
 def _find_header(fh) -> tuple[str | None, int, int]:
@@ -411,15 +502,6 @@ def _next_line_start(fh, pos: int) -> int:
     return fh.tell()
 
 
-def _count_lines(fh, start: int, stop: int) -> int:
-    """The number of lines in bytes [start, stop) of `fh`; `stop` follows an LF."""
-    fh.seek(start)
-    n = 0
-    while fh.tell() < stop:
-        n += len(fh.readline().splitlines())
-    return n
-
-
 def load_trace(path) -> MotionTrace:
     """Load a trace CSV (the module's format), inferring the sample rate from the time column.
 
@@ -428,14 +510,19 @@ def load_trace(path) -> MotionTrace:
     two 16 MiB chunks and more than one CPU is usable, it is cut at line
     boundaries into one byte range per CPU (at most one per 16 MiB), and forked
     worker processes parse the ranges in parallel; otherwise, and where the
-    platform cannot fork, one range is parsed inline.  A range is read block by
-    block by scipy's compiled reader, on one thread, while each block's rows are
-    all seven plain decimals split by commas and ended by LF, as `save_trace`
-    writes them (`_strict_blocks`); the rest of the range, from the first other
-    block, by ``np.loadtxt``, and line by line where that fails or the rest
-    holds a lone CR (which numpy would misread).  The values are
-    bit-identical on every path, and they are copied once, from the parsed
-    parts into the trace's channels.  A row that is not 7 numbers is a
+    platform cannot fork, one range is parsed inline.  Workers (or the inline
+    parse) write the values straight into the trace's rows, which live in
+    anonymous shared memory; only row counts come back (`_parse_chunks`).  A
+    range is read in pieces of about 4 MiB, and block by block by scipy's
+    compiled reader, on one thread, while each block's rows are all seven plain
+    decimals split by commas and ended by LF, as `save_trace` writes them
+    (`_strict_blocks`); the rest of the range, from the first other block, by
+    ``np.loadtxt``, and line by line where that fails or the rest holds a lone
+    CR (which numpy would misread).  The values are bit-identical on every
+    path.  Each channel is the first n floats of its row of one writable
+    (6, room) float array, with room for the channel's spectrum
+    (2 * (n // 2 + 1) floats), which `transmission.load_seat_spectra` writes
+    over it.  A row that is not 7 numbers is a
     DataError that names its 1-based line in the file.  The sample rate is the
     first of these candidates whose ``np.arange(n) / rate`` is exactly the
     time column: the integer within 1e-9 relative of 1/dt, if there is one,
@@ -456,24 +543,12 @@ def load_trace(path) -> MotionTrace:
             k = max(1, min(_usable_cpus(), (stop - start) // _MIN_CHUNK_BYTES))
             cuts = [_next_line_start(fh, start + (stop - start) * i // k) for i in range(1, k)]
             bounds = [start, *sorted(set(cuts) - {stop}), stop]
-            chunks = _parse_chunks(path, bounds)
-            for lo, chunk in zip(bounds, chunks):
-                if isinstance(chunk, _BadLine):
-                    line = header_line + _count_lines(fh, start, lo) + chunk.index + 1
-                    raise DataError(f"{path}: line {line}: {chunk.reason}")
-            parts = [part for chunk in chunks for part in chunk]
-            del chunks
+        t, channels = _parse_chunks(path, bounds, header_line)
     except OSError as exc:
         raise ConfigError(f"cannot read trace file {path}: {exc}") from exc
-    n = sum(part.shape[1] for part in parts)
+    n = len(t)
     if n < 2:
         raise DataError(f"{path}: a trace needs at least 2 samples")
-    t, channels = np.empty(n), np.empty((len(AXES), n))
-    hi = 0
-    for i, part in enumerate(parts):
-        lo, hi = hi, hi + part.shape[1]
-        t[lo:hi], channels[:, lo:hi] = part[0], part[1:]
-        parts[i] = None
     if not np.all(np.isfinite(t)):  # the channels are checked by MotionTrace
         raise DataError(f"{path}: time column contains non-finite values")
 
@@ -495,7 +570,7 @@ def load_trace(path) -> MotionTrace:
     fs = float(next(exact, candidates[0]))
     del t, steps
     with _naming(path):
-        return MotionTrace(fs, dict(zip(AXES, channels)), path.stem, _owned=True)
+        return MotionTrace(fs, dict(zip(AXES, channels[:, :n])), path.stem, _owned=True)
 
 
 def save_trace(trace: MotionTrace, path) -> None:

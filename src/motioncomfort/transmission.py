@@ -17,7 +17,10 @@ each sum once, in place: each inverse FFT writes its signal into its own
 row's memory, with no signal-sized temporary.  `seat_spectra` returns a `SeatSpectra`: the bins
 with the trace's length and sample rate, which is all that the later stages
 read, so a caller that hands it on without keeping the trace frees the trace
-after its forward FFTs.  `head_spectra` takes the seat spectra over and
+after its forward FFTs.  `load_seat_spectra` goes further: each channel's
+spectrum overwrites the channel in the row that `traceio.load_trace` parsed
+it into, so the trace, the seat spectra, the head spectra and the head
+signals are one buffer in turn.  `head_spectra` takes the seat spectra over and
 writes the head spectra over them, block by block of bins, so the two are
 never held whole at once; `_head_spectra_into` writes them to another array
 instead, for `compare`, which reuses the seat spectra for every model but
@@ -102,6 +105,26 @@ def seat_spectra(seat: MotionTrace) -> SeatSpectra:
     Each row of the bins is filled in place by one task on every usable CPU.
     """
     bins = np.empty((len(AXES), seat.n_samples // 2 + 1), dtype=np.complex128)
+    return _spectra_into(seat, bins)
+
+
+def load_seat_spectra(path) -> SeatSpectra:
+    """``seat_spectra(load_trace(path))``, bit for bit, with each channel's spectrum written over
+    the channel itself.
+
+    `traceio.load_trace` leaves each channel at the start of its own row of one writable
+    array, with room for the channel's spectrum; the trace is held nowhere else, so each
+    transform writes its spectrum over its own row.  From the CSV to the head signals of
+    `full_assessment`, one trace-sized buffer is held.
+    """
+    seat = traceio.load_trace(path)
+    rows = seat.channels[AXES[0]].base.view(np.complex128).reshape(len(AXES), -1)
+    return _spectra_into(seat, rows[:, : seat.n_samples // 2 + 1])
+
+
+def _spectra_into(seat: MotionTrace, bins: np.ndarray) -> SeatSpectra:
+    """`seat_spectra` written to the complex (6, n // 2 + 1) rows `bins`, which may hold the
+    channels themselves: `spectral.rfft` reads a signal whole before it writes its row."""
     channels = [seat.channels[axis] for axis in AXES]
 
     def transform(i: int) -> None:

@@ -18,9 +18,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from motioncomfort import cli, metrics
+from motioncomfort import cli, metrics, traceio
 from motioncomfort.cli import main
-from motioncomfort import load_trace, save_trace
+from motioncomfort import AXES, MotionTrace, load_trace, save_trace
 from motioncomfort.traceio import TRACE_HEADER
 from motioncomfort.weighting import WEIGHTING_NAMES
 from conftest import fuzzed_body, random_trace
@@ -76,7 +76,8 @@ def test_the_seat_trace_is_freed_before_the_head_is_built_or_written(
     path = tmp_path / "trace.csv"
     save_trace(random_trace(45, n=n), path)
     traces, alive = [], []
-    load = cli.load_trace
+    loader = cli if verb == "transmit" else traceio  # load_seat_spectra calls traceio.load_trace
+    load = loader.load_trace
 
     def load_and_watch(trace_path):
         trace = load(trace_path)
@@ -85,7 +86,7 @@ def test_the_seat_trace_is_freed_before_the_head_is_built_or_written(
 
     owner, name = (cli, "save_trace") if verb == "transmit" else (metrics, "_head_spectra_into")
     spied = getattr(owner, name)
-    monkeypatch.setattr(cli, "load_trace", load_and_watch)
+    monkeypatch.setattr(loader, "load_trace", load_and_watch)
     monkeypatch.setattr(
         owner, name, lambda *a, **k: alive.append(traces[0]() is not None) or spied(*a, **k)
     )
@@ -222,6 +223,50 @@ def test_a_closed_stdout_exits_0_with_every_output_written_and_no_traceback(tmp_
     assert proc.stderr == b""
     written = ["report.json", "msi.csv", "report.svg"] if verb == "assess" else ["comparison.csv"]
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(written)
+
+
+_PEAK_SCRIPT = """
+import re, sys
+import motioncomfort.cli
+
+
+def kib(field):
+    with open("/proc/self/status") as status:
+        return int(re.search(field + r":\\s+(\\d+) kB", status.read()).group(1))
+
+
+base = kib("VmRSS")  # the resident set after the imports, not their peak
+code = motioncomfort.cli.main(["assess", "--no-svc", "--model", "EXP", "--trace", sys.argv[1],
+                               "--out", sys.argv[2]])
+print(code, base, kib("VmHWM"))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_cli_assess_holds_one_trace_sized_buffer_from_the_csv_to_the_head_spectra(tmp_path):
+    # tracemalloc does not see the load's anonymous mapping, so this reads the peak RSS of a
+    # fresh process above its RSS after the imports.  The peak is VmHWM, the process's own
+    # (its ru_maxrss would also hold this process's peak, which exec carries over).  The
+    # load's buffer (the seat, 1x, with its time column), the spectra written over it and one
+    # rfft's scratch per thread come to about 2.2x the seat's bytes on 2 CPUs and 1.9x on one;
+    # the spectra in memory of their own (`seat_spectra(load_trace(path))`) to 3.1x and 2.6x.
+    # Values of 1/16 and a 128 Hz rate keep the CSV short (53 MB).
+    n = 2**20
+    rng = np.random.default_rng(7)
+    trace = MotionTrace(128.0, {axis: rng.integers(-64, 64, n) / 16 for axis in AXES})
+    path = tmp_path / "trace.csv"
+    save_trace(trace, path)
+    del trace
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path_var}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_SCRIPT, str(path), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    code, base_kib, peak_kib = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0, proc.stderr
+    assert (peak_kib - base_kib) * 1024 < 2.4 * len(AXES) * n * 8
 
 
 def test_config_overrides_flow_into_report(tmp_path):

@@ -7,17 +7,23 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from motioncomfort import (
     AXES,
+    CHANNEL_IDS,
+    MODEL_IDS,
     DataError,
     MotionTrace,
+    WeightingCurve,
     NumericError,
     assess,
     builtin_bundle,
     builtin_weightings,
     combine,
     compare,
+    fft_apply,
     full_assessment,
     identity_bundle,
     ride_comfort_regime,
@@ -28,7 +34,7 @@ from motioncomfort import (
 )
 from motioncomfort import metrics, spectral, svc, traceio, transmission, weighting
 from motioncomfort.transmission import head_spectra, seat_spectra
-from motioncomfort.weighting import DEFAULT_K_FACTORS, unity_regime
+from motioncomfort.weighting import DEFAULT_K_FACTORS, WEIGHTING_NAMES, unity_regime
 from conftest import random_trace, rel_err, sine_trace
 
 
@@ -278,6 +284,52 @@ def test_full_assessment_matches_reference_path():
         assert rel_err(report.rc.per_axis[axis], rc_ref.per_axis[axis]) < 1e-9
         assert rel_err(report.ms.per_axis[axis], ms_ref.per_axis[axis]) < 1e-9
     assert rel_err(report.msi.final, msi_ref.final) < 1e-9
+
+
+def _oracle_head(seat: MotionTrace, bundle) -> MotionTrace:
+    """The head trace as per-channel `fft_apply` outputs summed per head axis: the time-domain
+    oracle, which transforms each channel on its own with scipy.fft."""
+    fs = seat.sample_rate_hz
+    head = {axis: np.zeros(seat.n_samples) for axis in AXES}
+    for cid in CHANNEL_IDS:
+        head[cid.output_axis] += fft_apply(seat.channels[cid.input_axis], bundle.channels[cid], fs)
+    return MotionTrace(fs, head, "head")
+
+
+@st.composite
+def _weighting_overrides(draw):
+    """None, or the built-in weightings with one replaced by a drawn table."""
+    if draw(st.booleans()):
+        return None
+    name = draw(st.sampled_from(WEIGHTING_NAMES))
+    edges = sorted(draw(st.sets(st.floats(0.0, 80.0, allow_nan=False), min_size=1, max_size=5)))
+    gains = draw(st.lists(st.floats(0.1, 3.0), min_size=len(edges), max_size=len(edges)))
+    return {**builtin_weightings(), name: WeightingCurve(name, edges, gains)}
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.sampled_from([1009, 2003, 4001]) | st.integers(600, 3000),  # primes; odd and even
+    rate=st.sampled_from([100.0, 7.0]) | st.floats(5.0, 250.0),  # below 80 Hz: undersampled
+    model=st.sampled_from(MODEL_IDS),
+    registry=_weighting_overrides(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=100 * 683, rate=100.0, model="EXP", registry=None, seed=0)  # split, even a
+@example(n=120 * 683, rate=37.5, model="AHM", registry=None, seed=1)  # split, undersampled
+def test_full_assessment_matches_the_time_domain_oracle(n, rate, model, registry, seed):
+    seat = random_trace(seed, n=n, fs=rate)
+    bundle = builtin_bundle(model)
+    report = full_assessment(seat, bundle, registry=registry)
+    head = _oracle_head(seat, bundle)
+    oracle = assess(head, ride_comfort_regime(), registry), assess(
+        head, motion_sickness_regime(), registry
+    )
+    for got, want in zip((report.rc, report.ms), oracle):
+        for axis in AXES:
+            assert rel_err(got.per_axis[axis], want.per_axis[axis]) < 1e-9
+        assert rel_err(got.total, want.total) < 1e-9
+    assert rel_err(report.msi.final, run_svc(head).final) < 1e-9
 
 
 def test_full_assessment_scales_linearly():

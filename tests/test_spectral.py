@@ -137,6 +137,33 @@ def test_rfft_into_a_row_gives_the_bits_of_one_whole_gather(monkeypatch, n):
         assert np.isnan(rows[[0, 2]]).all()  # nothing written outside the row
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(
+        st.integers(2, 5000),
+        st.sampled_from([2, 3, 6007, 65537, 2**7 * 5**4, 100 * 683, 99 * 683, 120 * 683]),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=100 * 683, seed=0)  # split, even
+@example(n=99 * 683, seed=1)  # split, odd
+@example(n=2**7 * 5**4, seed=2)  # not split, even
+@example(n=6007, seed=3)  # not split, prime
+def test_rfft_over_the_signals_own_padded_row_gives_the_bits_of_a_fresh_output(n, seed):
+    # transmission.load_seat_spectra writes each channel's spectrum over the channel's own row.
+    rng = np.random.default_rng(seed)
+    m = n // 2 + 1
+    x = rng.standard_normal(n)
+    want = spectral.rfft(x, out=np.empty(m, np.complex128))
+    rows = np.full((3, m), np.nan, np.complex128)
+    floats = rows.view(np.float64)
+    floats[1, :n] = x
+    row = rows[1]
+    assert spectral.rfft(floats[1, :n], out=row) is row
+    assert row.tobytes() == want.tobytes()
+    assert np.isnan(rows[[0, 2]]).all()  # nothing written outside the row
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.one_of(

@@ -24,6 +24,7 @@ from motioncomfort import (
     DataError,
     MotionTrace,
     SynthComponent,
+    load_seat_spectra,
     load_trace,
     save_trace,
     synth_trace,
@@ -298,10 +299,10 @@ def _load(path, cpus: int = 1, spy: list | None = None) -> MotionTrace:
     """load_trace with `cpus` usable CPUs and a 1-byte minimum chunk, so every CPU gets a range."""
     parse_chunks = traceio._parse_chunks
 
-    def spied(path, bounds):
+    def spied(path, bounds, header_line):
         if spy is not None:
             spy.append(len(bounds) - 1)
-        return parse_chunks(path, bounds)
+        return parse_chunks(path, bounds, header_line)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(traceio, "_MIN_CHUNK_BYTES", 1)
@@ -580,6 +581,85 @@ def test_fewer_than_two_samples_rejected(tmp_path, body):
         load_trace(path)
 
 
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("body", [None, "", "# only a comment\n\n", "0,0,0,0,0,0,0\n"])
+def test_empty_and_one_row_files_are_data_errors_on_every_path(tmp_path, body, cpus):
+    path = tmp_path / "t.csv"
+    path.write_text("" if body is None else traceio.TRACE_HEADER + "\n" + body)
+    match = "empty trace file" if body is None else "at least 2 samples"
+    for load in (lambda p: _load(p, cpus), load_seat_spectra):
+        with pytest.raises(DataError, match=match):
+            load(path)
+
+
+def _read_bytes() -> int:
+    """The bytes this thread has read so far: not the pool's threads, nor reaped children."""
+    io_path = Path(f"/proc/self/task/{threading.get_native_id()}/io")
+    return int(re.search(r"rchar: (\d+)", io_path.read_text()).group(1))
+
+
+@pytest.mark.skipif(not Path("/proc/self/io").exists(), reason="reads /proc/self/task/*/io")
+def test_forked_workers_count_and_parse_their_ranges_and_the_parent_reads_neither(tmp_path):
+    path = tmp_path / "t.csv"
+    trace = random_trace(27, n=20_000)
+    save_trace(trace, path)
+    for cpus, parse_passes in ((1, 2), (3, 0)):  # inline: a count pass, then the parse
+        before = _read_bytes()
+        chunks: list[int] = []
+        _assert_same_trace(_load(path, cpus, spy=chunks), trace)
+        assert chunks == [cpus]
+        read = (_read_bytes() - before) / path.stat().st_size
+        assert parse_passes <= read < parse_passes + 0.1
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("form", ["lf", "crlf", "cr", "no_final_newline", "comment_lines"])
+def test_the_load_reserves_one_column_per_line_end(tmp_path, monkeypatch, form, cpus):
+    # LF plus CR bytes bound the rows: a CR-only file fits, a CRLF file reserves twice its rows.
+    n = 300
+    trace = random_trace(28, n=n)
+    path = tmp_path / "t.csv"
+    text = _trace_text(trace, tmp_path)
+    text = ACCEPTED_FORMS[form](text) if form in ACCEPTED_FORMS else text
+    data = text.split("\n", 1)[1] if form != "cr" else text.split("\r", 1)[1]
+    path.write_bytes(text.encode())
+    reserved = []
+    shared = traceio._shared_floats
+    monkeypatch.setattr(traceio, "_shared_floats", lambda k: reserved.append(k) or shared(k))
+    _assert_same_trace(_load(path, cpus), trace)
+    columns = data.count("\n") + data.count("\r") + (form == "no_final_newline")
+    assert reserved == [columns, len(AXES) * 2 * (columns // 2 + 1)]  # time; channels with room
+    assert n <= columns <= 2 * len(data.splitlines())
+    assert columns == 2 * n if form == "crlf" else columns <= 1.5 * n
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_a_bad_row_in_the_second_chunk_is_exit_3_naming_its_file_line(tmp_path, capsys, cpus):
+    import multiprocessing
+
+    from motioncomfort.cli import main
+
+    text = _decorate(_trace_text(random_trace(29, n=80), tmp_path), 7, "# comment\n")
+    lines = text.splitlines()
+    line = 3 * len(lines) // 8  # in the second of four chunks
+    lines[line - 1] = "0.5,1,2"
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(lines) + "\n")
+    bounds = []
+    parse_chunks = traceio._parse_chunks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(traceio, "_MIN_CHUNK_BYTES", 1)
+        mp.setattr(traceio, "_usable_cpus", lambda: cpus)
+        mp.setattr(traceio, "_parse_chunks", lambda *a: bounds.append(a[1]) or parse_chunks(*a))
+        assert main(["assess", "--trace", str(path), "--out", str(tmp_path / "out")]) == 3
+    offset = len("\n".join(lines[: line - 1])) + 1
+    assert len(bounds[0]) == cpus + 1
+    if cpus == 4:
+        assert bounds[0][1] <= offset < bounds[0][2]
+    assert f": line {line}: expected 7 columns, got 3" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
 class _NoPool:
     def __init__(self, *args, **kwargs):
         raise AssertionError("a process pool was started")
@@ -656,6 +736,22 @@ def test_forked_save_trace_is_byte_identical(tmp_path):
         save_trace(trace, tmp_path / "forked.csv")
     assert started == [3]
     assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
+
+
+def test_forked_parse_and_formatter_raise_no_fork_with_threads_warning(tmp_path):
+    # Python 3.12 and later warn (DeprecationWarning) when a process that runs threads forks:
+    # the child may deadlock.  Both forking paths must fork before any thread starts.  Before
+    # 3.12 no such warning exists, so this shows nothing there.
+    trace = random_trace(25, n=5 * _TINY_WORKER + 1)
+    save_trace(trace, tmp_path / "t.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        chunks: list[int] = []
+        _assert_same_trace(_load(tmp_path / "t.csv", cpus=3, spy=chunks), trace)
+        with _forking_formatter() as started:
+            save_trace(trace, tmp_path / "forked.csv")
+    assert chunks == [3] and started == [3]
+    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "t.csv").read_bytes()
 
 
 def test_forked_formatter_keeps_two_blocks_per_worker_in_flight():

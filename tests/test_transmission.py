@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import logging
 import sys
 import threading
@@ -24,8 +25,10 @@ from motioncomfort import (
     fft_apply,
     full_assessment,
     identity_bundle,
+    load_seat_spectra,
     motion_sickness_regime,
     ride_comfort_regime,
+    save_trace,
     transmit,
 )
 from motioncomfort import metrics, spectral, traceio, transmission
@@ -614,3 +617,65 @@ def test_transmission_and_metrics_are_linear_across_blocks(n, a, b, model, seed)
     for regime in ("rc", "ms"):
         plain, times_a = (getattr(report, regime).total for report in reports)
         assert rel_err(times_a, abs(a) * plain) < 1e-9
+
+
+@functools.lru_cache(maxsize=None)
+def _saved_text(n: int) -> str:
+    """`save_trace`'s text of a random n-sample trace."""
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        save_trace(random_trace(n, n=n), Path(tmp) / "t.csv")
+        return (Path(tmp) / "t.csv").read_text()
+
+
+def _commented(text: str, every: int = 97) -> str:
+    """`text` with a comment line and a blank line after the header and every `every` rows."""
+    lines = text.split("\n")[:-1]
+    out = lines[:1] + ["# a comment", ""]
+    for i, row in enumerate(lines[1:], 1):
+        out += [row] + (["# a comment", ""] if i % every == 0 else [])
+    return "\n".join(out) + "\n"
+
+
+# Forms of a saved trace that take each parse path: the strict one (LF), numpy's (CRLF, and
+# comments with blank lines, whose gaps are closed) and line by line (a lone CR).
+SAVED_FORMS = {
+    "lf": lambda text: text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr": lambda text: text.replace("\n", "\r"),
+    "commented": _commented,
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 3])  # with 1-byte chunks: one range, or three forked
+@pytest.mark.parametrize("n", [100 * 683, 4000, 4001])  # split; even and odd, not split
+@pytest.mark.parametrize("form", SAVED_FORMS)
+def test_load_seat_spectra_is_bit_equal_to_seat_spectra_of_the_loaded_trace(
+    tmp_path, monkeypatch, form, n, cpus
+):
+    path = tmp_path / "t.csv"
+    path.write_bytes(SAVED_FORMS[form](_saved_text(n)).encode())
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(traceio, "_MIN_CHUNK_BYTES", 1)
+    want = seat_spectra(traceio.load_trace(path))
+    got = load_seat_spectra(path)
+    assert (got.n_samples, got.sample_rate_hz) == (want.n_samples, want.sample_rate_hz) == (n, 100)
+    assert got.bins.shape == want.bins.shape
+    assert got.bins.tobytes() == want.bins.tobytes()
+
+
+@pytest.mark.parametrize("n", [3001, 100 * 683])
+def test_a_loaded_trace_is_never_overwritten(tmp_path, n):
+    path = tmp_path / "t.csv"
+    path.write_text(_saved_text(n))
+    trace = traceio.load_trace(path)
+    kept = [trace.channels[axis].tobytes() for axis in AXES]
+    bundle = builtin_bundle("EXP")
+    seat_spectra(trace)
+    full_assessment(trace, bundle)
+    compare(trace, ["EXP", "NHM"])
+    transmit(trace, bundle)
+    full_assessment(load_seat_spectra(path), bundle)  # another load writes over its own buffer
+    assert [trace.channels[axis].tobytes() for axis in AXES] == kept
