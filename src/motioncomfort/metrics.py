@@ -18,12 +18,11 @@ from typing import Mapping
 
 import numpy as np
 
-from . import spectral, traceio
+from . import runtime, spectral
 from .errors import ConfigError, DataError, NumericError
 from .frf import AXES, FrfBundle
 from .svc import MsiSeries, SvcParams, run_svc
-from .traceio import MotionTrace
-from .transmission import SeatSpectra, _head_spectra_into, _spectra_of, head_trace
+from .transmission import MotionTrace, SeatSpectra, _spectra_of, head_spectra, head_trace
 from .weighting import (
     MetricRegime,
     WeightingCurve,
@@ -176,15 +175,10 @@ def full_assessment(
     Results match `transmit` + `assess` + `run_svc` to fp round-off.
     `seat` is a trace, or its `seat_spectra`, which this takes over: the head
     spectra and then the head signals overwrite them, and they are left
-    read-only.  A trace is only read.
+    read-only.  A trace is only read.  `report.compare` runs this once per
+    model, each but the last on a copy of the seat spectra.
     Pass a dict as `timings` to collect per-stage wall times in seconds.
     """
-    return _assess_spectra(seat, bundle, None, rc, ms, svc_params, registry, include_svc, timings)
-
-
-def _assess_spectra(seat, bundle, out, rc, ms, svc_params, registry, include_svc, timings):
-    """`full_assessment` with the head spectra written to `out`, or over the seat spectra if
-    `out` is None."""
     rc = rc if rc is not None else ride_comfort_regime()
     ms = ms if ms is not None else motion_sickness_regime()
     svc_params = svc_params if svc_params is not None else SvcParams()
@@ -194,7 +188,7 @@ def _assess_spectra(seat, bundle, out, rc, ms, svc_params, registry, include_svc
     t0 = time.perf_counter()
     spectra = _spectra_of(seat)  # here, to count in transmit_s
     fs, n = spectra.sample_rate_hz, spectra.n_samples
-    rows = _head_spectra_into(spectra, bundle, spectra.bins if out is None else out)
+    rows = head_spectra(spectra, bundle)
     t1 = time.perf_counter()
 
     freqs = spectral.bin_frequencies(n, fs)
@@ -210,7 +204,7 @@ def _assess_spectra(seat, bundle, out, rc, ms, svc_params, registry, include_svc
                 np.multiply(weighted, np.square(power, out=power), out=weighted)
                 per_axis[i] = np.sqrt(spectral.spectrum_mean_square(weighted, n))
 
-        traceio._on_every_cpu(read_off, len(AXES))
+        runtime.on_every_cpu(read_off, len(AXES))
         return _regime_result(regime, dict(zip(AXES, per_axis.tolist())))
 
     # Both read-offs run on the head spectra before head_trace overwrites them with the signals.

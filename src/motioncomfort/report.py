@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .frf import AXES, builtin_bundle, known_model_id
-from .metrics import ComfortReport, _assess_spectra
+from .metrics import ComfortReport, full_assessment
 from .svc import MsiSeries, SvcParams
 from .traceio import MotionTrace, atomic_write_text, format_rows
 from .transmission import SeatSpectra, _spectra_of
@@ -255,10 +255,11 @@ def compare(
 
     Ratios are taken against the NHM baseline, which is computed even when
     NHM is not among the requested models.  Requesting a model twice yields
-    two identical rows.  Each model's report, MSI series included, is dropped
-    once its row is built, before the next model runs.  `trace` may be given
-    as its `seat_spectra`, which the last model takes over, as
-    `full_assessment` does.  Every model's bundle is resolved before any
+    two identical rows.  The seat is transformed once (`trace` may be given as
+    its `seat_spectra`), and each model runs `full_assessment` on a copy of
+    the spectra, but the last model takes the spectra themselves over.  Each
+    model's report, MSI series included, is dropped once its row is built,
+    before the next model runs.  Every model's bundle is resolved before any
     FFT, so an unknown id costs none.
     """
     model_ids = compared_models(model_ids)
@@ -268,10 +269,11 @@ def compare(
     spectra = _spectra_of(trace)
     rows: dict[str, ComparisonRow] = {}
     for k, (model_id, bundle) in enumerate(bundles.items()):
-        # Each model's head spectra go to fresh rows, the last model's over the seat spectra.
-        out = np.empty_like(spectra.bins) if k < len(bundles) - 1 else None
-        rep = _assess_spectra(spectra, bundle, out, rc, ms, svc_params, registry, include_svc, None)
-        del out  # before the next model's rows are made
+        last = k == len(bundles) - 1  # no name holds a copy: it goes when its run returns
+        rep = full_assessment(
+            spectra if last else spectra._replace(bins=spectra.bins.copy()), bundle,
+            rc=rc, ms=ms, svc_params=svc_params, registry=registry, include_svc=include_svc,
+        )
         nhm = rows.get("NHM")  # None while NHM itself runs: its ratios are to itself
         rows[model_id] = ComparisonRow(
             model_id=model_id,

@@ -1,0 +1,74 @@
+"""The CPU runners that the spectral core, the RC/MS read-offs and trace I/O share.
+
+`on_every_cpu` runs tasks on one thread per usable CPU (`usable_cpus`), and
+`fork_map` runs them in forked processes.  This module imports nothing from
+the package, so every layer may call it, and a test patches ``usable_cpus``
+here alone.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+from typing import Callable, Iterator
+
+
+def usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def on_every_cpu(task: Callable[[int], None], count: int) -> None:
+    """Run ``task(i)`` for every i in range(count), on every usable CPU.
+
+    The calling thread takes i = 0, k, 2k, ... and each of the k - 1 helper
+    threads the indices after it; a count of 0 runs nothing.  Every thread is
+    joined before this returns, and the first exception raised by any task is
+    raised here.  numpy's error state is per thread: a task that relies on one
+    opens its own `np.errstate`.
+    """
+    k = max(1, min(usable_cpus(), count))
+    errors: list[BaseException] = []
+
+    def run(first: int) -> None:
+        try:
+            for i in range(first, count, k):
+                task(i)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run, args=(j,)) for j in range(1, k)]
+    for thread in helpers:
+        thread.start()
+    run(0)
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def fork_map(workers: int, fn, tasks: list[tuple]) -> Iterator:
+    """``fn(*args)`` for each tuple in `tasks`, yielded in order: in up to `workers` forked
+    processes when that and the number of tasks are above one, inline otherwise.  At most two
+    tasks per worker run ahead of the consumer, so a slow one holds a few results, not all."""
+    workers = min(workers, len(tasks))
+    if workers > 1:
+        import multiprocessing
+        from collections import deque
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Only fork: spawn and forkserver would make every caller's script need a
+        # __main__ guard.
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                pending: deque = deque()
+                for args in tasks:
+                    pending.append(pool.submit(fn, *args))
+                    if len(pending) > 2 * workers:
+                        yield pending.popleft().result()
+                while pending:
+                    yield pending.popleft().result()
+            return
+    yield from (fn(*args) for args in tasks)

@@ -2,8 +2,6 @@
 
 `MotionTrace` lives here, below `transmission` (which imports it back), so
 trace I/O and the sickness-incidence model import nothing from that layer.
-So do `_on_every_cpu` and `_in_blocks`, the thread runners that the spectral
-core, the RC/MS read-offs and the sickness-incidence model share.
 
 Trace files are CSV with header ``t_s,ax,ay,az,aroll,apitch,ayaw`` and a
 uniform time column (relative step deviation at most 1 ppm).  Values are
@@ -18,7 +16,6 @@ import mmap
 import numbers
 import os
 import re
-import threading
 import uuid
 import warnings
 from dataclasses import MISSING, InitVar, dataclass, field, fields
@@ -29,6 +26,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 from scipy import fft as _fft
 
+from . import runtime
 from .errors import ConfigError, DataError
 from .frf import AXES, _frozen_array, _is_real, _naming
 
@@ -131,7 +129,8 @@ def format_rows(columns: Sequence[np.ndarray], row_format: str, header: str = ""
     n = len(columns[0])
     starts = range(0, n, _BLOCK_ROWS)
     blocks = [(row_format, *(c[s : s + _BLOCK_ROWS] for c in columns)) for s in starts]
-    yield from _fork_map(min(_usable_cpus(), n // _MIN_WORKER_ROWS), _format_block, blocks)
+    workers = min(runtime.usable_cpus(), n // _MIN_WORKER_ROWS)
+    yield from runtime.fork_map(workers, _format_block, blocks)
 
 
 def atomic_write_text(path, text: str | Iterable[str]) -> None:
@@ -164,50 +163,6 @@ class _BadLine(NamedTuple):
 
     index: int
     reason: str
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _on_every_cpu(task: Callable[[int], None], count: int) -> None:
-    """Run ``task(i)`` for every i in range(count), on every usable CPU.
-
-    The calling thread takes i = 0, k, 2k, ... and each of the k - 1 helper
-    threads the indices after it; a count of 0 runs nothing.  Every thread is
-    joined before this returns, and the first exception raised by any task is
-    raised here.  numpy's error state is per thread: a task that relies on one
-    opens its own `np.errstate`.
-    """
-    k = max(1, min(_usable_cpus(), count))
-    errors: list[BaseException] = []
-
-    def run(first: int) -> None:
-        try:
-            for i in range(first, count, k):
-                task(i)
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=run, args=(j,)) for j in range(1, k)]
-    for thread in helpers:
-        thread.start()
-    run(0)
-    for thread in helpers:
-        thread.join()
-    if errors:
-        raise errors[0]
-
-
-def _in_blocks(task: Callable[[int, int], None], n: int, size: int) -> None:
-    """Run ``task(lo, hi)`` over equal blocks that cover range(n), on every usable CPU.
-
-    Each block holds `size` to 2 * `size` items, or all n when n < 2 * `size`.
-    """
-    count = max(1, n // size)
-    _on_every_cpu(lambda i: task(n * i // count, n * (i + 1) // count), count)
 
 
 # The strict row grammar: seven tokens -?(D+(.D+)?|.D+)([eE][+-]?D+)? (D a digit) split by
@@ -408,32 +363,6 @@ def _parse_chunk(key: int, path, start: int, stop: int, at: int) -> int | _BadLi
     return end - at
 
 
-def _fork_map(workers: int, fn, tasks: list[tuple]) -> Iterator:
-    """``fn(*args)`` for each tuple in `tasks`, yielded in order: in up to `workers` forked
-    processes when that and the number of tasks are above one, inline otherwise.  At most two
-    tasks per worker run ahead of the consumer, so a slow one holds a few results, not all."""
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        import multiprocessing
-        from collections import deque
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Only fork: spawn and forkserver would make every caller's script need a
-        # __main__ guard.
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                pending: deque = deque()
-                for args in tasks:
-                    pending.append(pool.submit(fn, *args))
-                    if len(pending) > 2 * workers:
-                        yield pending.popleft().result()
-                while pending:
-                    yield pending.popleft().result()
-            return
-    yield from (fn(*args) for args in tasks)
-
-
 def _shared_floats(count: int) -> np.ndarray:
     """`count` zeros in a fresh anonymous mapping, which forked workers write through: it is
     MAP_SHARED, mmap's default on POSIX (not `multiprocessing.shared_memory`, whose /dev/shm is
@@ -454,7 +383,7 @@ def _parse_chunks(path, bounds: list[int], header_line: int) -> tuple[np.ndarray
     """
     _compiled_reader()  # imported for _strict_blocks before any fork
     ranges = list(zip(bounds[:-1], bounds[1:]))
-    counts = list(_fork_map(len(ranges), _line_ends, [(path, lo, hi) for lo, hi in ranges]))
+    counts = list(runtime.fork_map(len(ranges), _line_ends, [(path, lo, hi) for lo, hi in ranges]))
     slots = list(itertools.accumulate((rows for rows, _ in counts), initial=0))
     room = 2 * (slots[-1] // 2 + 1)  # for the spectrum of every length up to the bound
     key = next(_LOADS)
@@ -463,7 +392,7 @@ def _parse_chunks(path, bounds: list[int], header_line: int) -> tuple[np.ndarray
     )
     try:
         tasks = [(key, path, lo, hi, at) for (lo, hi), at in zip(ranges, slots)]
-        results = list(_fork_map(len(ranges), _parse_chunk, tasks))
+        results = list(runtime.fork_map(len(ranges), _parse_chunk, tasks))
     finally:
         del _DESTINATIONS[key]
     line = header_line
@@ -540,7 +469,7 @@ def load_trace(path) -> MotionTrace:
             if header != TRACE_HEADER:
                 raise DataError(f"{path}: expected header {TRACE_HEADER!r}, got {header[:80]!r}")
             stop = os.fstat(fh.fileno()).st_size
-            k = max(1, min(_usable_cpus(), (stop - start) // _MIN_CHUNK_BYTES))
+            k = max(1, min(runtime.usable_cpus(), (stop - start) // _MIN_CHUNK_BYTES))
             cuts = [_next_line_start(fh, start + (stop - start) * i // k) for i in range(1, k)]
             bounds = [start, *sorted(set(cuts) - {stop}), stop]
         t, channels = _parse_chunks(path, bounds, header_line)

@@ -22,12 +22,11 @@ spectrum overwrites the channel in the row that `traceio.load_trace` parsed
 it into, so the trace, the seat spectra, the head spectra and the head
 signals are one buffer in turn.  `head_spectra` takes the seat spectra over and
 writes the head spectra over them, block by block of bins, so the two are
-never held whole at once; `_head_spectra_into` writes them to another array
-instead, for `compare`, which reuses the seat spectra for every model but
-the last.  `full_assessment` reads RC and MS off the head spectra between
+never held whole at once; `compare` hands every model but the last a copy of
+the seat spectra.  `full_assessment` reads RC and MS off the head spectra between
 the last two steps.  The whole pipeline is linear and deterministic.
 
-All three stages run on every usable CPU (`traceio._on_every_cpu`): the
+All three stages run on every usable CPU (`runtime.on_every_cpu`): the
 calling thread and one helper thread per further CPU take tasks in turn,
 since pocketfft and numpy's array loops release the GIL.  The six forward
 and the six inverse transforms are one task each and run alone at the exact
@@ -51,7 +50,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import spectral, traceio
+from . import runtime, spectral, traceio
 from .errors import DataError
 from .frf import AXES, CHANNEL_IDS, FrfBundle, FrfChannelId, FrfCurve, evaluate_grid
 from .traceio import MotionTrace
@@ -89,9 +88,11 @@ class SeatSpectra(NamedTuple):
     """The exact-length real FFTs of a seat trace's six channels, with its length and rate.
 
     Row i of `bins`, a complex (6, n_samples // 2 + 1) array, is axis
-    ``AXES[i]``'s spectrum.  `full_assessment` and `compare` take it over: they
-    write the head spectra, and then the head signals, over `bins`, and leave
-    it read-only.  `head_spectra` writes the head spectra over it.
+    ``AXES[i]``'s spectrum.  `head_spectra` writes the head spectra over it, and
+    `full_assessment` takes it over: it writes the head spectra, and then the
+    head signals, over `bins`, and leaves it read-only.  `compare` hands each
+    model but the last a copy, ``_replace(bins=bins.copy())``, and the last
+    model the spectra themselves.
     """
 
     bins: np.ndarray
@@ -130,7 +131,7 @@ def _spectra_into(seat: MotionTrace, bins: np.ndarray) -> SeatSpectra:
     def transform(i: int) -> None:
         spectral.rfft(channels[i], out=bins[i])
 
-    traceio._on_every_cpu(transform, len(AXES))
+    runtime.on_every_cpu(transform, len(AXES))
     return SeatSpectra(bins, seat.n_samples, seat.sample_rate_hz)
 
 
@@ -188,18 +189,19 @@ def _summed_products(
     Channel ``CHANNEL_IDS[j]``'s product (the `seat_spectra` row of its input
     axis times its response, DC and Nyquist made real) goes to row ``row_of[j]``:
     copied if it is the row's first (adding it to zeros would turn -0.0 into
-    +0.0), else added.  `out` may be ``spectra.bins`` itself: then each block's sums
-    are built in a temporary and copied over the block once all its products
-    are taken.  The bins are cut into equal blocks of `size` to 2 * `size` (or
-    one block of all), built on every usable CPU, where `size` is the bins
-    over 16 * cpus, held within [`_MIN_BLOCK_BINS`, `_BLOCK_BINS`]: the live
-    temporaries of all threads together are at most 1/8 of `out` on any CPU
-    count, or 2 * `_MIN_BLOCK_BINS` bins a thread where the floor holds.  Each
-    step works bin by bin, so the bits do not depend on the blocks as long as
-    each holds at least 2 bins (numpy's in-place complex multiply rounds a lone
-    bin differently).  A response is evaluated only inside its curve's
-    tabulated band and filled with the held edge value outside it
-    (`_block_response`).
+    +0.0), else added.  Each block's sums are built in a temporary and copied
+    over the block of `out` once all its products are taken, so `out` may be
+    ``spectra.bins`` itself, as it is for `head_spectra`; the contribution
+    breakdown passes rows of its own.  The bins are cut into equal blocks of
+    `size` to 2 * `size` (or one block of all), built on every usable CPU, where
+    `size` is the bins over 16 * cpus, held within [`_MIN_BLOCK_BINS`,
+    `_BLOCK_BINS`]: the live temporaries of all threads together are at most
+    1/8 of `out` on any CPU count, or 2 * `_MIN_BLOCK_BINS` bins a thread where
+    the floor holds.  Each step works bin by bin, so the bits do not depend on
+    the blocks as long as each holds at least 2 bins (numpy's in-place complex
+    multiply rounds a lone bin differently).  A response is evaluated only
+    inside its curve's tabulated band and filled with the held edge value
+    outside it (`_block_response`).
     """
     bins, n = spectra.bins, spectra.n_samples
     m = n // 2 + 1
@@ -207,10 +209,12 @@ def _summed_products(
     freqs = spectral.bin_frequencies(n, spectra.sample_rate_hz)
     curves = [bundle.channels[cid] for cid in CHANNEL_IDS]
     bands = [_held_band(curve, freqs) for curve in curves]
-    in_place = out is bins
+    size = min(_BLOCK_BINS, max(_MIN_BLOCK_BINS, m // (16 * runtime.usable_cpus())))
+    count = max(1, m // size)
 
-    def build(lo: int, hi: int) -> None:
-        sums = np.empty((len(out), hi - lo), np.complex128) if in_place else out[:, lo:hi]
+    def build(i: int) -> None:
+        lo, hi = m * i // count, m * (i + 1) // count
+        sums = np.empty((len(out), hi - lo), np.complex128)
         filled = set()
         for k, row, curve, band in zip(inputs, row_of, curves, bands):
             response = _block_response(curve, band, freqs, lo, hi)
@@ -223,11 +227,9 @@ def _summed_products(
             else:
                 np.copyto(sums[row], response)
                 filled.add(row)
-        if in_place:
-            out[:, lo:hi] = sums
+        out[:, lo:hi] = sums
 
-    size = min(_BLOCK_BINS, max(_MIN_BLOCK_BINS, m // (16 * traceio._usable_cpus())))
-    traceio._in_blocks(build, m, size)
+    runtime.on_every_cpu(build, count)
     return out.view(np.float64)
 
 
@@ -243,7 +245,7 @@ def _inverted_rows(rows: np.ndarray, n: int) -> np.ndarray:
     def invert(i: int) -> None:
         spectral.irfft(spectra[i], n, out=rows[i, :n])
 
-    traceio._on_every_cpu(invert, len(rows))
+    runtime.on_every_cpu(invert, len(rows))
     for array in (rows, rows.base):
         array.flags.writeable = False
     return rows[:, :n]
@@ -259,15 +261,9 @@ def head_spectra(spectra: SeatSpectra, bundle: FrfBundle) -> np.ndarray:
     products feeding it, with room for the signal that `head_trace` writes
     over it.
     """
-    return _head_spectra_into(spectra, bundle, spectra.bins)
-
-
-def _head_spectra_into(spectra: SeatSpectra, bundle: FrfBundle, out) -> np.ndarray:
-    """`head_spectra` written to the complex (6, n // 2 + 1) array `out`, which may be
-    ``spectra.bins``."""
     _warn_if_undersampled(spectra.sample_rate_hz, bundle.max_freq_hz, f"bundle {bundle.model_id}")
     row_of = [AXES.index(c.output_axis) for c in CHANNEL_IDS]
-    return _summed_products(spectra, bundle, row_of, out)
+    return _summed_products(spectra, bundle, row_of, spectra.bins)
 
 
 def head_trace(spectra: SeatSpectra, rows: np.ndarray) -> MotionTrace:

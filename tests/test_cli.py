@@ -84,7 +84,7 @@ def test_the_seat_trace_is_freed_before_the_head_is_built_or_written(
         traces.append(weakref.ref(trace))
         return trace
 
-    owner, name = (cli, "save_trace") if verb == "transmit" else (metrics, "_head_spectra_into")
+    owner, name = (cli, "save_trace") if verb == "transmit" else (metrics, "head_spectra")
     spied = getattr(owner, name)
     monkeypatch.setattr(loader, "load_trace", load_and_watch)
     monkeypatch.setattr(

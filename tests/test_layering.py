@@ -1,4 +1,5 @@
-"""The package's import layers: the lower modules import nothing from the upper ones."""
+"""The package's layers: the lower modules import nothing from the upper ones, and only
+`runtime` starts threads or processes."""
 
 from __future__ import annotations
 
@@ -13,6 +14,9 @@ from motioncomfort import traceio, transmission
 PACKAGE = Path(motioncomfort.__file__).resolve().parent
 LOWER = ("svc", "traceio", "frf", "spectral")
 UPPER = {"transmission", "metrics", "report", "cli"}
+# Calls that start threads or processes: threading.Thread, concurrent.futures' pools, a
+# multiprocessing context or process, os.fork.  A threading.Lock starts nothing.
+RUNNERS = {"Thread", "ThreadPoolExecutor", "ProcessPoolExecutor", "get_context", "Process", "fork"}
 
 
 def _imported_modules(module: str) -> set[str]:
@@ -36,6 +40,13 @@ def _imported_modules(module: str) -> set[str]:
     return found
 
 
+def _called_names(module: str) -> set[str]:
+    """The last name of each callee in `module`'s source: ``Thread`` for ``threading.Thread()``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return {f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "") for f in calls}
+
+
 @pytest.mark.parametrize("module", LOWER)
 def test_lower_modules_import_nothing_from_upper_layers(module):
     imported = _imported_modules(module)
@@ -46,3 +57,14 @@ def test_lower_modules_import_nothing_from_upper_layers(module):
 def test_motion_trace_is_one_class():
     assert motioncomfort.MotionTrace is traceio.MotionTrace
     assert transmission.MotionTrace is traceio.MotionTrace
+
+
+def test_runtime_imports_no_package_module():
+    # The CPU runners sit below every layer, so any module may call them.
+    assert _imported_modules("runtime") == set()
+
+
+def test_only_runtime_starts_threads_or_processes():
+    modules = [path.stem for path in PACKAGE.glob("*.py")]
+    starters = {module for module in modules if _called_names(module) & RUNNERS}
+    assert starters == {"runtime"}  # spectral's plan lock is allowed

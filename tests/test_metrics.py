@@ -32,7 +32,7 @@ from motioncomfort import (
     run_svc,
     transmit,
 )
-from motioncomfort import metrics, spectral, svc, traceio, transmission, weighting
+from motioncomfort import metrics, runtime, spectral, svc, transmission, weighting
 from motioncomfort.transmission import head_spectra, seat_spectra
 from motioncomfort.weighting import DEFAULT_K_FACTORS, WEIGHTING_NAMES, unity_regime
 from conftest import random_trace, rel_err, sine_trace
@@ -124,7 +124,7 @@ def test_read_offs_take_one_task_per_axis_and_match_the_serial_formula(monkeypat
     # One set of callers per pass on every CPU: the helper threads of two passes may or may
     # not share an ident.
     callers = [set()]
-    at, on_every_cpu = weighting.WeightingCurve.at, traceio._on_every_cpu
+    at, on_every_cpu = weighting.WeightingCurve.at, runtime.on_every_cpu
 
     def traced(self, f):
         callers[-1].add(threading.get_ident())
@@ -142,8 +142,8 @@ def test_read_offs_take_one_task_per_axis_and_match_the_serial_formula(monkeypat
 
     monkeypatch.setattr(weighting.WeightingCurve, "at", traced)
     monkeypatch.setattr(spectral, "spectrum_mean_square", recorded)
-    monkeypatch.setattr(traceio, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(traceio, "_on_every_cpu", per_pass)
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(runtime, "on_every_cpu", per_pass)
     threads = threading.active_count()
     report = full_assessment(seat, bundle, include_svc=False)
     assert threading.active_count() == threads
@@ -164,9 +164,9 @@ def test_read_offs_take_one_task_per_axis_and_match_the_serial_formula(monkeypat
 
 def test_assessment_is_bit_equal_with_more_threads_than_cores_and_fast_switching(monkeypatch):
     seat, bundle = random_trace(9, n=1366), builtin_bundle("EHM")
-    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: 1)
     want = full_assessment(seat, bundle)
-    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 6)
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: 6)
     monkeypatch.setattr(transmission, "_BLOCK_BINS", 16)
     monkeypatch.setattr(svc, "_BLOCK_SAMPLES", 16)
     interval = sys.getswitchinterval()
@@ -187,7 +187,7 @@ def test_assessment_is_bit_equal_with_more_threads_than_cores_and_fast_switching
 @pytest.mark.parametrize("scale", [1e152, 1e160])
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_overflow_in_a_helper_read_off_is_one_numeric_error(monkeypatch, cpus, scale):
-    monkeypatch.setattr(traceio, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: cpus)
     seat = random_trace(40, n=500, scale=scale)
     threads = threading.active_count()
     with warnings.catch_warnings(record=True) as caught:
@@ -405,10 +405,12 @@ def test_peak_memory_stays_a_small_multiple_of_the_trace(monkeypatch):
     # and six transforms' temporaries), and at 2.0x in the forward FFTs and the head spectra
     # build (over the seat spectra, in blocks of at most 1/64 of the bins).  Building them in
     # fresh rows gave 2.65x, and blocks of 65,536 bins over the seat spectra 2.57x.  run_svc peaks at about 5 arrays of the trace's length (0.88x); with all three
-    # sensed axes alive at once it took 1.2x.  compare adds the shared seat spectra and each
-    # model's fresh rows but the last model's: 3.09x; fresh rows for every model gave 3.31x,
-    # and blocks of 65,536 bins over a copy of the seat spectra for every model 3.69x.
-    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 8)
+    # sensed axes alive at once it took 1.2x.  compare adds the shared seat spectra and a copy
+    # of them for each model but the last: it peaks in a copy's RC and MS read-offs, whose six
+    # tasks' temporaries overlap by thread timing, at 2.67-3.09x over 9 runs, as it did with
+    # fresh rows for each model but the last.  Fresh rows for every model gave 3.31x, and
+    # blocks of 65,536 bins over a copy of the seat spectra for every model 3.69x.
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: 8)
     seat = random_trace(7, n=2**20)
     bundle = builtin_bundle("EXP")
     trace_bytes = sum(channel.nbytes for channel in seat.channels.values())
@@ -426,7 +428,7 @@ def test_peak_memory_at_a_split_length_on_8_cpus(monkeypatch):
     # (1.33x, 1.67x and 2.33x on 1, 2 and 4 CPUs), full_assessment 3.09x.  Gathering the
     # bins straight into the rows did not move these peaks, which the planes set.
     n = 2**9 * 3 * 683
-    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: 8)
     seat = random_trace(8, n=n)
     spectral._plan_of(*spectral._split(n))
     trace_bytes = sum(channel.nbytes for channel in seat.channels.values())
@@ -445,7 +447,7 @@ def test_in_place_inverse_ffts_and_streamed_svc_hold_little(monkeypatch, cpus):
     # 0.47x, where the stage generator with whole-length arrays took 0.84-0.88x.  On 1 and
     # 2 CPUs these set full_assessment's peak, 1.55x (1.93x before), and compare's, 2.55x
     # (2.93x before); on 8 the forward FFTs' temporaries set them.
-    monkeypatch.setattr(traceio, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: cpus)
     seat, bundle = random_trace(7, n=2**20), builtin_bundle("EXP")
     trace_bytes = sum(channel.nbytes for channel in seat.channels.values())
     spectra = seat_spectra(seat)
@@ -474,8 +476,19 @@ def test_seat_spectra_in_place_of_the_trace_give_the_same_bits(n):
     given_bytes = {axis: seat.channels[axis].tobytes() for axis in AXES}
     want = full_assessment(seat, bundle)
     _assert_same_report(full_assessment(seat_spectra(seat), bundle), want)
+    # NHM runs first and AHM last: a model that wrote over the spectra it shares with the
+    # models after it would change their rows.
     models = ["EXP", "AHM", "NHM"]
-    assert compare(seat_spectra(seat), models) == compare(seat, models)
+    reports = {m: full_assessment(seat, builtin_bundle(m)) for m in models}
+    a, b = compare(seat, models), compare(seat_spectra(seat), models)
+    assert a == b
+    assert [row.model_id for row in a.rows] == models
+    for table in (a, b):
+        for row in table.rows:
+            report = reports[row.model_id]
+            assert (row.rc_per_axis, row.rc_total) == (dict(report.rc.per_axis), report.rc.total)
+            assert (row.ms_per_axis, row.ms_total) == (dict(report.ms.per_axis), report.ms.total)
+            assert row.msi_final == report.msi.final
     # A caller that passes its own trace keeps it, unchanged and read-only.
     for axis in AXES:
         assert seat.channels[axis].tobytes() == given_bytes[axis]

@@ -217,14 +217,14 @@ def test_compare_needs_two_models():
 
 def test_compare_resolves_every_model_id_before_any_fft(monkeypatch):
     transforms, assessed = [], []
-    rfft, assess_spectra = spectral.rfft, report_module._assess_spectra
+    rfft, assess_model = spectral.rfft, report_module.full_assessment
 
-    def assess(spectra, bundle, *args):
+    def assess(spectra, bundle, **kwargs):
         assessed.append(bundle.model_id)
-        return assess_spectra(spectra, bundle, *args)
+        return assess_model(spectra, bundle, **kwargs)
 
     monkeypatch.setattr(spectral, "rfft", lambda *a, **k: transforms.append(1) or rfft(*a, **k))
-    monkeypatch.setattr(report_module, "_assess_spectra", assess)
+    monkeypatch.setattr(report_module, "full_assessment", assess)
     with pytest.raises(ConfigError, match="unknown model id 'FOO'"):
         compare(random_trace(43, n=300), ["EXP", "AHM", "foo"])
     assert transforms == [] and assessed == []

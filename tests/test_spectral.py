@@ -22,7 +22,7 @@ from motioncomfort import (
     ride_comfort_regime,
     transmit,
 )
-from motioncomfort import spectral, traceio
+from motioncomfort import runtime, spectral
 from motioncomfort.transmission import head_spectra, head_trace, seat_spectra
 from conftest import random_trace, rel_err
 from test_transmission import _reference_sums
@@ -228,7 +228,7 @@ def test_split_core_is_bit_equal_on_1_2_and_3_cpus(n, model, seed):
     threads = threading.active_count()
     for cpus in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(traceio, "_usable_cpus", lambda: cpus)
+            mp.setattr(runtime, "usable_cpus", lambda: cpus)
             spectra = seat_spectra(seat)
             taken = spectra._replace(bins=spectra.bins.copy())  # head_spectra overwrites them
             head = head_trace(taken, head_spectra(taken, bundle))
@@ -245,7 +245,7 @@ def test_plan_is_built_once_when_rows_run_on_every_cpu(monkeypatch):
     make_plan = spectral._make_plan
     monkeypatch.setattr(spectral, "_make_plan", lambda *a: built.append(a) or make_plan(*a))
     monkeypatch.setattr(spectral, "_plan", None)
-    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: 3)
     seat = random_trace(5, n=100 * 683)
     head, _ = transmit(seat, builtin_bundle("EXP"))
     assert built == [(100, 683)]

@@ -29,7 +29,7 @@ from motioncomfort import (
     save_trace,
     synth_trace,
 )
-from motioncomfort import traceio
+from motioncomfort import runtime, traceio
 from motioncomfort.report import save_msi_csv
 from motioncomfort.svc import MsiSeries
 from motioncomfort.traceio import _BLOCK_ROWS, atomic_write_text, format_rows
@@ -306,7 +306,7 @@ def _load(path, cpus: int = 1, spy: list | None = None) -> MotionTrace:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(traceio, "_MIN_CHUNK_BYTES", 1)
-        mp.setattr(traceio, "_usable_cpus", lambda: cpus)
+        mp.setattr(runtime, "usable_cpus", lambda: cpus)
         mp.setattr(traceio, "_parse_chunks", spied)
         return load_trace(path)
 
@@ -649,7 +649,7 @@ def test_a_bad_row_in_the_second_chunk_is_exit_3_naming_its_file_line(tmp_path, 
     parse_chunks = traceio._parse_chunks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(traceio, "_MIN_CHUNK_BYTES", 1)
-        mp.setattr(traceio, "_usable_cpus", lambda: cpus)
+        mp.setattr(runtime, "usable_cpus", lambda: cpus)
         mp.setattr(traceio, "_parse_chunks", lambda *a: bounds.append(a[1]) or parse_chunks(*a))
         assert main(["assess", "--trace", str(path), "--out", str(tmp_path / "out")]) == 3
     offset = len("\n".join(lines[: line - 1])) + 1
@@ -703,7 +703,7 @@ def _forking_formatter(cpus: int = 3):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(traceio, "_BLOCK_ROWS", _TINY_BLOCK)
         mp.setattr(traceio, "_MIN_WORKER_ROWS", _TINY_WORKER)
-        mp.setattr(traceio, "_usable_cpus", lambda: cpus)
+        mp.setattr(runtime, "usable_cpus", lambda: cpus)
         mp.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
         yield started
 
@@ -822,10 +822,10 @@ def test_on_every_cpu_runs_each_task_once_and_no_task_as_a_no_op(monkeypatch, cp
     starts = []
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda self: (starts.append(self), start(self)))
-    monkeypatch.setattr(traceio, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: cpus)
     threads = threading.active_count()
     ran = []
-    traceio._on_every_cpu(ran.append, count)
+    runtime.on_every_cpu(ran.append, count)
     assert sorted(ran) == list(range(count))
     assert len(starts) == max(0, min(cpus, count) - 1)  # no helper without a task for it
     assert threading.active_count() == threads

@@ -31,7 +31,7 @@ from motioncomfort import (
     save_trace,
     transmit,
 )
-from motioncomfort import metrics, spectral, traceio, transmission
+from motioncomfort import metrics, runtime, spectral, traceio, transmission
 from motioncomfort.frf import CHANNEL_IDS, evaluate_grid
 from motioncomfort.transmission import (
     SeatSpectra,
@@ -358,7 +358,7 @@ def test_threaded_core_is_bit_equal_to_sequential_scipy_calls(n, cpus, model, se
     want_spectra, want_head = _sequential_core(seat, bundle)
     threads = threading.active_count()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(traceio, "_usable_cpus", lambda: cpus)
+        mp.setattr(runtime, "usable_cpus", lambda: cpus)
         spectra = seat_spectra(seat)
         assert threading.active_count() == threads
         taken = spectra._replace(bins=spectra.bins.copy())  # head_spectra overwrites them
@@ -372,7 +372,7 @@ def test_threaded_core_is_bit_equal_to_sequential_scipy_calls(n, cpus, model, se
 def test_core_is_bit_equal_with_more_threads_than_cores_and_fast_switching(monkeypatch):
     seat, bundle = random_trace(9, n=1366), builtin_bundle("EHM")
     want_spectra, want_head = _sequential_core(seat, bundle)
-    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 6)
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: 6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -399,7 +399,7 @@ def test_core_runs_rows_on_one_thread_per_usable_cpu_and_joins_them(monkeypatch,
     starts = []
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda self: (starts.append(self), start(self)))
-    monkeypatch.setattr(traceio, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: cpus)
     threads = threading.active_count()
     transmit(random_trace(5, n=301), builtin_bundle("EXP"))
     assert threading.active_count() == threads
@@ -423,7 +423,7 @@ def test_error_in_a_helper_row_reaches_the_caller_and_leaves_no_thread(monkeypat
         return inverse(spectrum, n, out=out)
 
     monkeypatch.setattr(spectral, "irfft", fails_off_the_calling_thread)
-    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: 2)
     threads = threading.active_count()
     with pytest.raises(_RowFailure, match="helper row"):
         transmit(random_trace(6, n=301), builtin_bundle("EXP"))
@@ -455,7 +455,7 @@ def test_block_core_is_bit_equal_to_one_full_length_build(
     threads = threading.active_count()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transmission, "_BLOCK_BINS", block)
-        mp.setattr(traceio, "_usable_cpus", lambda: cpus)
+        mp.setattr(runtime, "usable_cpus", lambda: cpus)
         row_of = [AXES.index(cid.output_axis) for cid in CHANNEL_IDS]
         stacked = SeatSpectra(np.array([spectra[axis] for axis in AXES]), n, seat.sample_rate_hz)
         sums = _summed_products(stacked, bundle, row_of, np.empty_like(stacked.bins))
@@ -531,7 +531,7 @@ def test_held_band_fill_is_bit_equal_to_one_full_length_build(case):
     want_parts = [part for _, part in _reference_products(seat, bundle, spectra)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transmission, "_BLOCK_BINS", case["block"])
-        mp.setattr(traceio, "_usable_cpus", lambda: case["cpus"])
+        mp.setattr(runtime, "usable_cpus", lambda: case["cpus"])
         row_of = [AXES.index(cid.output_axis) for cid in CHANNEL_IDS]
         stacked = SeatSpectra(
             np.array([spectra[axis] for axis in AXES]), seat.n_samples, seat.sample_rate_hz
@@ -554,15 +554,23 @@ def test_block_build_runs_on_one_thread_per_usable_cpu_and_joins_them(monkeypatc
         callers.add(threading.get_ident())
         return evaluate(curve, freqs)
 
+    blocks, block_response = set(), transmission._block_response
+
+    def block(curve, band, freqs, lo, hi):
+        blocks.add((lo, hi))
+        return block_response(curve, band, freqs, lo, hi)
+
     monkeypatch.setattr(transmission, "evaluate_grid", traced)
+    monkeypatch.setattr(transmission, "_block_response", block)
     starts = []
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda self: (starts.append(self), start(self)))
-    monkeypatch.setattr(traceio, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(transmission, "_BLOCK_BINS", 16)  # 151 bins: 9 blocks
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(transmission, "_MIN_BLOCK_BINS", 2)  # 151 bins, 151 // (16 * cpus) a block
     threads = threading.active_count()
     transmit(random_trace(5, n=301), builtin_bundle("EXP"))
     assert threading.active_count() == threads
+    assert len(blocks) == {1: 16, 2: 37, 3: 50}[cpus]
     assert len(starts) == 3 * (cpus - 1)  # one helper per further CPU, for each of the three passes
     assert threading.get_ident() in callers
     assert len(callers) == 1 if cpus == 1 else 2 <= len(callers) <= cpus
@@ -578,7 +586,7 @@ def test_error_in_a_helper_block_reaches_the_caller_and_leaves_no_thread(monkeyp
 
     monkeypatch.setattr(transmission, "evaluate_grid", fails_off_the_calling_thread)
     monkeypatch.setattr(transmission, "_BLOCK_BINS", 16)
-    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: 2)
     threads = threading.active_count()
     with pytest.raises(_RowFailure, match="helper block"):
         transmit(random_trace(6, n=301), builtin_bundle("EXP"))
@@ -608,7 +616,7 @@ def test_transmission_and_metrics_are_linear_across_blocks(n, a, b, model, seed)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transmission, "_BLOCK_BINS", 8)
-        mp.setattr(traceio, "_usable_cpus", lambda: 2)
+        mp.setattr(runtime, "usable_cpus", lambda: 2)
         mixed, head_x, head_y = (transmit(seat, bundle)[0] for seat in (scaled(a, b), x, y))
         reports = [full_assessment(seat, bundle) for seat in (x, scaled(a, 0.0))]
     for axis in AXES:
@@ -657,7 +665,7 @@ def test_load_seat_spectra_is_bit_equal_to_seat_spectra_of_the_loaded_trace(
 ):
     path = tmp_path / "t.csv"
     path.write_bytes(SAVED_FORMS[form](_saved_text(n)).encode())
-    monkeypatch.setattr(traceio, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(traceio, "_MIN_CHUNK_BYTES", 1)
     want = seat_spectra(traceio.load_trace(path))
     got = load_seat_spectra(path)
