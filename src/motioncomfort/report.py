@@ -88,7 +88,8 @@ def render_report_svg(report: ComfortReport) -> str:
         columns = max(int(top["w"]), 1)
         keep = _pixel_extremes(frac * columns, ys, columns)
         xs = top["x0"] + frac[keep] * top["w"]
-        points = "".join(format_rows((xs, ys[keep]), "%.2f,%.2f "))[:-1]
+        drawn = np.column_stack((xs, ys[keep])).ravel().tolist()
+        points = " ".join(["%.2f,%.2f"] * len(keep)) % tuple(drawn)
         parts.append(
             f'<polyline fill="none" stroke="#1f6fb2" stroke-width="1.5" points="{points}"/>'
         )
@@ -134,7 +135,7 @@ def render_report_svg(report: ComfortReport) -> str:
 def save_msi_csv(series: MsiSeries, path) -> None:
     """Write an MSI series as ``time_s,msi_percent`` rows (17 significant digits)."""
     columns = (series.time_s, series.msi_percent)
-    atomic_write_text(path, format_rows(columns, "%.17g,%.17g\n", "time_s,msi_percent\n"))
+    atomic_write_text(path, format_rows(columns, "time_s,msi_percent\n"))
 
 
 def emit_report(report: ComfortReport, out_dir) -> dict[str, Path]:

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 from scipy import fft as _fft
 
-from . import runtime
+from . import g17, runtime
 from .errors import ConfigError, DataError
 from .frf import AXES, _frozen_array, _is_real, _naming
 
@@ -113,22 +113,21 @@ class MotionTrace:
         return cls(sample_rate_hz=sample_rate_hz, channels=full, frame_label=frame_label)
 
 
-def _format_block(row_format: str, *columns: np.ndarray) -> str:
-    """Rows of equal-length float columns as text: one ``%`` on Python floats."""
-    block = np.column_stack(columns)
-    return (row_format * len(block)) % tuple(block.ravel().tolist())
+def _format_block(*columns: np.ndarray) -> str:
+    """Rows of equal-length float columns as text (`g17.rows`)."""
+    return g17.rows(np.column_stack(columns))
 
 
-def format_rows(columns: Sequence[np.ndarray], row_format: str, header: str = "") -> Iterator[str]:
-    """Yield `header`, then the rows of equal-length float columns as text (the bytes of an
-    f-string per value) in row blocks.  With two or more usable CPUs and at least two
-    workers' worth of rows (`_MIN_WORKER_ROWS` each), forked workers format the blocks,
-    yielded in order; otherwise they are formatted inline.  The text is the same either way.
+def format_rows(columns: Sequence[np.ndarray], header: str = "") -> Iterator[str]:
+    """Yield `header`, then the rows of equal-length float columns as text in row blocks:
+    each value as ``'%.17g' % value`` writes it, split by commas, each row ended by LF
+    (`g17.rows`).  With two or more usable CPUs and at least two workers' worth of rows
+    (`_MIN_WORKER_ROWS` each), forked workers format the blocks, yielded in order;
+    otherwise they are formatted inline.  The text is the same either way.
     """
     yield header
     n = len(columns[0])
-    starts = range(0, n, _BLOCK_ROWS)
-    blocks = [(row_format, *(c[s : s + _BLOCK_ROWS] for c in columns)) for s in starts]
+    blocks = [tuple(c[s : s + _BLOCK_ROWS] for c in columns) for s in range(0, n, _BLOCK_ROWS)]
     workers = min(runtime.usable_cpus(), n // _MIN_WORKER_ROWS)
     yield from runtime.fork_map(workers, _format_block, blocks)
 
@@ -505,8 +504,7 @@ def load_trace(path) -> MotionTrace:
 def save_trace(trace: MotionTrace, path) -> None:
     """Write a trace in the load_trace format (17 significant digits), streamed."""
     cols = [trace.time_s] + [trace.channels[axis] for axis in AXES]
-    row_format = ",".join(["%.17g"] * len(cols)) + "\n"
-    atomic_write_text(path, format_rows(cols, row_format, TRACE_HEADER + "\n"))
+    atomic_write_text(path, format_rows(cols, TRACE_HEADER + "\n"))
 
 
 @dataclass(frozen=True)

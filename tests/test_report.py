@@ -130,6 +130,17 @@ def test_svg_keeps_every_sample_up_to_two_per_pixel_column(report, n):
     assert _polyline_points(_with_msi(report, t, m)) == oracle
 
 
+def test_svg_points_match_fstring_oracle_at_two_decimals(report):
+    # Coordinates at or next to a .2f tie (x.xx5): each point is the text of an f-string
+    # per coordinate.
+    t = np.array([0.0, 0.005, 1.005, 2.675, 3.015, 4.125, 405.0, 809.995, 810.0])
+    m = np.array([100.0, 0.0025, 50.0025, 1.3375, 99.9975, 0.0, 37.5, 120.0, 120.0])
+    x = PLOT_X0 + (t - t[0]) / max(float(t[-1] - t[0]), 1e-12) * PLOT_W
+    y = _drawn_y(m)
+    oracle = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(x, y))
+    assert _polyline_points(_with_msi(report, t, m)) == oracle
+
+
 def test_svg_draws_each_pixel_columns_extremes(report):
     k = 32  # samples per pixel column, none within 1/64 px of a column edge
     pos = (np.arange(int(PLOT_W) * k) + 0.5) / k

@@ -9,6 +9,7 @@ import tempfile
 import threading
 import warnings
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from motioncomfort import (
     save_trace,
     synth_trace,
 )
-from motioncomfort import runtime, traceio
+from motioncomfort import g17, runtime, traceio
 from motioncomfort.report import save_msi_csv
 from motioncomfort.svc import MsiSeries
 from motioncomfort.traceio import _BLOCK_ROWS, atomic_write_text, format_rows
@@ -194,9 +195,26 @@ def test_format_rows_matches_fstring_oracle(n_rows):
     b = np.resize(-AWKWARD[::-1], n_rows) * 0.5
     # Oracle: an f-string per numpy scalar, one sample at a time.
     csv_oracle = "h\n" + "".join(f"{t:.17g},{m:.17g}\n" for t, m in zip(a, b))
-    svg_oracle = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(a, b))
-    assert "".join(format_rows((a, b), "%.17g,%.17g\n", "h\n")) == csv_oracle
-    assert "".join(format_rows((a, b), "%.2f,%.2f "))[:-1] == svg_oracle
+    assert "".join(format_rows((a, b), "h\n")) == csv_oracle
+
+
+def test_no_fast_double_rounds_up_to_a_power_of_ten():
+    # 17 digits round up to 10**(k+1) only from the last 5e-18 (relative) below it, and the
+    # only double there could be the largest one below 10**(k+1).  So g17 has no carry.
+    for k in range(-11, 16):
+        below = float(np.nextafter(g17._least_double_at_least(k + 1), 0.0))
+        assert g17.FAST_LOW <= below < g17.FAST_HIGH
+        assert Fraction(below) < Fraction(10) ** (k + 1) - Fraction(10) ** (k - 16) / 2
+
+
+def test_exponent_estimate_is_exact_over_the_fast_domain():
+    # g17 raises its estimate of floor(log10 |x|) by at most one, which is enough only if the
+    # estimate is exactly floor(log10(2**e)) for |x| in [2**e, 2**(e + 1)).
+    lowest, highest = (int(np.float64(v).view(np.uint64)) >> 52 for v in (g17.FAST_LOW, 1e16))
+    for biased in range(lowest, highest + 1):
+        power = Fraction(2) ** (biased - 1023)
+        k = int(g17._K_ESTIMATE[biased]) - 12
+        assert Fraction(10) ** k <= power < Fraction(10) ** (k + 1)
 
 
 def test_save_trace_matches_fstring_oracle(tmp_path):
@@ -688,9 +706,9 @@ _TINY_WORKER = 3 * _TINY_BLOCK  # rows per worker there
 
 
 @contextmanager
-def _forking_formatter(cpus: int = 3):
-    """format_rows with `cpus` usable CPUs and tiny blocks and worker shares; yields the
-    worker counts of the pools it starts."""
+def _forking_formatter(cpus: int = 3, block: int = _TINY_BLOCK):
+    """format_rows with `cpus` usable CPUs and tiny blocks (`block` rows) and worker shares
+    (three blocks); yields the worker counts of the pools it starts."""
     import concurrent.futures
 
     started: list[int] = []
@@ -701,8 +719,8 @@ def _forking_formatter(cpus: int = 3):
             super().__init__(max_workers, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(traceio, "_BLOCK_ROWS", _TINY_BLOCK)
-        mp.setattr(traceio, "_MIN_WORKER_ROWS", _TINY_WORKER)
+        mp.setattr(traceio, "_BLOCK_ROWS", block)
+        mp.setattr(traceio, "_MIN_WORKER_ROWS", 3 * block)
         mp.setattr(runtime, "usable_cpus", lambda: cpus)
         mp.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
         yield started
@@ -715,17 +733,61 @@ BOUNDARY_ROWS = sorted(
 )
 
 
+def _around(value: float) -> list[float]:
+    """`value` and its neighbours one ulp below and above."""
+    return [float(np.nextafter(value, -np.inf)), value, float(np.nextafter(value, np.inf))]
+
+
+def _ties() -> list[float]:
+    """Exact 17-digit ties: x = odd / 2**(17 - k) in [10**k, 10**(k + 1)), whose exact
+    decimal expansion ends in a 5 at the 18th significant digit (k = -7 to 15)."""
+    rng = np.random.default_rng(17)
+    ties = []
+    for k in range(-7, 16):
+        scale = 2 ** (17 - k)
+        low = int(Fraction(10) ** k * scale) + 1
+        high = min(int(Fraction(10) ** (k + 1) * scale), 2**53)
+        for odd in (low | 1, (high - 2) | 1, int(rng.integers(low, high)) | 1):
+            x = odd / scale
+            digits = Fraction(x) * 10 ** (16 - k)  # the 17 digits, with a fraction of 1/2
+            assert digits.denominator == 2 and 10**16 <= digits < 10**17
+            ties.append(x)
+    return ties
+
+
+# Inputs that the exact formatter (`g17`) could get wrong: 1e-07, whose double lies below
+# 10**-7 (9.9999999999999995e-08) though its log10 rounds to -7; 1e-14, whose double lies
+# below 10**-14 but rounds up to it at 17 digits; the powers of ten from 1e-12 to 1e17 and
+# the doubles one ulp either side; the exact ties; and both sides of each edge of the fast
+# domain.
+EXPLICIT = [1e-07, 1e-14, *(v for k in range(-12, 18) for v in _around(float(f"1e{k}")))]
+EXPLICIT += _ties()
+EXPLICIT += [0.0, 5e-324, *_around(2.2250738585072014e-308), 1.7976931348623157e308, np.inf]
+EXPLICIT += [*_around(g17.FAST_LOW), *_around(g17.FAST_HIGH), np.nan]
+EXPLICIT += [-v for v in EXPLICIT]
+
+
 @settings(max_examples=30, deadline=None)
-@given(n=st.sampled_from(BOUNDARY_ROWS), cpus=st.integers(1, 3), data=st.data())
-def test_forked_format_rows_equals_inline_and_oracle(n, cpus, data):
-    a = data.draw(arrays(np.float64, n, elements=FINITE | st.sampled_from(list(AWKWARD))))
+@given(
+    n=st.sampled_from(BOUNDARY_ROWS),
+    cpus=st.integers(1, 3),
+    values=st.lists(st.floats() | st.sampled_from(EXPLICIT + list(AWKWARD)), min_size=1),
+)
+@example(n=1, cpus=3, values=[1e-07])
+@example(n=2, cpus=3, values=[1e-14, -1e-07])
+@example(n=65537, cpus=3, values=EXPLICIT)
+def test_forked_format_rows_equals_inline_and_oracle(n, cpus, values):
+    a = np.resize(np.array(values), n)
     b = np.resize(AWKWARD, n)
-    inline = "".join(format_rows((a, b), "%.17g,%.17g\n", "h\n"))
-    with _forking_formatter(cpus) as started:
-        forked = "".join(format_rows((a, b), "%.17g,%.17g\n", "h\n"))
+    inline = "".join(format_rows((a, b), "h\n"))
+    block = _TINY_BLOCK if n <= BOUNDARY_ROWS[-1] else 4096  # 65,537 rows: 17 blocks, not 16,385
+    with _forking_formatter(cpus, block) as started:
+        forked = "".join(format_rows((a, b), "h\n"))
     assert forked == inline
     assert inline == "h\n" + "".join(f"{t:.17g},{m:.17g}\n" for t, m in zip(a, b))
-    workers = min(cpus, n // _TINY_WORKER)
+    # One column alone: no row of `a` waits on a value of `b` outside the fast domain.
+    assert "".join(format_rows((a,))) == "".join(f"{t:.17g}\n" for t in a)
+    workers = min(cpus, n // (3 * block))
     assert started == ([workers] if workers > 1 else [])
 
 
@@ -763,7 +825,7 @@ def test_forked_formatter_keeps_two_blocks_per_worker_in_flight():
         pool_class = concurrent.futures.ProcessPoolExecutor
         submit = pool_class.submit
         mp.setattr(pool_class, "submit", lambda pool, *a: submitted.append(a) or submit(pool, *a))
-        chunks = format_rows((t,), "%.17g\n")
+        chunks = format_rows((t,))
         next(chunks)  # the header
         ahead = [len(submitted) - i for i, _ in enumerate(chunks)]
     assert started == [2]
@@ -805,7 +867,7 @@ def test_failed_forked_write_keeps_old_file_and_no_child(tmp_path, monkeypatch, 
         monkeypatch.setattr(os, "fdopen", lambda *a, **k: _FailingFile(fdopen(*a, **k)))
     with _forking_formatter() as started:
         with pytest.raises(TypeError if where == "worker" else ConfigError) as failure:
-            atomic_write_text(path, format_rows((t, m), "%.17g,%.17g\n", "time_s,msi_percent\n"))
+            atomic_write_text(path, format_rows((t, m), "time_s,msi_percent\n"))
     if where == "write":
         assert isinstance(failure.value.__cause__, OSError)
     assert started == [3]
