@@ -21,6 +21,7 @@ from .weighting import MetricRegime, WeightingCurve
 REPORT_SCHEMA = 1
 SVG_WIDTH = 900  # report.svg size in pixels
 SVG_HEIGHT = 520
+_SVG_CHUNK = 65536  # the MSI curve is thinned for the SVG this many samples at a time
 
 
 def report_to_dict(report: ComfortReport, msi_filename: str | None) -> dict:
@@ -43,21 +44,30 @@ def report_to_dict(report: ComfortReport, msi_filename: str | None) -> dict:
     return doc
 
 
-def _pixel_extremes(x: np.ndarray, y: np.ndarray, columns: int) -> np.ndarray:
-    """Indices of the points to draw, in order: all up to ``2 * columns``, else the first, the
-    last and each pixel column's first lowest and highest `y`.  `x` (non-decreasing, in
-    [0, `columns`]) gives the column ``min(floor(x), columns - 1)``."""
-    n = len(y)
+def _pixel_extremes(x_of, y_of, n: int, columns: int) -> np.ndarray:
+    """Indices of the points to draw, in order: all n up to ``2 * columns``, else the first,
+    the last and the first lowest and highest `y` of each run of samples in one pixel column.
+    ``x_of(part)`` and ``y_of(part)`` give `x` and `y` at a slice of the samples, about
+    `_SVG_CHUNK` at a time; `x` (non-decreasing, in [0, `columns`]) gives the column
+    ``min(floor(x), columns - 1)``."""
     if n <= 2 * columns:
         return np.arange(n)
-    column = np.minimum(x.astype(np.intp), columns - 1)
-    new = np.diff(column, prepend=-1) != 0
-    starts = np.flatnonzero(new)  # each occupied column's first index
-    segment = np.cumsum(new) - 1
-    keep = [np.array([0, n - 1])]
-    for reduce in (np.minimum, np.maximum):
-        hits = np.flatnonzero(y == reduce.reduceat(y, starts)[segment])
-        keep.append(hits[np.searchsorted(hits, starts)])
+    starts, previous = [], -1
+    for lo in range(0, n, _SVG_CHUNK):
+        column = np.minimum(x_of(slice(lo, lo + _SVG_CHUNK)).astype(np.intp), columns - 1)
+        starts.append(np.flatnonzero(np.diff(column, prepend=previous)) + lo)
+        previous = column[-1]
+    edges = np.append(np.concatenate(starts), n)  # each run's first index, then n
+    keep, first = [np.array([0, n - 1])], 0
+    while first < len(edges) - 1:  # whole runs, about `_SVG_CHUNK` samples in all at a time
+        last = max(first + 1, np.searchsorted(edges, edges[first] + _SVG_CHUNK, "right") - 1)
+        lo = edges[first]
+        y, runs = y_of(slice(lo, edges[last])), edges[first:last] - lo
+        for reduce in (np.minimum, np.maximum):
+            extremes = np.repeat(reduce.reduceat(y, runs), np.diff(edges[first : last + 1]))
+            hits = np.flatnonzero(y == extremes)
+            keep.append(hits[np.searchsorted(hits, runs)] + lo)
+        first = last
     return np.unique(np.concatenate(keep))
 
 
@@ -83,12 +93,17 @@ def render_report_svg(report: ComfortReport) -> str:
         m = report.msi.msi_percent
         t_span = max(float(t[-1] - t[0]), 1e-12)
         m_max = max(float(np.max(m)), 1.0)
-        frac = (t - t[0]) / t_span
-        ys = top["y0"] + top["h"] - (m / m_max) * top["h"]
         columns = max(int(top["w"]), 1)
-        keep = _pixel_extremes(frac * columns, ys, columns)
-        xs = top["x0"] + frac[keep] * top["w"]
-        drawn = np.column_stack((xs, ys[keep])).ravel().tolist()
+
+        def frac(part) -> np.ndarray:
+            return (t[part] - t[0]) / t_span
+
+        def ys(part) -> np.ndarray:
+            return top["y0"] + top["h"] - (m[part] / m_max) * top["h"]
+
+        keep = _pixel_extremes(lambda part: frac(part) * columns, ys, len(m), columns)
+        xs = top["x0"] + frac(keep) * top["w"]
+        drawn = np.column_stack((xs, ys(keep))).ravel().tolist()
         points = " ".join(["%.2f,%.2f"] * len(keep)) % tuple(drawn)
         parts.append(
             f'<polyline fill="none" stroke="#1f6fb2" stroke-width="1.5" points="{points}"/>'

@@ -12,7 +12,9 @@ two-dimensional DFT under the Good-Thomas prime-factor index maps, with no
 twiddle factors and no padding, where pocketfft would run a generic radix-p
 pass (p^2 <= n) or a Bluestein transform of the whole length.  The length
 stays exact; the results differ from pocketfft's in the last bits only, and
-are the same on every run and thread.  `rfft` at every other length, and
+are the same on every run and thread.  A split transform holds one complex
+(p, a // 2 + 1) plane, transformed in place by rows and by columns with the
+bits of scipy's `rfft2` or `irfft2`.  `rfft` at every other length, and
 `apply_response` (the time-domain oracle's path), call scipy.fft directly;
 `irfft` there runs the same pocketfft pass in place, through scipy.fftpack,
 with scipy.fft's bits, so that a row given as `out=` takes the signal with
@@ -36,6 +38,7 @@ from .errors import DataError
 _MIN_SPLIT_LENGTH = 65536  # shorter transforms gain too little to pay for the index tables
 _MIN_SPLIT_PRIME = 300  # below it the split's inverse is slower at some lengths near 2e6
 _GATHER_BINS = 65536  # a split rfft gathers its bins from the plane in chunks of this many
+_ROW_SAMPLES = 65536  # a split transform's row passes take blocks of about this many samples
 
 
 def bin_frequencies(n: int, sample_rate_hz: float) -> np.ndarray:
@@ -148,12 +151,13 @@ def _plan_of(a: int, p: int) -> _Plan:
 def rfft(signal: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The n // 2 + 1 bins of the real FFT of `signal`, as scipy.fft.rfft gives them.
 
-    They are written to the complex row `out` if one is given: a split length
-    gathers them there straight from its two-dimensional transform, in chunks
-    of `_GATHER_BINS`, with no spectrum-sized temporary.  `out` may be the
+    They are written to the complex row `out` if one is given.  A split length
+    runs FFTPACK's real pass in place over its plane's rows, block by block,
+    then an FFT along p, and gathers the bins into `out` in chunks of
+    `_GATHER_BINS`, with no spectrum-sized temporary.  `out` may be the
     signal's own memory (its row, with room for the bins): the signal is read
-    whole, into a split length's (p, a) plane or by scipy's transform, before
-    any bin is written.
+    whole, into a split length's plane or by scipy's transform, before any
+    bin is written.
     """
     n = len(signal)
     split = _split(n)
@@ -163,7 +167,18 @@ def rfft(signal: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out[:] = _fft.rfft(signal)
         return out
     plan = _plan_of(*split)
-    flat = _fft.rfft2(np.asarray(signal)[plan.samples], overwrite_x=True).ravel()
+    a, x, step = plan.a, np.asarray(signal, np.float64), max(1, _ROW_SAMPLES // plan.a)
+    plane = np.empty((plan.p, a // 2 + 1), np.complex128)
+    # Rows start one float in: FFTPACK's Re 0, Re 1, Im 1, ... is then complex layout but Re 0.
+    for lo in range(0, plan.p, step):
+        block, rows = plane.view(np.float64)[lo : lo + step], plan.samples[lo : lo + step]
+        np.take(x, rows, out=block[:, 1 : a + 1], mode="clip")  # "raise" would buffer `out`
+        done = _fftpack.rfft(block[:, 1 : a + 1], overwrite_x=True)
+        if not np.may_share_memory(done, block):  # scipy did not transform it in place
+            block[:, 1 : a + 1] = done
+        block[:, 0] = block[:, 1]
+        block[:, 1 : a + 2 : a] = 0.0  # Im 0 and, for even a, Im a / 2 (odd a ends at Im 0)
+    flat = _fft.fft(plane, axis=0, overwrite_x=True).ravel()
     out = np.empty(n // 2 + 1, np.complex128) if out is None else out
     for lo in range(0, len(out), _GATHER_BINS):
         chunk = slice(lo, lo + _GATHER_BINS)
@@ -182,7 +197,8 @@ def irfft(spectrum: np.ndarray, n: int, out: np.ndarray | None = None) -> np.nda
     bins down one float, into FFTPACK's half-complex order (Re 0, Re 1, Im 1,
     Re 2, ...), and runs pocketfft's backward pass over them in place
     (`scipy.fftpack.irfft`), the pass that scipy.fft.irfft runs on a copy.  A
-    split length scatters its (p, a) plane's transform straight into the row.
+    split length runs an inverse FFT along p over its plane in place, then
+    scatters the real inverse of each block of rows straight into the row.
     """
     if len(spectrum) != n // 2 + 1:  # scipy.fft pads or cuts it
         if out is None:
@@ -206,10 +222,13 @@ def irfft(spectrum: np.ndarray, n: int, out: np.ndarray | None = None) -> np.nda
     plane[0, 0] = plane[0, 0].real
     if n % 2 == 0:
         plane[0, -1] = plane[0, -1].real
-    values = _fft.irfft2(plane, s=(plan.p, plan.a), overwrite_x=True)
-    del plane  # before the output is allocated
+    plane = _fft.ifft(plane, axis=0, norm="forward", overwrite_x=True)
     out = np.empty(n) if out is None else out
-    out[plan.samples] = values
+    scale = float(1 / np.longdouble(n))  # irfft2's factor: pocketfft takes 1 / n in long double
+    step = max(1, _ROW_SAMPLES // plan.a)
+    for lo in range(0, plan.p, step):
+        values = _fft.irfft(plane[lo : lo + step], n=plan.a, axis=1, norm="forward")
+        out[plan.samples[lo : lo + step]] = values * scale
     return out
 
 

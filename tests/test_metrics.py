@@ -162,6 +162,32 @@ def test_read_offs_take_one_task_per_axis_and_match_the_serial_formula(monkeypat
     assert sorted(weighted) == sorted(want_weighted)  # (w * w) * P, in that order
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(2, 40_000),
+    chunk=st.integers(1, 64).map(lambda k: 64 * k),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=100 * 683, chunk=64, seed=0)  # a split length
+@example(n=2 * 64 * 3, chunk=64, seed=1)  # 193 bins: a last chunk of one bin
+def test_read_offs_in_chunks_give_the_bits_of_whole_rows(n, chunk, seed):
+    # Each read-off squares the weights and multiplies in |H|^2 chunk by chunk, into the
+    # weighting curve's own array, then sums that array once: RC and MS keep their bits.
+    seat, bundle = random_trace(seed, n=n), builtin_bundle("EXP")
+    rows = head_spectra(seat_spectra(seat), bundle).view(np.complex128)
+    freqs = spectral.bin_frequencies(n, seat.sample_rate_hz)
+    curves = builtin_weightings()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_READ_OFF_BINS", chunk)
+        report = full_assessment(seat, bundle, include_svc=False)
+    regimes = ((report.rc, ride_comfort_regime()), (report.ms, motion_sickness_regime()))
+    for result, regime in regimes:
+        for i, axis in enumerate(AXES):
+            w = curves[regime.axis_weighting[axis]].at(freqs)
+            weighted = w * w * np.square(np.abs(rows[i]))
+            assert result.per_axis[axis] == np.sqrt(spectral.spectrum_mean_square(weighted, n))
+
+
 def test_assessment_is_bit_equal_with_more_threads_than_cores_and_fast_switching(monkeypatch):
     seat, bundle = random_trace(9, n=1366), builtin_bundle("EHM")
     monkeypatch.setattr(runtime, "usable_cpus", lambda: 1)
@@ -404,12 +430,14 @@ def test_peak_memory_stays_a_small_multiple_of_the_trace(monkeypatch):
     # full_assessment peaks at 2.08x the seat's bytes in the inverse FFTs (the head spectra
     # and six transforms' temporaries), and at 2.0x in the forward FFTs and the head spectra
     # build (over the seat spectra, in blocks of at most 1/64 of the bins).  Building them in
-    # fresh rows gave 2.65x, and blocks of 65,536 bins over the seat spectra 2.57x.  run_svc peaks at about 5 arrays of the trace's length (0.88x); with all three
-    # sensed axes alive at once it took 1.2x.  compare adds the shared seat spectra and a copy
-    # of them for each model but the last: it peaks in a copy's RC and MS read-offs, whose six
-    # tasks' temporaries overlap by thread timing, at 2.67-3.09x over 9 runs, as it did with
-    # fresh rows for each model but the last.  Fresh rows for every model gave 3.31x, and
-    # blocks of 65,536 bins over a copy of the seat spectra for every model 3.69x.
+    # fresh rows gave 2.65x, and blocks of 65,536 bins over the seat spectra 2.57x.  run_svc
+    # peaks at about 5 arrays of the trace's length (0.88x); with all three sensed axes alive
+    # at once it took 1.2x.  compare adds the shared seat spectra and a copy of them for each
+    # model but the last: it peaks at 2.57-2.65x over 9 runs, in a copy's SVC (2.57x) or in
+    # its RC and MS read-offs (2.48-2.55x), whose six tasks each hold one bin-length array
+    # and chunks of 65,536 bins.  With three bin-length temporaries a task the read-offs set
+    # it at 2.67-3.09x, varying with thread timing.  Fresh rows for every model gave 3.31x,
+    # and blocks of 65,536 bins over a copy of the seat spectra for every model 3.69x.
     monkeypatch.setattr(runtime, "usable_cpus", lambda: 8)
     seat = random_trace(7, n=2**20)
     bundle = builtin_bundle("EXP")
@@ -417,24 +445,26 @@ def test_peak_memory_stays_a_small_multiple_of_the_trace(monkeypatch):
     assert _traced_peak_bytes(lambda: full_assessment(seat, bundle)) < 2.25 * trace_bytes
     assert _traced_peak_bytes(lambda: run_svc(seat)) < 1.0 * trace_bytes
     models = ["EXP", "AHM", "EHM", "NHM"]
-    assert _traced_peak_bytes(lambda: compare(seat, models)) < 3.2 * trace_bytes
+    assert _traced_peak_bytes(lambda: compare(seat, models)) < 2.75 * trace_bytes
 
 
 def test_peak_memory_at_a_split_length_on_8_cpus(monkeypatch):
     # 1,049,088 = 2^9 * 3 * 683 samples take the prime-factor split, whose index tables are
-    # built first: they are kept after a run.  Each forward or inverse transform holds a
-    # gathered (p, a) plane and its output, a third of the seat's bytes, and on 6 or more
-    # usable CPUs all six run at once.  Measured: seat_spectra 3.00x the seat's bytes
-    # (1.33x, 1.67x and 2.33x on 1, 2 and 4 CPUs), full_assessment 3.09x.  Gathering the
-    # bins straight into the rows did not move these peaks, which the planes set.
+    # built first: they are kept after a run.  Each forward or inverse transform holds one
+    # (p, a // 2 + 1) complex plane, a sixth of the seat's bytes, plus a block of its rows,
+    # and on 6 or more usable CPUs all six run at once.  Measured: seat_spectra 2.11-2.13x
+    # the seat's bytes (1.19x, 1.38x and 1.75x on 1, 2 and 4 CPUs), full_assessment
+    # 2.15-2.20x.  With a gathered plane and a plane-sized rfft2 or irfft2 output per
+    # transform they read 3.00x and 3.09x.  tracemalloc does not see pocketfft's own scratch,
+    # such as the copy of the plane that irfft2 made, so RSS fell by more than these show.
     n = 2**9 * 3 * 683
     monkeypatch.setattr(runtime, "usable_cpus", lambda: 8)
     seat = random_trace(8, n=n)
     spectral._plan_of(*spectral._split(n))
     trace_bytes = sum(channel.nbytes for channel in seat.channels.values())
-    assert _traced_peak_bytes(lambda: seat_spectra(seat)) < 3.15 * trace_bytes
+    assert _traced_peak_bytes(lambda: seat_spectra(seat)) < 2.3 * trace_bytes
     assert _traced_peak_bytes(lambda: full_assessment(seat, builtin_bundle("EXP"))) < (
-        3.25 * trace_bytes
+        2.35 * trace_bytes
     )
 
 

@@ -160,6 +160,51 @@ def test_svg_draws_each_pixel_columns_extremes(report):
         assert (got.min(), got.max()) == (want.min(), want.max())
 
 
+def _whole_series_points(report) -> str:
+    """The MSI polyline's points as the drawing was first written: whole-series arrays."""
+    t, m = report.msi.time_s, report.msi.msi_percent
+    n, columns = len(m), int(PLOT_W)
+    frac = (t - t[0]) / max(float(t[-1] - t[0]), 1e-12)
+    ys = PLOT_Y0 + PLOT_H - (m / max(float(np.max(m)), 1.0)) * PLOT_H
+    keep = np.arange(n)
+    if n > 2 * columns:
+        column = np.minimum((frac * columns).astype(np.intp), columns - 1)
+        new = np.diff(column, prepend=-1) != 0
+        starts = np.flatnonzero(new)
+        segment = np.cumsum(new) - 1
+        kept = [np.array([0, n - 1])]
+        for reduce in (np.minimum, np.maximum):
+            hits = np.flatnonzero(ys == reduce.reduceat(ys, starts)[segment])
+            kept.append(hits[np.searchsorted(hits, starts)])
+        keep = np.unique(np.concatenate(kept))
+    drawn = np.column_stack((PLOT_X0 + frac[keep] * PLOT_W, ys[keep])).ravel().tolist()
+    return " ".join(["%.2f,%.2f"] * len(keep)) % tuple(drawn)
+
+
+def _msi_series(kind: str, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / 100.0
+    if kind == "random":
+        return np.cumsum(rng.uniform(0.0, 2.0, n)), rng.uniform(0.0, 100.0, n)
+    if kind == "ties":  # few distinct values: every column has tied extremes
+        return t, rng.integers(0, 4, n) * 12.5
+    if kind == "gap":  # a jump in time: one pixel column holds most samples
+        return np.where(np.arange(n) < n - 500, t, t + 1e6), rng.uniform(0.0, 1.0, n)
+    steps = rng.uniform(0.0, 1e-4, n) * (rng.uniform(size=n) < 0.01)  # monotone with plateaus
+    return t, np.round(np.cumsum(steps), 5)
+
+
+@pytest.mark.parametrize("kind", ["random", "ties", "gap", "monotone"])
+@pytest.mark.parametrize("chunk", [65536, 1000, 7])
+def test_svg_draws_the_points_of_the_whole_series_drawing(monkeypatch, report, kind, chunk):
+    monkeypatch.setattr(report_module, "_SVG_CHUNK", chunk)
+    for n, seed in ((int(2 * PLOT_W) + 1, 0), (200_003, 1), (70_000, 2)):
+        series = _with_msi(report, *_msi_series(kind, n, seed))
+        svg = render_report_svg(series)
+        want = _whole_series_points(series)
+        assert svg.count("<polyline") == 1 and f' points="{want}"/>' in svg, (kind, n)
+
+
 def test_msi_csv_written(tmp_path, report):
     written = emit_report(report, tmp_path)
     lines = written["msi_csv"].read_text().strip().splitlines()

@@ -50,6 +50,28 @@ def split_lengths(draw) -> tuple[int, int, int]:
     return a * p, a, p
 
 
+def _rfft2_split(x: np.ndarray) -> np.ndarray:
+    """A split length's half spectrum as first written: scipy's rfft2 of the whole gathered
+    (p, a) plane, then its bins gathered at once."""
+    plan = spectral._plan_of(*spectral._split(len(x)))
+    spectrum = scipy_fft.rfft2(x[plan.samples]).ravel()[plan.bins]
+    np.negative(spectrum.imag, out=spectrum.imag, where=plan.bins_conj)
+    return spectrum
+
+
+def _irfft2_split(spectrum: np.ndarray, n: int) -> np.ndarray:
+    """A split length's signal as first written: scipy's irfft2 of the whole gathered plane."""
+    plan = spectral._plan_of(*spectral._split(n))
+    plane = spectrum[plan.plane]
+    np.negative(plane.imag, out=plane.imag, where=plan.plane_conj)
+    plane[0, 0] = plane[0, 0].real
+    if n % 2 == 0:
+        plane[0, -1] = plane[0, -1].real
+    signal = np.empty(n)
+    signal[plan.samples] = scipy_fft.irfft2(plane, s=(plan.p, plan.a))
+    return signal
+
+
 def test_which_lengths_are_split():
     assert spectral._split(1_980_700) == (2900, 683)  # 2^2 * 5^2 * 29 * 683
     assert spectral._split(100 * 683) == (100, 683)
@@ -100,6 +122,34 @@ def test_split_transforms_match_scipy(length, seed):
     )
 
 
+@settings(max_examples=20, deadline=None)
+@given(length=split_lengths(), seed=st.integers(0, 2**32 - 1))
+@example(length=(100 * 683, 100, 683), seed=0)  # even a
+@example(length=(101 * 683, 101, 683), seed=1)  # odd a and n
+@example(length=(3 * 65537, 3, 65537), seed=2)  # a = 3
+@example(length=(144 * 683, 144, 683), seed=3)  # 1.0 / n is not 1 / n in long double
+def test_split_transforms_keep_the_bits_of_rfft2_and_irfft2(length, seed):
+    # The row passes run block by block over one plane; the bits are those of scipy's
+    # two-dimensional transforms of the whole plane, also into the signal's own row.
+    n, a, p = length
+    assert spectral._split(n) == (a, p)
+    rows = np.full((3, n // 2 + 1), np.nan, np.complex128)
+    row, x = rows[1], rows.view(np.float64)[1, :n]
+    x[:] = np.random.default_rng(seed).standard_normal(n)
+    want = _rfft2_split(x)
+    assert spectral.rfft(x).tobytes() == want.tobytes()
+    assert spectral.rfft(x, out=row) is row  # load_seat_spectra's layout
+    assert row.tobytes() == want.tobytes()
+    # Non-zero imaginary parts at DC and, for even n, Nyquist, which both ignore.
+    spectrum = want * (1.0 + 0.5j) + 0.25j
+    signal = _irfft2_split(spectrum, n)
+    assert spectral.irfft(spectrum, n).tobytes() == signal.tobytes()
+    row[:] = spectrum
+    assert spectral.irfft(row, n, out=x) is x  # head_trace's layout
+    assert x.tobytes() == signal.tobytes()
+    assert np.isnan(rows[[0, 2]]).all()
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.one_of(
@@ -122,11 +172,7 @@ def test_lengths_that_are_not_split_give_scipys_bits(n, seed):
 @pytest.mark.parametrize("n", [3001, 100 * 683, 2**9 * 3 * 683])  # the last two are split
 def test_rfft_into_a_row_gives_the_bits_of_one_whole_gather(monkeypatch, n):
     x = np.random.default_rng(5).standard_normal(n)
-    want = scipy_fft.rfft(x)
-    if spectral._split(n) is not None:  # the bins gathered from the plane all at once
-        plan = spectral._plan_of(*spectral._split(n))
-        want = scipy_fft.rfft2(x[plan.samples]).ravel()[plan.bins]
-        np.negative(want.imag, out=want.imag, where=plan.bins_conj)
+    want = scipy_fft.rfft(x) if spectral._split(n) is None else _rfft2_split(x)
     assert spectral.rfft(x).tobytes() == want.tobytes()
     for chunk in (65536, 1000, 7):
         monkeypatch.setattr(spectral, "_GATHER_BINS", chunk)
