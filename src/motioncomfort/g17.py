@@ -21,9 +21,6 @@ For x = m * 2**e with its 53-bit significand m, the kernel takes
    one byte to make room for it; the point, the ``0.000`` prefixes and the ``e-NN``
    suffixes come from tables by exponent, trailing zeros (and a bare point) are cleared,
    and the separator sits at byte 23.  One pass drops the NUL bytes.
-
-Integer arithmetic is on uint64 operands only, and exponent arithmetic on intp only, so
-numpy 1.x and the promotion rules of NEP 50 give the same bits.
 """
 
 from __future__ import annotations

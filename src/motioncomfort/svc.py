@@ -19,13 +19,15 @@ system senses and the slowly adapting internal estimate of "down":
    a population that has become sick, so it cannot decrease.
 
 Integration is explicit Euler at the trace sample rate; the recurrences are
-evaluated with `scipy.signal.lfilter`, which reproduces the Euler update
-exactly.  All parameters are exposed on `SvcParams` and can be substituted;
-the defaults give plausible shapes but are not fitted to any dataset.
+evaluated by the C filter that `scipy.signal.lfilter` runs, which reproduces
+the Euler update exactly.  It is loaded from its file: importing `scipy.signal`
+also imports `scipy.stats` (0.6 s and 50 MB a process on a 2-vCPU Xeon).
+All parameters are exposed on `SvcParams` and can be substituted; the
+defaults give plausible shapes but are not fitted to any dataset.
 
 The model streams over the trace in blocks of `_BLOCK_SAMPLES` samples, one
 loop on the calling thread.  Each block runs every stage in model order; the
-nine `lfilter` recurrences carry their state from each block to the next
+nine filter recurrences carry their state from each block to the next
 (`zi` in, `zf` out), and so does the running maximum.  Every other step
 works sample by sample, so the bits do not depend on the block size.
 `run_svc` holds only the MSI, the time column and one block of each stage;
@@ -34,11 +36,13 @@ works sample by sample, so the bits do not depend on the block size.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import InitVar, asdict, dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 from typing import Iterator, Mapping
 
 import numpy as np
-from scipy.signal import lfilter
+import scipy
 
 from .errors import DataError, NumericError
 from .frf import _frozen_array, _is_real
@@ -108,17 +112,41 @@ class MsiSeries:
         return float(self.msi_percent[-1])
 
 
+def _compiled_filter(file: str = f"{scipy.__path__[0]}/signal/_sigtools{EXTENSION_SUFFIXES[0]}"):
+    """scipy's compiled `_linear_filter(b, a, x, axis, zi)`, loaded from `file`; where that fails
+    or fails a check exact in binary, `scipy.signal.lfilter`, which makes this very call."""
+    name, imported = "scipy.signal._sigtools", "scipy.signal._sigtools" in sys.modules
+    try:
+        loader = ExtensionFileLoader(name, file)
+        module = loader.create_module(ModuleSpec(name, loader, origin=file))
+        loader.exec_module(module)
+        b, a, x, zi = (np.array(v) for v in ([0.0, 0.5], [1.0, -0.5], [1.0, 2.0, 4.0], [1.0]))
+        y, zf = module._linear_filter(b, a, x, -1, zi)
+        if (y.tolist(), zf.tolist()) == ([1.0, 1.0, 1.5], [2.75]):
+            return module._linear_filter
+    except Exception:  # no file, a load error, another API: lfilter runs the same function
+        pass
+    finally:  # a single-phase extension enters itself in sys.modules: take a new entry out
+        if not imported:
+            sys.modules.pop(name, None)
+    from scipy.signal import lfilter
+    return lfilter
+
+
+_linear_filter = _compiled_filter()
+
+
 class _Euler:
     """One explicit Euler recurrence y[k+1] = decay*y[k] + gain_dt*x[k], y[0] = y0, run block
-    by block by `lfilter` (in C): each call carries the state on to the next block, so the bits
-    are those of one call on the whole input."""
+    by block by `lfilter`'s C filter, loaded without `scipy.signal` (`_compiled_filter`): each
+    call carries the state on to the next block, so the bits are those of one call on all input."""
 
     def __init__(self, gain_dt: float, decay: float, y0: float):
         self.b, self.a = np.array([0.0, gain_dt]), np.array([1.0, -decay])
         self.state = np.array([float(y0)])
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        y, self.state = lfilter(self.b, self.a, x, zi=self.state)
+        y, self.state = _linear_filter(self.b, self.a, x, -1, self.state)
         return y
 
 

@@ -4,6 +4,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +71,28 @@ def test_only_runtime_starts_threads_or_processes():
     modules = [path.stem for path in PACKAGE.glob("*.py")]
     starters = {module for module in modules if _called_names(module) & RUNNERS}
     assert starters == {"runtime"}  # spectral's plan lock is allowed
+
+
+_SVC_RUN = """
+import sys
+import motioncomfort.cli
+
+out = sys.argv[1]
+assert motioncomfort.cli.main(["synth", "--duration", "30", "--out", out]) == 0
+assert motioncomfort.cli.main(["assess", "--trace", out + "/trace.csv", "--out", out]) == 0
+print(sorted(name for name in sys.modules if name.startswith(("scipy.signal", "scipy.stats"))))
+"""
+
+
+def test_an_svc_run_imports_neither_scipy_signal_nor_scipy_stats(tmp_path):
+    # SVC loads lfilter's compiled filter from its file, since importing scipy.signal also
+    # imports scipy.stats.  Where this scipy moved or changed that filter, SVC falls back to
+    # importing lfilter, and this test fails.
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SVC_RUN, str(tmp_path)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "msi.csv").exists()
+    assert proc.stdout.splitlines()[-1] == "[]"

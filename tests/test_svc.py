@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import sys
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.signal import lfilter
+from scipy.signal import _sigtools, lfilter
 
 from motioncomfort import (
     AXES,
@@ -336,6 +338,70 @@ def test_a_tail_block_of_one_sample_carries_every_state():
         states = svc_states(head, params)
     for name, trajectory in want.items():
         assert states[name].tobytes() == trajectory.tobytes(), name
+
+
+def test_the_recurrences_run_lfilters_own_compiled_filter():
+    assert svc._linear_filter is _sigtools._linear_filter
+    assert svc._compiled_filter() is _sigtools._linear_filter
+
+
+class _Loader:
+    """Stands in for `ExtensionFileLoader`: its module holds `linear_filter` as
+    `_linear_filter` (none where it is None), or its load raises `ImportError`."""
+
+    def __init__(self, linear_filter):
+        self.linear_filter = linear_filter
+
+    def create_module(self, spec):
+        if self.linear_filter is ImportError:
+            raise ImportError(f"cannot load {spec.origin}")
+        module = types.ModuleType(spec.name)
+        if self.linear_filter is not None:
+            module._linear_filter = self.linear_filter
+        return module
+
+    def exec_module(self, module):
+        pass
+
+
+def _off_by_one_ulp(b, a, x, axis, zi):
+    y, zf = _sigtools._linear_filter(b, a, x, axis, zi)
+    return np.nextafter(y, np.inf), zf
+
+
+@pytest.mark.parametrize(
+    "loader",
+    [
+        svc.ExtensionFileLoader,  # the real loader, on a file that is not there
+        lambda name, file: _Loader(ImportError),
+        lambda name, file: _Loader(None),
+        lambda name, file: _Loader(lambda b, a, x, zi: None),
+        lambda name, file: _Loader(_off_by_one_ulp),
+    ],
+    ids=["no-file", "load-raises-ImportError", "no-_linear_filter", "another-signature",
+         "wrong-value"],
+)
+def test_a_compiled_filter_that_fails_falls_back_to_lfilter(monkeypatch, tmp_path, loader):
+    held = sys.modules["scipy.signal._sigtools"]
+    monkeypatch.setattr(svc, "ExtensionFileLoader", loader)
+    assert svc._compiled_filter(str(tmp_path / "_sigtools.so")) is lfilter
+    assert sys.modules["scipy.signal._sigtools"] is held
+
+
+def test_direct_filter_fallback_and_per_stage_lfilter_give_the_same_bits(monkeypatch, tmp_path):
+    # 129 samples in blocks of 64: 64, 64 and 1, each carrying all nine filter states.
+    rng = np.random.default_rng(27)
+    head = _head({axis: rng.standard_normal(129) for axis in AXES}, fs=10.0)
+    params = SvcParams(tau_s=2.0, mu_s=5.0, orientation_leak_s=3.0)
+    want = _states_all_at_once(head, params)
+    fallback = svc._compiled_filter(str(tmp_path / "no-such-extension.so"))
+    assert fallback is lfilter and svc._linear_filter is not lfilter
+    monkeypatch.setattr(svc, "_BLOCK_SAMPLES", 64)
+    for linear_filter in (svc._linear_filter, fallback):
+        monkeypatch.setattr(svc, "_linear_filter", linear_filter)
+        states = svc_states(head, params)
+        for name, trajectory in want.items():
+            assert states[name].tobytes() == trajectory.tobytes(), name
 
 
 @pytest.mark.parametrize("params", [{"b": 1.0, "n": 1e300}, {"g": 1e300}])
