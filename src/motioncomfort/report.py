@@ -180,7 +180,7 @@ def emit_report(report: ComfortReport, out_dir) -> dict[str, Path]:
 @dataclass(frozen=True)
 class ComparisonRow:
     """One model's totals.  A `*_vs_nhm` ratio is None when the NHM total is 0,
-    written as an empty CSV cell and as ``-`` in the text table, like an absent MSI.
+    written as an empty CSV cell and as ``-`` in the text table.
     """
 
     model_id: str
@@ -188,7 +188,7 @@ class ComparisonRow:
     rc_total: float
     ms_per_axis: Mapping[str, float]
     ms_total: float
-    msi_final: float | None
+    msi_final: float
     rc_total_vs_nhm: float | None
     ms_total_vs_nhm: float | None
 
@@ -265,7 +265,6 @@ def compare(
     ms: MetricRegime | None = None,
     svc_params: SvcParams | None = None,
     registry: Mapping[str, WeightingCurve] | None = None,
-    include_svc: bool = True,
 ) -> ComparisonTable:
     """Assess one trace under several model configurations.
 
@@ -288,7 +287,7 @@ def compare(
         last = k == len(bundles) - 1  # no name holds a copy: it goes when its run returns
         rep = full_assessment(
             spectra if last else spectra._replace(bins=spectra.bins.copy()), bundle,
-            rc=rc, ms=ms, svc_params=svc_params, registry=registry, include_svc=include_svc,
+            rc=rc, ms=ms, svc_params=svc_params, registry=registry,
         )
         nhm = rows.get("NHM")  # None while NHM itself runs: its ratios are to itself
         rows[model_id] = ComparisonRow(
@@ -297,7 +296,7 @@ def compare(
             rc_total=rep.rc.total,
             ms_per_axis=dict(rep.ms.per_axis),
             ms_total=rep.ms.total,
-            msi_final=None if rep.msi is None else rep.msi.final,
+            msi_final=rep.msi.final,
             rc_total_vs_nhm=_ratio(rep.rc.total, nhm.rc_total if nhm else rep.rc.total),
             ms_total_vs_nhm=_ratio(rep.ms.total, nhm.ms_total if nhm else rep.ms.total),
         )

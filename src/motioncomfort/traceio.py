@@ -36,7 +36,7 @@ UNIFORMITY_TOL = 1e-6  # max relative deviation of the time step
 _BLOCK_ROWS = 65536  # rows per formatted chunk; bounds the temporary argument tuple
 _MIN_WORKER_ROWS = 4 * _BLOCK_ROWS  # fewest rows format_rows gives a worker process
 _MIN_CHUNK_BYTES = 16 << 20  # smallest range load_trace gives a worker process
-_READ_BYTES = 4 << 20  # a trace parse reads its range in pieces of about this many bytes
+_READ_BYTES = 2 << 20  # a trace parse reads its range in pieces of about this many bytes
 MAX_SYNTH_SAMPLES = 50_000_000  # about 139 h at 100 Hz, 400 MB per float64 channel
 
 
@@ -183,7 +183,6 @@ _FOLLOWS = bytes(
 )
 _LONE_CR = re.compile(rb"\r(?!\n)")
 _COMMA_TO_LF = bytes.maketrans(b",", b"\n")
-_STRICT_BLOCK_BYTES = 2 << 20  # about this many bytes of whole rows per compiled read
 # The (time column, channel rows) that the parse workers of each load in progress write, by
 # key: a forked worker inherits them, where a task's arguments would be pickled copies.
 _DESTINATIONS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -221,44 +220,34 @@ def _compiled_reader() -> tuple[Callable, Callable] | None:
     return _get_read_cursor, _read_body_array
 
 
-def _strict_blocks(raw: bytes) -> tuple[list[np.ndarray], int]:
-    """The leading blocks of `raw` that `_strict_rows` accepts, read as (7, rows) channel-major
-    values, and the offset where they end: where a block is declined or the reader fails, or
-    the end of `raw`.  The values are bit-equal to `np.loadtxt`'s.
+def _strict_piece(raw: bytes) -> np.ndarray | None:
+    """The rows of `raw` as (7, rows) channel-major values, bit-equal to `np.loadtxt`'s, if
+    `_strict_rows` accepts them and the compiled reader reads them, else None.
 
-    Each block of about `_STRICT_BLOCK_BYTES` of whole rows is checked, then read with one
-    thread by scipy's compiled Matrix Market reader (what `scipy.io.mmread` runs) as the body
-    of a 7 x rows `array`, which lists the values column by column.  That reader drops the sign
-    of a zero, so a zero whose token starts with '-' is made -0.0 again.  A reader that this
-    scipy lacks, or that takes other arguments, declines the block.
+    A piece with a CR or a '#' is declined before the check.  The rows are read with one thread
+    by scipy's compiled Matrix Market reader (what `scipy.io.mmread` runs) as the body of a
+    7 x rows `array`, which lists the values column by column.  That reader drops the sign of a
+    zero, so a zero whose token starts with '-' is made -0.0 again.  A reader that this scipy
+    lacks, or that takes other arguments, declines the piece.
     """
     reader = _compiled_reader()  # imported by _parse_chunks before any worker forks
-    if reader is None:
-        return [], 0
-    get_read_cursor, read_body_array = reader
     data = np.frombuffer(raw, np.uint8)
-    parts, lo = [], 0
-    while lo < len(raw):
-        hi = raw.find(b"\n", lo + _STRICT_BLOCK_BYTES) + 1 or len(raw)
-        block = data[lo:hi]
-        rows = _strict_rows(block)
-        if rows is None:
-            break
-        head = b"%%%%MatrixMarket matrix array real general\n7 %d\n" % rows
-        stream = io.BytesIO(head + raw[lo:hi].translate(_COMMA_TO_LF))
-        try:
-            values = read_body_array(get_read_cursor(stream, parallelism=1)[0])
-        except (ValueError, AttributeError, TypeError):  # a bad block, or another reader API
-            break
-        if not values.all():
-            zero = np.flatnonzero(values.T == 0.0)  # token indices, row by row
-            ends = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
-            starts = np.concatenate(([0], ends[:-1] + 1))[zero]
-            negative = zero[block[starts] == ord("-")]
-            values[negative % 7, negative // 7] = -0.0
-        parts.append(values)
-        lo = hi
-    return parts, lo
+    if reader is None or b"\r" in raw or b"#" in raw or (rows := _strict_rows(data)) is None:
+        return None
+    get_read_cursor, read_body_array = reader
+    head = b"%%%%MatrixMarket matrix array real general\n7 %d\n" % rows
+    try:
+        cursor = get_read_cursor(io.BytesIO(head + raw.translate(_COMMA_TO_LF)), parallelism=1)
+        values = read_body_array(cursor[0])
+    except (ValueError, AttributeError, TypeError):  # a bad piece, or another reader API
+        return None
+    if not values.all():
+        zero = np.flatnonzero(values.T == 0.0)  # token indices, row by row
+        ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+        starts = np.concatenate(([0], ends[:-1] + 1))[zero]
+        negative = zero[data[starts] == ord("-")]
+        values[negative % 7, negative // 7] = -0.0
+    return values
 
 
 def _as_array(lines) -> np.ndarray | None:
@@ -316,50 +305,38 @@ def _pieces(fh, start: int, stop: int) -> Iterator[bytes]:
         yield piece
 
 
-def _line_ends(path, start: int, stop: int) -> tuple[int, int]:
-    """Bytes [start, stop) of a trace file, which begin and end on line boundaries, as (a bound
-    on their rows, their lines): their LF and CR bytes, and their lines as `bytes.splitlines`
-    counts them (a CRLF ends one line), each plus one for a last line with no line end."""
-    ends = lines = 0
-    last = b"\n"
+def _line_ends(path, start: int, stop: int) -> int:
+    """A bound on the rows in bytes [start, stop) of a trace file, which begin and end on line
+    boundaries: their LF and CR bytes, plus one for a last line with no line end."""
+    ends, last = 0, b"\n"
     with open(path, "rb") as fh:
         for piece in _pieces(fh, start, stop):
-            lf = piece.count(b"\n")
-            cr = piece.count(b"\r") if b"\r" in piece else 0
-            ends += lf + cr
-            lines += lf + cr - (piece.count(b"\r\n") if cr else 0)
+            ends += piece.count(b"\n") + (piece.count(b"\r") if b"\r" in piece else 0)
             last = piece[-1:]
-    unended = last not in (b"\n", b"\r")
-    return ends + unended, lines + unended
+    return ends + (last not in (b"\n", b"\r"))
 
 
-def _parse_chunk(key: int, path, start: int, stop: int, at: int) -> int | _BadLine:
+def _parse_chunk(key: int, path, start: int, stop: int, at: int) -> tuple[int, int] | _BadLine:
     """Parse bytes [start, stop) of a trace file, which begin and end on line boundaries, into
-    the destination ``_DESTINATIONS[key]`` from column `at` on; return the number of rows, or
-    the first line that is not 7 numbers.  Piece by piece (`_pieces`), the rows are read
-    strictly block by block while they can be (`_strict_blocks`); the rest of the range, from
-    the first block it declines, is read with numpy (`_loose_parse`)."""
+    the destination ``_DESTINATIONS[key]`` from column `at` on; return (rows, lines), or the
+    first line that is not 7 numbers.  Each piece (`_pieces`) is read strictly if it can be
+    (`_strict_piece`, one line a row), else with numpy (`_loose_parse`)."""
     t, channels = _DESTINATIONS[key]
-    end = at
-
-    def write(values: np.ndarray) -> None:  # (7, rows) channel-major values
-        nonlocal end
-        lo, end = end, end + values.shape[1]
-        t[lo:end], channels[:, lo:end] = values[0], values[1:]
-
+    end, lines = at, 0
     with open(path, "rb") as fh:
         for piece in _pieces(fh, start, stop):
-            parts, strict_stop = _strict_blocks(piece)
-            for part in parts:
-                write(part)
-            del parts
-            if strict_stop < len(piece):
-                rest = _loose_parse(piece[strict_stop:] + fh.read(stop - fh.tell()))
-                if isinstance(rest, _BadLine):  # each strict row is one line
-                    return rest._replace(index=rest.index + end - at)
-                write(rest)
-                break
-    return end - at
+            values = _strict_piece(piece)
+            if values is not None:
+                lines += values.shape[1]
+            else:
+                values = _loose_parse(piece)
+                if isinstance(values, _BadLine):
+                    return values._replace(index=values.index + lines)
+                lines += len(piece.splitlines())
+            lo, end = end, end + values.shape[1]
+            t[lo:end], channels[:, lo:end] = values[0], values[1:]
+            del values  # before the next piece is read
+    return end - at, lines
 
 
 def _shared_floats(count: int) -> np.ndarray:
@@ -376,14 +353,14 @@ def _parse_chunks(path, bounds: list[int], header_line: int) -> tuple[np.ndarray
     Each worker first counts its range's line ends (`_line_ends`), a bound on its rows.  Then
     the time column and the channel rows are mapped (`_shared_floats`), each range gets the
     columns its bound allows from where the ranges before it end, and each worker writes its
-    rows there (`_parse_chunk`), handing back only its row count.  Last, the gaps that blank
-    and comment lines leave are closed in place.  A row that is not 7 numbers is a DataError
-    naming its 1-based line, counted from the `header_line`.
+    rows there (`_parse_chunk`), handing back only its row and line counts.  Last, the gaps
+    that blank and comment lines leave are closed in place.  A row that is not 7 numbers is a
+    DataError naming its 1-based line, counted from the `header_line`.
     """
-    _compiled_reader()  # imported for _strict_blocks before any fork
+    _compiled_reader()  # imported for _strict_piece before any fork
     ranges = list(zip(bounds[:-1], bounds[1:]))
-    counts = list(runtime.fork_map(len(ranges), _line_ends, [(path, lo, hi) for lo, hi in ranges]))
-    slots = list(itertools.accumulate((rows for rows, _ in counts), initial=0))
+    counts = runtime.fork_map(len(ranges), _line_ends, [(path, lo, hi) for lo, hi in ranges])
+    slots = list(itertools.accumulate(counts, initial=0))
     room = 2 * (slots[-1] // 2 + 1)  # for the spectrum of every length up to the bound
     key = next(_LOADS)
     _DESTINATIONS[key] = t, channels = (
@@ -395,12 +372,12 @@ def _parse_chunks(path, bounds: list[int], header_line: int) -> tuple[np.ndarray
     finally:
         del _DESTINATIONS[key]
     line = header_line
-    for (_, lines), result in zip(counts, results):
+    for result in results:
         if isinstance(result, _BadLine):
             raise DataError(f"{path}: line {line + result.index + 1}: {result.reason}")
-        line += lines
+        line += result[1]
     n = 0
-    for at, rows in zip(slots, results):
+    for at, (rows, _) in zip(slots, results):
         # Ascending blocks: a block's source lies past what the blocks before it wrote.
         for lo in range(0, rows if at > n else 0, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, rows)
@@ -440,22 +417,21 @@ def load_trace(path) -> MotionTrace:
     worker processes parse the ranges in parallel; otherwise, and where the
     platform cannot fork, one range is parsed inline.  Workers (or the inline
     parse) write the values straight into the trace's rows, which live in
-    anonymous shared memory; only row counts come back (`_parse_chunks`).  A
-    range is read in pieces of about 4 MiB, and block by block by scipy's
-    compiled reader, on one thread, while each block's rows are all seven plain
-    decimals split by commas and ended by LF, as `save_trace` writes them
-    (`_strict_blocks`); the rest of the range, from the first other block, by
-    ``np.loadtxt``, and line by line where that fails or the rest holds a lone
-    CR (which numpy would misread).  The values are bit-identical on every
-    path.  Each channel is the first n floats of its row of one writable
-    (6, room) float array, with room for the channel's spectrum
-    (2 * (n // 2 + 1) floats), which `transmission.load_seat_spectra` writes
-    over it.  A row that is not 7 numbers is a
-    DataError that names its 1-based line in the file.  The sample rate is the
-    first of these candidates whose ``np.arange(n) / rate`` is exactly the
-    time column: the integer within 1e-9 relative of 1/dt, if there is one,
-    then the doubles within 4 ulp of 1/dt, nearest first.  If none is, it is
-    the first candidate.  So a saved trace loads at its own rate (a
+    anonymous shared memory; only row and line counts come back
+    (`_parse_chunks`).  A range is read in pieces of about 2 MiB of whole
+    lines.  A piece whose rows are all seven plain decimals split by commas and
+    ended by LF, as `save_trace` writes them, is read by scipy's compiled
+    reader on one thread (`_strict_piece`); any other piece by ``np.loadtxt``,
+    and line by line where that fails or the piece holds a lone CR (which numpy
+    would misread).  The values are bit-identical on every path.  Each channel
+    is the first n floats of its row of one writable (6, room) float array,
+    with room for the channel's spectrum (2 * (n // 2 + 1) floats), which
+    `transmission.load_seat_spectra` writes over it.  A row that is not 7
+    numbers is a DataError that names its 1-based line in the file.  The sample
+    rate is the first of these candidates whose ``np.arange(n) / rate`` is
+    exactly the time column: the integer within 1e-9 relative of 1/dt, if there
+    is one, then the doubles within 4 ulp of 1/dt, nearest first.  If none is,
+    it is the first candidate.  So a saved trace loads at its own rate (a
     non-integer one from about 16 samples on), and a hand-written decimal
     column at the integer.
     """

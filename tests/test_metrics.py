@@ -536,7 +536,7 @@ def test_seat_spectra_are_taken_over_and_refused_a_second_time(include_svc):
     with pytest.raises(DataError, match="took them over"):
         compare(spectra, ["EXP", "AHM"])
     spectra = seat_spectra(seat)
-    compare(spectra, ["EXP", "AHM"], include_svc=include_svc)  # the last model takes them over
+    compare(spectra, ["EXP", "AHM"])  # the last model takes them over
     assert not spectra.bins.flags.writeable
     wrong = spectra._replace(bins=np.zeros((len(AXES), 3), np.complex128))
     with pytest.raises(DataError, match=r"complex \(6, 351\) bins"):

@@ -243,7 +243,7 @@ def test_compare_coupled_bundle_beats_nhm(broadband_seat):
 
 def test_compare_table_schema():
     trace = random_trace(42, n=400)
-    table = compare(trace, ["NHM", "NHM"], include_svc=False)
+    table = compare(trace, ["NHM", "NHM"])
     header = table.to_csv().splitlines()[0].split(",")
     for axis in AXES:
         assert f"rc_{axis}" in header

@@ -429,12 +429,9 @@ def test_load_trace_fuzz_inline_and_forked_chunks_agree(body):
     assert inline == forked
 
 
-def _strict_and_loadtxt(raw: bytes, block_bytes: int):
+def _strict_and_loadtxt(raw: bytes):
     """The strict path's (7, rows) values or None, and np.loadtxt's values as (7, rows) or None."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(traceio, "_STRICT_BLOCK_BYTES", block_bytes)
-        parts, stop = traceio._strict_blocks(raw)
-    strict = np.concatenate(parts, axis=1) if parts and stop == len(raw) else None
+    strict = traceio._strict_piece(raw)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty input, or 1e400 read as inf
@@ -533,16 +530,15 @@ def _strict_candidates(draw) -> tuple[bytes, bool]:
 )
 def test_strict_path_declines_other_row_shapes(raw):
     assert traceio._strict_rows(np.frombuffer(raw, np.uint8)) is None
-    for block_bytes in (1, 2 << 20):
-        assert _strict_and_loadtxt(raw, block_bytes)[0] is None
+    assert _strict_and_loadtxt(raw)[0] is None
 
 
 @settings(max_examples=300, deadline=None)
-@given(candidate=_strict_candidates(), block_bytes=st.sampled_from([1, 40, 2 << 20]))
-def test_strict_path_declines_or_is_bit_equal_to_loadtxt(candidate, block_bytes):
+@given(candidate=_strict_candidates())
+def test_strict_path_declines_or_is_bit_equal_to_loadtxt(candidate):
     raw, strict_grammar = candidate
     assert (traceio._strict_rows(np.frombuffer(raw, np.uint8)) is not None) == strict_grammar
-    strict, reference = _strict_and_loadtxt(raw, block_bytes)
+    strict, reference = _strict_and_loadtxt(raw)
     _assert_declined_or_bit_equal(strict, reference)
     assert (strict is not None) == strict_grammar
 
@@ -555,16 +551,15 @@ def test_strict_byte_check_is_the_token_grammar(tokens):
         grammar = re.fullmatch(_STRICT_TOKEN, token) is not None
         for raw in (f"{token},1,2,3,4,5,6\n".encode(), f"-0,1,2,3,4,5,{token}\n".encode()):
             assert (traceio._strict_rows(np.frombuffer(raw, np.uint8)) is not None) == grammar
-            _assert_declined_or_bit_equal(*_strict_and_loadtxt(raw, 2 << 20))
+            _assert_declined_or_bit_equal(*_strict_and_loadtxt(raw))
 
 
 def test_saved_trace_takes_the_strict_path(tmp_path):
     trace = random_trace(24, n=300)
     save_trace(trace, tmp_path / "t.csv")
     body = (tmp_path / "t.csv").read_bytes().split(b"\n", 1)[1]
-    parts, stop = traceio._strict_blocks(body)
-    assert stop == len(body)
-    values = np.concatenate(parts, axis=1)
+    values = traceio._strict_piece(body)
+    assert values is not None
     for i, axis in enumerate(AXES):
         assert values[1 + i].tobytes() == trace.channels[axis].tobytes()
 
@@ -923,22 +918,20 @@ def test_numpy_reads_every_block_when_scipys_compiled_reader_is_missing_or_chang
     ):
         with pytest.MonkeyPatch.context() as mp:
             patch(mp)
-            assert traceio._strict_blocks(body) == ([], 0)
+            assert traceio._strict_piece(body) is None
             assert _outcome(lambda p: _load(p, cpus), path) == want
 
 
 @pytest.mark.parametrize(
     "edit, bad_line",
     [
-        (_replace_line(32, "0.5,1,2,3,x,5,6"), 32),  # data row 30, after many blocks
+        (_replace_line(32, "0.5,1,2,3,x,5,6"), 32),  # data row 30, after many pieces
         (_replace_line(32, "# late", "0.5,1,2"), 33),  # a comment, then a bad row
         (_replace_line(32, "   ", "<row>"), None),  # a blank line: the values are unchanged
         (_replace_line(32, "# late\r<row>"), None),  # a comment ended by a lone CR
     ],
 )
-def test_strict_blocks_before_a_late_line_are_read_and_numpy_gets_the_rest(
-    tmp_path, edit, bad_line
-):
+def test_only_the_piece_with_a_late_line_reaches_numpy(tmp_path, edit, bad_line):
     trace = random_trace(26, n=40)
     lines = _trace_text(trace, tmp_path).splitlines()
     row = lines[31]
@@ -947,18 +940,41 @@ def test_strict_blocks_before_a_late_line_are_read_and_numpy_gets_the_rest(
     path = tmp_path / "t.csv"
     path.write_bytes(("\n".join(lines) + "\n").encode())
     body = path.read_bytes().split(b"\n", 1)[1]
-    loose_parse, handed = traceio._loose_parse, []
-    outcomes = []
-    for block_bytes in (2 << 20, 200):  # one block for all rows, or about two rows a block
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(traceio, "_STRICT_BLOCK_BYTES", block_bytes)
-            mp.setattr(traceio, "_loose_parse", lambda raw: handed.append(raw) or loose_parse(raw))
-            outcomes.append(_outcome(load_trace, path))
-    assert outcomes[0] == outcomes[1]
-    assert handed[0] == body  # the only block is declined: numpy reads every row
     late = sum(len(line) + 1 for line in lines[1:31])  # the offset of line 32 in the body
-    assert body.endswith(handed[1]) and 2 * 200 <= len(body) - len(handed[1]) <= late
+    loose_parse, strict_piece = traceio._loose_parse, traceio._strict_piece
+    outcomes = []
+    for read_bytes in (2 << 20, 200):  # one piece for all rows, or about two rows a piece
+        handed, pieces = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(traceio, "_READ_BYTES", read_bytes)
+            mp.setattr(traceio, "_loose_parse", lambda raw: handed.append(raw) or loose_parse(raw))
+            mp.setattr(traceio, "_strict_piece", lambda r: pieces.append(r) or strict_piece(r))
+            outcomes.append(_outcome(load_trace, path))
+        at = pieces.index(handed[0])
+        assert handed == [pieces[at]]  # every other piece is read strictly
+        start = len(b"".join(pieces[:at]))
+        assert start <= late < start + len(handed[0])  # the piece that holds line 32
+        if bad_line is None:
+            assert b"".join(pieces) == body  # the pieces after it are read, and strictly
+        else:
+            assert at == len(pieces) - 1 and body.startswith(b"".join(pieces))
+    assert start >= 2 * 200  # with small pieces, strict ones come before it
+    assert outcomes[0] == outcomes[1]
     if bad_line is None:
         assert outcomes[0] == _outcome(load_trace, tmp_path / "plain.csv")
     else:
         assert outcomes[0][0] is DataError and f": line {bad_line}: " in outcomes[0][1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=fuzzed_body())
+def test_the_piece_size_never_changes_a_load(body):
+    # One line a piece against the default: the same values, rate, error and line number.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(traceio.TRACE_HEADER.encode() + b"\n" + body)
+        want = _outcome(load_trace, path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(traceio, "_READ_BYTES", 1)
+            assert _outcome(load_trace, path) == want
+            assert _outcome(lambda p: _load(p, cpus=3), path) == want
