@@ -1,22 +1,51 @@
-"""The CPU runners that the spectral core, the RC/MS read-offs and trace I/O share.
+"""The CPU runners that the spectral core, the RC/MS read-offs and trace I/O share, and the
+loader of the compiled scipy modules they call.
 
 `on_every_cpu` runs tasks on one thread per usable CPU (`usable_cpus`), and
-`fork_map` runs them in forked processes.  This module imports nothing from
-the package, so every layer may call it, and a test patches ``usable_cpus``
-here alone.
+`fork_map` runs them in forked processes; `scipy_kernel` loads a module.  This
+module imports nothing from the package, so every layer may call it, and a
+test patches ``usable_cpus`` or ``_SCIPY_FILE`` here alone.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import sys
 import threading
+from importlib.machinery import EXTENSION_SUFFIXES
+from types import ModuleType
 from typing import Callable, Iterator
+
+import scipy
+
+_SCIPY_FILE = f"{scipy.__path__[0]}/%s{EXTENSION_SUFFIXES[0]}"  # a compiled module's file
 
 
 def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def scipy_kernel(name: str, path: str, check: Callable[[ModuleType], bool]) -> ModuleType:
+    """scipy's compiled module `name`, loaded from its file (`path` under scipy's directory, no
+    suffix) without the scipy modules above it, where that works and `check(module)`, exact in
+    binary, is true; else imported as scipy imports it, with its public module.  A name already
+    in sys.modules (imported, or hidden by None) is imported; a load's own entry is taken out."""
+    if name in sys.modules:
+        return importlib.import_module(name)
+    try:  # a pybind11 module fails to initialise from ExtensionFileLoader.create_module alone
+        spec = importlib.util.spec_from_file_location(name, _SCIPY_FILE % path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        if check(module):
+            return module
+    except Exception:  # no file, a load error, another API: scipy's own import runs the same code
+        pass
+    finally:
+        sys.modules.pop(name, None)
+    return importlib.import_module(name)
 
 
 def on_every_cpu(task: Callable[[int], None], count: int) -> None:

@@ -15,12 +15,15 @@ stays exact; the results differ from pocketfft's in the last bits only, and
 are the same on every run and thread.  A split transform holds one complex
 (p, a // 2 + 1) plane, transformed in place by rows and by columns with the
 bits of scipy's `rfft2` or `irfft2`.  `rfft` at every other length, and
-`apply_response` (the time-domain oracle's path), call scipy.fft directly;
-`irfft` there runs the same pocketfft pass in place, through scipy.fftpack,
-with scipy.fft's bits, so that a row given as `out=` takes the signal with
-no signal-sized numpy temporary.  The index tables of the last split length
-(9 bytes a sample) are kept on purpose after the run that built them, so that
-`report.compare`'s models and the contribution breakdown reuse them.
+`apply_response` (the time-domain oracle's path), run pocketfft as scipy.fft
+does; `irfft` there runs the same pocketfft pass in place, as scipy.fftpack
+does, with scipy.fft's bits, so that a row given as `out=` takes the signal
+with no signal-sized numpy temporary.  pocketfft is loaded from its file
+(`runtime.scipy_kernel`; importing `scipy.fft` costs 0.2 s a process) and
+called as scipy.fft and scipy.fftpack call it.  The index tables of the last
+split length (9 bytes a sample) are kept on purpose after the run that built
+them, so that `report.compare`'s models and the contribution breakdown reuse
+them.
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ import threading
 from typing import NamedTuple
 
 import numpy as np
-from scipy import fft as _fft
-from scipy import fftpack as _fftpack
 
+from . import runtime
 from .errors import DataError
 
 _MIN_SPLIT_LENGTH = 65536  # shorter transforms gain too little to pay for the index tables
@@ -41,8 +43,19 @@ _GATHER_BINS = 65536  # a split rfft gathers its bins from the plane in chunks o
 _ROW_SAMPLES = 65536  # a split transform's row passes take blocks of about this many samples
 
 
+def _transforms_exactly(fft) -> bool:
+    x, bins, a = np.array([1.0, 2.0, 4.0, 8.0]), np.array([15, -3 + 6j, -5]), (-1,)
+    got = [fft.r2c(x, a, True, 0, None, 1), fft.c2c(x + 0j, a, True, 0, None, 1)[:3],
+           fft.c2r(bins, a, 4, False, 2, None, 1), fft.r2r_fftpack(x, a, True, True, 0, None, 1)]
+    return [g.tolist() for g in got] == [bins.tolist()] * 2 + [x.tolist(), [15, -3, 6, -5]]
+
+
+_pocketfft = runtime.scipy_kernel("scipy.fft._pocketfft.pypocketfft", "fft/_pocketfft/pypocketfft",
+                                  _transforms_exactly)
+
+
 def bin_frequencies(n: int, sample_rate_hz: float) -> np.ndarray:
-    return _fft.rfftfreq(n, d=1.0 / float(sample_rate_hz))
+    return np.arange(n // 2 + 1) * (1.0 / (n * (1.0 / float(sample_rate_hz))))  # numpy's rfftfreq
 
 
 def apply_response(signal, sample_rate_hz: float, response_at) -> np.ndarray:
@@ -59,7 +72,7 @@ def apply_response(signal, sample_rate_hz: float, response_at) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise DataError("signal contains non-finite samples")
     n = x.size
-    spectrum = _fft.rfft(x)
+    spectrum = _pocketfft.r2c(x, (-1,), True, 0, None, 1)
     response = np.asarray(response_at(bin_frequencies(n, sample_rate_hz)))
     if np.iscomplexobj(response):
         response = response.copy()  # not the caller's array
@@ -67,7 +80,7 @@ def apply_response(signal, sample_rate_hz: float, response_at) -> np.ndarray:
         if n % 2 == 0:
             response[-1] = response[-1].real
     spectrum *= response
-    return _fft.irfft(spectrum, n=n)
+    return _pocketfft.c2r(spectrum, (-1,), n, False, 2, None, 1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -154,31 +167,28 @@ def rfft(signal: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     They are written to the complex row `out` if one is given.  A split length
     runs FFTPACK's real pass in place over its plane's rows, block by block,
     then an FFT along p, and gathers the bins into `out` in chunks of
-    `_GATHER_BINS`, with no spectrum-sized temporary.  `out` may be the
-    signal's own memory (its row, with room for the bins): the signal is read
-    whole, into a split length's plane or by scipy's transform, before any
-    bin is written.
+    `_GATHER_BINS`, with no spectrum-sized temporary.  `out` may be the signal's
+    own memory (its row, with room for the bins): the signal is read whole,
+    into a split length's plane or by pocketfft, before any bin is written.
     """
-    n = len(signal)
-    split = _split(n)
+    x = np.asarray(signal, np.float64)
+    split = _split(n := len(x))
     if split is None:
         if out is None:
-            return _fft.rfft(signal)
-        out[:] = _fft.rfft(signal)
+            return _pocketfft.r2c(x, (-1,), True, 0, None, 1)
+        out[:] = _pocketfft.r2c(x, (-1,), True, 0, None, 1)
         return out
     plan = _plan_of(*split)
-    a, x, step = plan.a, np.asarray(signal, np.float64), max(1, _ROW_SAMPLES // plan.a)
+    a, step = plan.a, max(1, _ROW_SAMPLES // plan.a)
     plane = np.empty((plan.p, a // 2 + 1), np.complex128)
     # Rows start one float in: FFTPACK's Re 0, Re 1, Im 1, ... is then complex layout but Re 0.
     for lo in range(0, plan.p, step):
         block, rows = plane.view(np.float64)[lo : lo + step], plan.samples[lo : lo + step]
         np.take(x, rows, out=block[:, 1 : a + 1], mode="clip")  # "raise" would buffer `out`
-        done = _fftpack.rfft(block[:, 1 : a + 1], overwrite_x=True)
-        if not np.may_share_memory(done, block):  # scipy did not transform it in place
-            block[:, 1 : a + 1] = done
+        _pocketfft.r2r_fftpack(block[:, 1 : a + 1], (-1,), True, True, 0, block[:, 1 : a + 1], 1)
         block[:, 0] = block[:, 1]
         block[:, 1 : a + 2 : a] = 0.0  # Im 0 and, for even a, Im a / 2 (odd a ends at Im 0)
-    flat = _fft.fft(plane, axis=0, overwrite_x=True).ravel()
+    flat = _pocketfft.c2c(plane, (0,), True, 0, plane, 1).ravel()
     out = np.empty(n // 2 + 1, np.complex128) if out is None else out
     for lo in range(0, len(out), _GATHER_BINS):
         chunk = slice(lo, lo + _GATHER_BINS)
@@ -193,28 +203,23 @@ def irfft(spectrum: np.ndarray, n: int, out: np.ndarray | None = None) -> np.nda
 
     It is written to the float row `out` of n samples if one is given, which
     may be the first n floats of the complex `spectrum`'s own memory: the
-    spectrum is then inverted in place.  A length that is not split shifts the
-    bins down one float, into FFTPACK's half-complex order (Re 0, Re 1, Im 1,
-    Re 2, ...), and runs pocketfft's backward pass over them in place
-    (`scipy.fftpack.irfft`), the pass that scipy.fft.irfft runs on a copy.  A
-    split length runs an inverse FFT along p over its plane in place, then
-    scatters the real inverse of each block of rows straight into the row.
+    spectrum is then inverted in place.  A length that is not split, or a
+    spectrum cut or padded with zeros to n // 2 + 1 bins (as scipy.fft does),
+    shifts the bins down one float, into FFTPACK's half-complex order (Re 0,
+    Re 1, Im 1, ...), and runs pocketfft's backward pass over them in place,
+    the pass that scipy.fft.irfft runs on a copy.  A split length runs an
+    inverse FFT along p over its plane in place, then scatters the real inverse
+    of each block of rows straight into the row.
     """
-    if len(spectrum) != n // 2 + 1:  # scipy.fft pads or cuts it
-        if out is None:
-            return _fft.irfft(spectrum, n=n)
-        out[:] = _fft.irfft(spectrum, n=n)
-        return out
-    split = _split(n)
+    spectrum = spectrum if len(spectrum) else np.zeros(1)  # scipy.fft pads an empty one too
+    split = _split(n) if len(spectrum) == n // 2 + 1 else None
     if split is None:
         floats = np.ascontiguousarray(spectrum, np.complex128).view(np.float64)
         out = np.empty(n) if out is None else out
         out[0] = floats[0]  # irfft reads only the real part of DC and, for even n, of Nyquist
-        out[1:] = floats[2 : n + 1]
-        signal = _fftpack.irfft(out, overwrite_x=True)
-        if not np.may_share_memory(signal, out):  # scipy did not transform it in place
-            out[:] = signal
-        return out
+        out[1 : len(floats) - 1] = floats[2 : n + 1]
+        out[len(floats) - 1 :] = 0.0  # the bins that a short spectrum lacks
+        return _pocketfft.r2r_fftpack(out, (-1,), False, False, 2, out, 1)
     plan = _plan_of(*split)
     plane = np.asarray(spectrum, np.complex128)[plan.plane]
     np.negative(plane.imag, out=plane.imag, where=plan.plane_conj)
@@ -222,12 +227,12 @@ def irfft(spectrum: np.ndarray, n: int, out: np.ndarray | None = None) -> np.nda
     plane[0, 0] = plane[0, 0].real
     if n % 2 == 0:
         plane[0, -1] = plane[0, -1].real
-    plane = _fft.ifft(plane, axis=0, norm="forward", overwrite_x=True)
+    _pocketfft.c2c(plane, (0,), False, 0, plane, 1)  # scipy.fft.ifft's norm="forward"
     out = np.empty(n) if out is None else out
     scale = float(1 / np.longdouble(n))  # irfft2's factor: pocketfft takes 1 / n in long double
     step = max(1, _ROW_SAMPLES // plan.a)
     for lo in range(0, plan.p, step):
-        values = _fft.irfft(plane[lo : lo + step], n=plan.a, axis=1, norm="forward")
+        values = _pocketfft.c2r(plane[lo : lo + step], (1,), plan.a, False, 0, None, 1)
         out[plan.samples[lo : lo + step]] = values * scale
     return out
 

@@ -20,8 +20,8 @@ system senses and the slowly adapting internal estimate of "down":
 
 Integration is explicit Euler at the trace sample rate; the recurrences are
 evaluated by the C filter that `scipy.signal.lfilter` runs, which reproduces
-the Euler update exactly.  It is loaded from its file: importing `scipy.signal`
-also imports `scipy.stats` (0.6 s and 50 MB a process on a 2-vCPU Xeon).
+the Euler update exactly.  `runtime.scipy_kernel` loads it from its file, as
+importing `scipy.signal` also imports `scipy.stats` (0.6 s and 50 MB a process).
 All parameters are exposed on `SvcParams` and can be substituted; the
 defaults give plausible shapes but are not fitted to any dataset.
 
@@ -36,14 +36,12 @@ works sample by sample, so the bits do not depend on the block size.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import InitVar, asdict, dataclass, field
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 from typing import Iterator, Mapping
 
 import numpy as np
-import scipy
 
+from . import runtime
 from .errors import DataError, NumericError
 from .frf import _frozen_array, _is_real
 from .traceio import MotionTrace
@@ -112,33 +110,19 @@ class MsiSeries:
         return float(self.msi_percent[-1])
 
 
-def _compiled_filter(file: str = f"{scipy.__path__[0]}/signal/_sigtools{EXTENSION_SUFFIXES[0]}"):
-    """scipy's compiled `_linear_filter(b, a, x, axis, zi)`, loaded from `file`; where that fails
-    or fails a check exact in binary, `scipy.signal.lfilter`, which makes this very call."""
-    name, imported = "scipy.signal._sigtools", "scipy.signal._sigtools" in sys.modules
-    try:
-        loader = ExtensionFileLoader(name, file)
-        module = loader.create_module(ModuleSpec(name, loader, origin=file))
-        loader.exec_module(module)
-        b, a, x, zi = (np.array(v) for v in ([0.0, 0.5], [1.0, -0.5], [1.0, 2.0, 4.0], [1.0]))
-        y, zf = module._linear_filter(b, a, x, -1, zi)
-        if (y.tolist(), zf.tolist()) == ([1.0, 1.0, 1.5], [2.75]):
-            return module._linear_filter
-    except Exception:  # no file, a load error, another API: lfilter runs the same function
-        pass
-    finally:  # a single-phase extension enters itself in sys.modules: take a new entry out
-        if not imported:
-            sys.modules.pop(name, None)
-    from scipy.signal import lfilter
-    return lfilter
+def _filters_exactly(sigtools) -> bool:
+    b, a, x, zi = (np.array(v) for v in ([0.0, 0.5], [1.0, -0.5], [1.0, 2.0, 4.0], [1.0]))
+    y, zf = sigtools._linear_filter(b, a, x, -1, zi)
+    return (y.tolist(), zf.tolist()) == ([1.0, 1.0, 1.5], [2.75])
 
 
-_linear_filter = _compiled_filter()
+_sigtools = runtime.scipy_kernel("scipy.signal._sigtools", "signal/_sigtools", _filters_exactly)
+_linear_filter = _sigtools._linear_filter  # (b, a, x, axis, zi): the call that lfilter makes
 
 
 class _Euler:
     """One explicit Euler recurrence y[k+1] = decay*y[k] + gain_dt*x[k], y[0] = y0, run block
-    by block by `lfilter`'s C filter, loaded without `scipy.signal` (`_compiled_filter`): each
+    by block by `lfilter`'s C filter, loaded without `scipy.signal` (`_linear_filter`): each
     call carries the state on to the next block, so the bits are those of one call on all input."""
 
     def __init__(self, gain_dt: float, decay: float, y0: float):

@@ -10,6 +10,7 @@ written with 17 significant digits so a save/load round trip is bit exact.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import mmap
@@ -20,15 +21,15 @@ import uuid
 import warnings
 from dataclasses import MISSING, InitVar, dataclass, field, fields
 from pathlib import Path
-from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from types import MappingProxyType, ModuleType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import fft as _fft
 
 from . import g17, runtime
 from .errors import ConfigError, DataError
 from .frf import AXES, _frozen_array, _is_real, _naming
+from .spectral import _pocketfft, bin_frequencies
 
 TRACE_HEADER = "t_s,ax,ay,az,aroll,apitch,ayaw"  # time, then the AXES in order
 
@@ -38,6 +39,10 @@ _MIN_WORKER_ROWS = 4 * _BLOCK_ROWS  # fewest rows format_rows gives a worker pro
 _MIN_CHUNK_BYTES = 16 << 20  # smallest range load_trace gives a worker process
 _READ_BYTES = 2 << 20  # a trace parse reads its range in pieces of about this many bytes
 MAX_SYNTH_SAMPLES = 50_000_000  # about 139 h at 100 Hz, 400 MB per float64 channel
+
+
+def _seconds(n: int, rate: float) -> np.ndarray:
+    return np.divide(t := np.arange(n, dtype=np.float64), rate, out=t)  # one array, not two
 
 
 @dataclass(frozen=True)
@@ -98,9 +103,7 @@ class MotionTrace:
 
     @property
     def time_s(self) -> np.ndarray:
-        t = np.arange(self.n_samples, dtype=np.float64)  # divided in place: one array, not two
-        t /= self.sample_rate_hz
-        return t
+        return _seconds(self.n_samples, self.sample_rate_hz)
 
     @classmethod
     def from_channels(cls, sample_rate_hz, frame_label="seat", **channels) -> "MotionTrace":
@@ -210,14 +213,22 @@ def _strict_rows(data: np.ndarray) -> int | None:
     return rows if separators == b",,,,,,\n" * rows else None
 
 
-def _compiled_reader() -> tuple[Callable, Callable] | None:
-    """scipy's compiled Matrix Market reader, as (_get_read_cursor, _read_body_array), or None
-    where this scipy does not have it."""
+def _reads_exactly(core) -> bool:
+    body = io.BytesIO(b"%%MatrixMarket matrix array real general\n2 2\n1\n-2.5\n.5\n4e3\n")
+    values = np.zeros((2, 2))
+    core.read_body_array(core.open_read_stream(body, 1), values)  # column by column
+    return values.tolist() == [[1.0, 0.5], [-2.5, 4000.0]]
+
+
+@functools.cache
+def _compiled_reader() -> ModuleType | None:
+    """scipy's compiled Matrix Market reader (`scipy.io.mmread`'s), or None where scipy lacks it;
+    loaded once, from its file, as importing `scipy.io` imports `scipy.sparse` (0.1 s a process)."""
+    name, path = "scipy.io._fast_matrix_market._fmm_core", "io/_fast_matrix_market/_fmm_core"
     try:
-        from scipy.io._fast_matrix_market import _get_read_cursor, _read_body_array
+        return runtime.scipy_kernel(name, path, _reads_exactly)
     except ImportError:
         return None
-    return _get_read_cursor, _read_body_array
 
 
 def _strict_piece(raw: bytes) -> np.ndarray | None:
@@ -234,11 +245,10 @@ def _strict_piece(raw: bytes) -> np.ndarray | None:
     data = np.frombuffer(raw, np.uint8)
     if reader is None or b"\r" in raw or b"#" in raw or (rows := _strict_rows(data)) is None:
         return None
-    get_read_cursor, read_body_array = reader
     head = b"%%%%MatrixMarket matrix array real general\n7 %d\n" % rows
+    values, body = np.zeros((7, rows)), io.BytesIO(head + raw.translate(_COMMA_TO_LF))
     try:
-        cursor = get_read_cursor(io.BytesIO(head + raw.translate(_COMMA_TO_LF)), parallelism=1)
-        values = read_body_array(cursor[0])
+        reader.read_body_array(reader.open_read_stream(body, 1), values)
     except (ValueError, AttributeError, TypeError):  # a bad piece, or another reader API
         return None
     if not values.all():
@@ -456,12 +466,14 @@ def load_trace(path) -> MotionTrace:
     if not np.all(np.isfinite(t)):  # the channels are checked by MotionTrace
         raise DataError(f"{path}: time column contains non-finite values")
 
-    steps = np.diff(t)
+    steps = np.diff(t)  # the rate check works in place: one temporary of the trace's length
     if np.any(steps <= 0.0):
         raise DataError(f"{path}: time column is not strictly increasing")
     dt = (t[-1] - t[0]) / (n - 1)
-    if np.max(np.abs(steps - dt)) > UNIFORMITY_TOL * dt:
+    steps -= dt
+    if np.max(np.abs(steps, out=steps)) > UNIFORMITY_TOL * dt:
         raise DataError(f"{path}: non-uniform sampling (time step varies by more than 1 ppm)")
+    del steps
     fs = 1.0 / dt
     near, up, down = [fs], fs, fs
     for _ in range(4):
@@ -470,9 +482,9 @@ def load_trace(path) -> MotionTrace:
     candidates = sorted(near, key=lambda r: abs(r - fs))
     if round(fs) > 0 and abs(fs - round(fs)) <= 1e-9 * fs:
         candidates.insert(0, round(fs))
-    exact = (r for r in candidates if (n - 1) / r == t[-1] and np.array_equal(np.arange(n) / r, t))
+    exact = (r for r in candidates if (n - 1) / r == t[-1] and np.array_equal(_seconds(n, r), t))
     fs = float(next(exact, candidates[0]))
-    del t, steps
+    del t
     with _naming(path):
         return MotionTrace(fs, dict(zip(AXES, channels[:, :n])), path.stem, _owned=True)
 
@@ -544,10 +556,10 @@ def _component_signal(comp: SynthComponent, t: np.ndarray, fs: float) -> np.ndar
     # noise: white Gaussian, hard spectral mask to [f0, f1], rescaled to RMS.
     rng = np.random.default_rng(comp.seed)
     white = rng.standard_normal(t.size)
-    spectrum = _fft.rfft(white)
-    freqs = _fft.rfftfreq(t.size, d=1.0 / fs)
+    spectrum = _pocketfft.r2c(white, (-1,), True, 0, None, 1)  # scipy.fft.rfft's call
+    freqs = bin_frequencies(t.size, fs)
     spectrum[(freqs < comp.f0) | (freqs > comp.f1)] = 0.0
-    shaped = _fft.irfft(spectrum, n=t.size)
+    shaped = _pocketfft.c2r(spectrum, (-1,), t.size, False, 2, None, 1)  # and irfft's
     scale = np.sqrt(np.mean(np.square(shaped)))
     if scale > 0.0:
         shaped *= comp.amplitude / scale

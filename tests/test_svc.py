@@ -24,7 +24,7 @@ from motioncomfort import (
     run_svc,
     synth_trace,
 )
-from motioncomfort import svc
+from motioncomfort import runtime, svc
 from motioncomfort.svc import svc_states
 
 
@@ -340,28 +340,15 @@ def test_a_tail_block_of_one_sample_carries_every_state():
         assert states[name].tobytes() == trajectory.tobytes(), name
 
 
-def test_the_recurrences_run_lfilters_own_compiled_filter():
+_SIGTOOLS = ("scipy.signal._sigtools", "signal/_sigtools")
+
+
+def test_the_recurrences_run_lfilters_own_compiled_filter(monkeypatch):
     assert svc._linear_filter is _sigtools._linear_filter
-    assert svc._compiled_filter() is _sigtools._linear_filter
-
-
-class _Loader:
-    """Stands in for `ExtensionFileLoader`: its module holds `linear_filter` as
-    `_linear_filter` (none where it is None), or its load raises `ImportError`."""
-
-    def __init__(self, linear_filter):
-        self.linear_filter = linear_filter
-
-    def create_module(self, spec):
-        if self.linear_filter is ImportError:
-            raise ImportError(f"cannot load {spec.origin}")
-        module = types.ModuleType(spec.name)
-        if self.linear_filter is not None:
-            module._linear_filter = self.linear_filter
-        return module
-
-    def exec_module(self, module):
-        pass
+    monkeypatch.delitem(sys.modules, _SIGTOOLS[0])
+    loaded = runtime.scipy_kernel(*_SIGTOOLS, svc._filters_exactly)
+    assert loaded._linear_filter is _sigtools._linear_filter
+    assert _SIGTOOLS[0] not in sys.modules  # loaded from its file, not imported
 
 
 def _off_by_one_ulp(b, a, x, axis, zi):
@@ -369,23 +356,37 @@ def _off_by_one_ulp(b, a, x, axis, zi):
     return np.nextafter(y, np.inf), zf
 
 
+def _no_load(spec):
+    raise ImportError(f"cannot load {spec.origin}")
+
+
+def _checked_as(**names):
+    """A check that runs SVC's on a module holding only `names`, not on the loaded module."""
+    return lambda module: svc._filters_exactly(types.SimpleNamespace(**names))
+
+
 @pytest.mark.parametrize(
-    "loader",
+    "patch, check",
     [
-        svc.ExtensionFileLoader,  # the real loader, on a file that is not there
-        lambda name, file: _Loader(ImportError),
-        lambda name, file: _Loader(None),
-        lambda name, file: _Loader(lambda b, a, x, zi: None),
-        lambda name, file: _Loader(_off_by_one_ulp),
+        (lambda mp, tmp: mp.setattr(runtime, "_SCIPY_FILE", f"{tmp}/%s.so"), svc._filters_exactly),
+        (lambda mp, tmp: mp.setattr(runtime.importlib.util, "module_from_spec", _no_load),
+         svc._filters_exactly),
+        (lambda mp, tmp: None, _checked_as()),
+        (lambda mp, tmp: None, _checked_as(_linear_filter=lambda b, a, x, zi: None)),
+        (lambda mp, tmp: None, _checked_as(_linear_filter=_off_by_one_ulp)),
     ],
     ids=["no-file", "load-raises-ImportError", "no-_linear_filter", "another-signature",
          "wrong-value"],
 )
-def test_a_compiled_filter_that_fails_falls_back_to_lfilter(monkeypatch, tmp_path, loader):
-    held = sys.modules["scipy.signal._sigtools"]
-    monkeypatch.setattr(svc, "ExtensionFileLoader", loader)
-    assert svc._compiled_filter(str(tmp_path / "_sigtools.so")) is lfilter
-    assert sys.modules["scipy.signal._sigtools"] is held
+def test_a_compiled_filter_that_fails_falls_back_to_importing_scipy_signal(
+    monkeypatch, tmp_path, patch, check
+):
+    # Each failure is refused, and SVC takes the filter from scipy.signal's own import.
+    patch(monkeypatch, tmp_path)
+    monkeypatch.delitem(sys.modules, _SIGTOOLS[0])
+    fallback = runtime.scipy_kernel(*_SIGTOOLS, check)
+    assert fallback is sys.modules[_SIGTOOLS[0]] and "scipy.signal" in sys.modules
+    assert fallback._linear_filter is _sigtools._linear_filter
 
 
 def test_direct_filter_fallback_and_per_stage_lfilter_give_the_same_bits(monkeypatch, tmp_path):
@@ -394,10 +395,12 @@ def test_direct_filter_fallback_and_per_stage_lfilter_give_the_same_bits(monkeyp
     head = _head({axis: rng.standard_normal(129) for axis in AXES}, fs=10.0)
     params = SvcParams(tau_s=2.0, mu_s=5.0, orientation_leak_s=3.0)
     want = _states_all_at_once(head, params)
-    fallback = svc._compiled_filter(str(tmp_path / "no-such-extension.so"))
-    assert fallback is lfilter and svc._linear_filter is not lfilter
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runtime, "_SCIPY_FILE", f"{tmp_path}/%s.so")
+        mp.delitem(sys.modules, _SIGTOOLS[0])
+        fallback = runtime.scipy_kernel(*_SIGTOOLS, svc._filters_exactly)._linear_filter
     monkeypatch.setattr(svc, "_BLOCK_SAMPLES", 64)
-    for linear_filter in (svc._linear_filter, fallback):
+    for linear_filter in (svc._linear_filter, fallback, lfilter):
         monkeypatch.setattr(svc, "_linear_filter", linear_filter)
         states = svc_states(head, params)
         for name, trajectory in want.items():

@@ -7,6 +7,7 @@ import re
 import sys
 import tempfile
 import threading
+import types
 import warnings
 from contextlib import contextmanager
 from fractions import Fraction
@@ -896,30 +897,39 @@ def _replace_line(at: int, *new: str):
 def test_numpy_reads_every_block_when_scipys_compiled_reader_is_missing_or_changed(
     tmp_path, cpus
 ):
-    # The module hidden (an ImportError), or a reader that takes other arguments (TypeError)
-    # or lacks a name (AttributeError): the blocks are declined, and numpy reads the same bits,
-    # inline and in forked workers alike.
+    # No reader file and the module hidden (an ImportError), or a reader that takes other
+    # arguments (TypeError) or lacks a name (AttributeError): the blocks are declined, and numpy
+    # reads the same bits, inline and in forked workers alike.
     path = tmp_path / "t.csv"
     save_trace(random_trace(27, n=300), path)
     want = _outcome(lambda p: _load(p, cpus), path)
     body = path.read_bytes().split(b"\n", 1)[1]
 
     def other_api(stream, parallelism):
-        raise TypeError("unexpected keyword argument 'parallelism'")
+        raise TypeError("open_read_stream(): incompatible function arguments")
 
-    def no_body_reader(cursor):
-        raise AttributeError("module has no attribute '_read_body_array'")
+    reader, cached = traceio._compiled_reader(), traceio._compiled_reader
+    name = "scipy.io._fast_matrix_market._fmm_core"
 
-    reader = traceio._compiled_reader()
+    def hidden(mp):
+        mp.setattr(runtime, "_SCIPY_FILE", f"{tmp_path}/no-such-dir/%s.so")
+        mp.delitem(sys.modules, name, raising=False)
+        mp.setitem(sys.modules, "scipy.io._fast_matrix_market", None)
+
     for patch in (
-        lambda mp: mp.setitem(sys.modules, "scipy.io._fast_matrix_market", None),
-        lambda mp: mp.setattr(traceio, "_compiled_reader", lambda: (other_api, reader[1])),
-        lambda mp: mp.setattr(traceio, "_compiled_reader", lambda: (reader[0], no_body_reader)),
+        hidden,
+        lambda mp: mp.setattr(traceio, "_compiled_reader", lambda: types.SimpleNamespace(
+            open_read_stream=other_api, read_body_array=reader.read_body_array)),
+        lambda mp: mp.setattr(traceio, "_compiled_reader", lambda: types.SimpleNamespace(
+            open_read_stream=reader.open_read_stream)),
     ):
         with pytest.MonkeyPatch.context() as mp:
             patch(mp)
+            cached.cache_clear()  # the reader is loaded again, under the patch
             assert traceio._strict_piece(body) is None
             assert _outcome(lambda p: _load(p, cpus), path) == want
+        cached.cache_clear()
+    assert traceio._compiled_reader() is not None
 
 
 @pytest.mark.parametrize(
