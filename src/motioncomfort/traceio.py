@@ -184,8 +184,8 @@ _FOLLOWS = bytes(
     }.get(divmod(i, 8), 0)
     for i in range(256)
 )
-_LONE_CR = re.compile(rb"\r(?!\n)")
 _COMMA_TO_LF = bytes.maketrans(b",", b"\n")
+_LINE_END = re.compile(rb"\r\n?|\n")  # a CRLF is one line end
 # The (time column, channel rows) that the parse workers of each load in progress write, by
 # key: a forked worker inherits them, where a task's arguments would be pickled copies.
 _DESTINATIONS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -235,15 +235,15 @@ def _strict_piece(raw: bytes) -> np.ndarray | None:
     """The rows of `raw` as (7, rows) channel-major values, bit-equal to `np.loadtxt`'s, if
     `_strict_rows` accepts them and the compiled reader reads them, else None.
 
-    A piece with a CR or a '#' is declined before the check.  The rows are read with one thread
-    by scipy's compiled Matrix Market reader (what `scipy.io.mmread` runs) as the body of a
-    7 x rows `array`, which lists the values column by column.  That reader drops the sign of a
-    zero, so a zero whose token starts with '-' is made -0.0 again.  A reader that this scipy
-    lacks, or that takes other arguments, declines the piece.
+    Its lines end in LF only (`_pieces`), and a piece with a '#' is declined before the check.
+    The rows are read with one thread by scipy's compiled Matrix Market reader (what
+    `scipy.io.mmread` runs) as the body of a 7 x rows `array`, which lists the values column by
+    column.  That reader drops the sign of a zero, so a zero whose token starts with '-' is made
+    -0.0 again.  A reader that this scipy lacks, or that takes other arguments, declines it.
     """
     reader = _compiled_reader()  # imported by _parse_chunks before any worker forks
     data = np.frombuffer(raw, np.uint8)
-    if reader is None or b"\r" in raw or b"#" in raw or (rows := _strict_rows(data)) is None:
+    if reader is None or b"#" in raw or (rows := _strict_rows(data)) is None:
         return None
     head = b"%%%%MatrixMarket matrix array real general\n7 %d\n" % rows
     values, body = np.zeros((7, rows)), io.BytesIO(head + raw.translate(_COMMA_TO_LF))
@@ -281,14 +281,9 @@ def _row_error(line: str) -> str:
 
 def _loose_parse(raw: bytes) -> np.ndarray | _BadLine:
     """Rows of 7 numbers among blank and comment lines as (7, rows) values, with numpy."""
-    # numpy ends a comment only at LF, so a lone CR would hide the row after a comment:
-    # such bytes go straight to the line filter.
-    lone_cr = b"\r" in raw and _LONE_CR.search(raw) is not None
-    data = None if lone_cr else _as_array(io.BytesIO(raw))
-    if data is not None:
+    if (data := _as_array(io.BytesIO(raw))) is not None:
         return data.T
-    # numpy reads a whitespace-only line as a 1-column row: drop blank and comment
-    # lines as text, then parse again.
+    # numpy reads a whitespace-only line as a 1-column row: drop blank and comment lines, retry.
     lines = [ln.decode(errors="replace") for ln in raw.splitlines()]
     keep = [i for i, ln in enumerate(lines) if ln.strip() and not ln.lstrip().startswith("#")]
     rows = [lines[i] for i in keep]
@@ -302,32 +297,44 @@ def _loose_parse(raw: bytes) -> np.ndarray | _BadLine:
     return _BadLine(keep[lo], _row_error(rows[lo]))
 
 
+def _line_start(fh, pos: int) -> int:
+    """The first offset at or after `pos` (> 0) of the binary file `fh` that follows an LF, a
+    CRLF or a lone CR, or the end of the file: never one between the CR and the LF of a CRLF."""
+    fh.seek(at := pos - 1)
+    while block := fh.read(4096):
+        if end := _LINE_END.search(block):
+            split = end[0] == b"\r" and end.end() == len(block)  # is its LF in the next block?
+            return at + end.end() + (split and fh.read(1) == b"\n")
+        at += len(block)
+    return at
+
+
 def _pieces(fh, start: int, stop: int) -> Iterator[bytes]:
-    """Bytes [start, stop) of the binary file `fh`, where `stop` follows an LF or is the end of
-    the file, in pieces of about `_READ_BYTES` that each end after an LF or at `stop`."""
-    fh.seek(start)
-    while fh.tell() < stop:
-        piece = fh.read(min(_READ_BYTES, stop - fh.tell()))
+    """Bytes [start, stop) of the binary file `fh`, both line starts (`_line_start`), in pieces
+    of about `_READ_BYTES` that end at line starts, with every line end made one LF."""
+    while start < stop:
+        end = stop if stop - start <= _READ_BYTES else _line_start(fh, start + _READ_BYTES)
+        fh.seek(start)
+        piece = fh.read(end - start)
         if not piece:  # the file shrank
             return
-        if piece[-1:] != b"\n" and fh.tell() < stop:
-            piece += fh.readline()  # the next LF is at most at `stop`
+        if b"\r" in piece:
+            piece = piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         yield piece
+        start = end
 
 
 def _line_ends(path, start: int, stop: int) -> int:
-    """A bound on the rows in bytes [start, stop) of a trace file, which begin and end on line
-    boundaries: their LF and CR bytes, plus one for a last line with no line end."""
+    """The lines in bytes [start, stop) of a trace file, both line starts: a bound on its rows."""
     ends, last = 0, b"\n"
     with open(path, "rb") as fh:
         for piece in _pieces(fh, start, stop):
-            ends += piece.count(b"\n") + (piece.count(b"\r") if b"\r" in piece else 0)
-            last = piece[-1:]
-    return ends + (last not in (b"\n", b"\r"))
+            ends, last = ends + piece.count(b"\n"), piece[-1:]
+    return ends + (last != b"\n")
 
 
 def _parse_chunk(key: int, path, start: int, stop: int, at: int) -> tuple[int, int] | _BadLine:
-    """Parse bytes [start, stop) of a trace file, which begin and end on line boundaries, into
+    """Parse bytes [start, stop) of a trace file, which begin and end at line starts, into
     the destination ``_DESTINATIONS[key]`` from column `at` on; return (rows, lines), or the
     first line that is not 7 numbers.  Each piece (`_pieces`) is read strictly if it can be
     (`_strict_piece`, one line a row), else with numpy (`_loose_parse`)."""
@@ -360,7 +367,7 @@ def _parse_chunks(path, bounds: list[int], header_line: int) -> tuple[np.ndarray
     """The time column and the (6, room) channel rows of the ranges between consecutive
     `bounds`, each range parsed in a forked worker when there are several.
 
-    Each worker first counts its range's line ends (`_line_ends`), a bound on its rows.  Then
+    Each worker first counts its range's lines (`_line_ends`), a bound on its rows.  Then
     the time column and the channel rows are mapped (`_shared_floats`), each range gets the
     columns its bound allows from where the ranges before it end, and each worker writes its
     rows there (`_parse_chunk`), handing back only its row and line counts.  Last, the gaps
@@ -397,65 +404,56 @@ def _parse_chunks(path, bounds: list[int], header_line: int) -> tuple[np.ndarray
     return t[:n], channels
 
 
-def _find_header(fh) -> tuple[str | None, int, int]:
-    """The first line neither blank nor a comment, its line number and the offset after it."""
+def _find_header(fh, stop: int) -> tuple[str | None, int, int]:
+    """The first line of `fh` (`stop` bytes) neither blank nor a comment, its number, its end."""
     lines = offset = 0
-    for block in fh:  # blocks end at LF; a lone CR ends a line too
-        for line in block.splitlines(keepends=True):
-            lines += 1
-            offset += len(line)
-            text = line.decode(errors="replace").strip()
-            if text and not text.startswith("#"):
-                return text, lines, offset
+    while offset < stop and (end := _line_start(fh, offset + 1)) > offset:  # or the file shrank
+        fh.seek(offset)
+        text = fh.read(end - offset).decode(errors="replace").strip()
+        lines, offset = lines + 1, end
+        if text and not text.startswith("#"):
+            return text, lines, offset
     return None, lines, offset
-
-
-def _next_line_start(fh, pos: int) -> int:
-    """The first offset at or after `pos` that follows an LF, or the end of the file."""
-    fh.seek(pos - 1)
-    fh.readline()
-    return fh.tell()
 
 
 def load_trace(path) -> MotionTrace:
     """Load a trace CSV (the module's format), inferring the sample rate from the time column.
 
-    Blank lines and ``#`` comments may appear anywhere, and LF, CRLF and CR
-    line endings are all read.  When the data after the header spans at least
-    two 16 MiB chunks and more than one CPU is usable, it is cut at line
-    boundaries into one byte range per CPU (at most one per 16 MiB), and forked
-    worker processes parse the ranges in parallel; otherwise, and where the
-    platform cannot fork, one range is parsed inline.  Workers (or the inline
-    parse) write the values straight into the trace's rows, which live in
-    anonymous shared memory; only row and line counts come back
+    Blank lines and ``#`` comments may appear anywhere, and an LF, a CRLF or a
+    lone CR ends a line (`_line_start`).  When the data after the header spans
+    at least two 16 MiB chunks and more than one CPU is usable, it is cut at
+    line starts into one byte range per CPU (at most one per 16 MiB), and
+    forked worker processes parse the ranges in parallel; otherwise, and where
+    the platform cannot fork, one range is parsed inline.  Workers (or the
+    inline parse) write the values straight into the trace's rows, which live
+    in anonymous shared memory; only row and line counts come back
     (`_parse_chunks`).  A range is read in pieces of about 2 MiB of whole
-    lines.  A piece whose rows are all seven plain decimals split by commas and
-    ended by LF, as `save_trace` writes them, is read by scipy's compiled
-    reader on one thread (`_strict_piece`); any other piece by ``np.loadtxt``,
-    and line by line where that fails or the piece holds a lone CR (which numpy
-    would misread).  The values are bit-identical on every path.  Each channel
-    is the first n floats of its row of one writable (6, room) float array,
-    with room for the channel's spectrum (2 * (n // 2 + 1) floats), which
-    `transmission.load_seat_spectra` writes over it.  A row that is not 7
-    numbers is a DataError that names its 1-based line in the file.  The sample
-    rate is the first of these candidates whose ``np.arange(n) / rate`` is
-    exactly the time column: the integer within 1e-9 relative of 1/dt, if there
-    is one, then the doubles within 4 ulp of 1/dt, nearest first.  If none is,
-    it is the first candidate.  So a saved trace loads at its own rate (a
-    non-integer one from about 16 samples on), and a hand-written decimal
-    column at the integer.
+    lines, each line ended by one LF (`_pieces`).  A piece whose rows are all
+    seven plain decimals split by commas, as `save_trace` writes them, is read
+    by scipy's compiled reader on one thread (`_strict_piece`); any other piece
+    by ``np.loadtxt``, and line by line where that fails.  The values are
+    bit-identical on every path.  Each channel is the first n floats of its row
+    of one writable (6, room) float array, with room for the channel's spectrum
+    (2 * (n // 2 + 1) floats), which `transmission.load_seat_spectra` writes
+    over it.  A row that is not 7 numbers is a DataError that names its 1-based
+    line in the file.  The sample rate is the first of these candidates whose
+    ``np.arange(n) / rate`` is exactly the time column: the integer within 1e-9
+    relative of 1/dt, if there is one, then the doubles within 4 ulp of 1/dt,
+    nearest first.  If none is, it is the first candidate.  So a saved trace
+    loads at its own rate (a non-integer one from about 16 samples on), and a
+    hand-written decimal column at the integer.
     """
     path = Path(path)
     try:
         with open(path, "rb") as fh:
-            header, header_line, start = _find_header(fh)
+            stop = os.fstat(fh.fileno()).st_size
+            header, header_line, start = _find_header(fh, stop)
             if header is None:
                 raise DataError(f"{path}: empty trace file")
             if header != TRACE_HEADER:
                 raise DataError(f"{path}: expected header {TRACE_HEADER!r}, got {header[:80]!r}")
-            stop = os.fstat(fh.fileno()).st_size
             k = max(1, min(runtime.usable_cpus(), (stop - start) // _MIN_CHUNK_BYTES))
-            cuts = [_next_line_start(fh, start + (stop - start) * i // k) for i in range(1, k)]
+            cuts = [_line_start(fh, start + (stop - start) * i // k) for i in range(1, k)]
             bounds = [start, *sorted(set(cuts) - {stop}), stop]
         t, channels = _parse_chunks(path, bounds, header_line)
     except OSError as exc:
