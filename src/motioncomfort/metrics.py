@@ -21,7 +21,8 @@ import numpy as np
 from . import runtime, spectral
 from .errors import ConfigError, DataError, NumericError
 from .frf import AXES, FrfBundle
-from .svc import MsiSeries, SvcParams, run_svc
+from .svc import MsiSeries, SvcParams, _incidence
+from .traceio import _seconds
 from .transmission import MotionTrace, SeatSpectra, _spectra_of, head_spectra, head_trace
 from .weighting import (
     MetricRegime,
@@ -180,7 +181,8 @@ def full_assessment(
     `seat` is a trace, or its `seat_spectra`, which this takes over: the head
     spectra and then the head signals overwrite them, and they are left
     read-only.  A trace is only read.  `report.compare` runs this once per
-    model, each but the last on a copy of the seat spectra.
+    model, each but the last on a copy of the seat spectra.  SVC runs beside
+    the head signals alone: they go before the MSI's time column is made.
     Pass a dict as `timings` to collect per-stage wall times in seconds.
     """
     rc = rc if rc is not None else ride_comfort_regime()
@@ -218,21 +220,22 @@ def full_assessment(
     t2 = time.perf_counter()
     ms_result = spectral_assess(ms, ms_curves)
     t3 = time.perf_counter()
+    del freqs  # the read-offs' bin frequencies, before the inverse FFTs
     if include_svc:  # only SVC reads the head trace
         head = head_trace(spectra, rows)  # it leaves the rows read-only
     else:
         rows.base.flags.writeable = False  # spent: they hold the head spectra
     t4 = time.perf_counter()
 
-    msi = run_svc(head, svc_params) if include_svc else None
+    msi = _incidence(head, svc_params) if include_svc else None
+    if include_svc:  # every name for the head signals goes before the time column is made
+        del seat, spectra, rows, head
+        msi = MsiSeries(time_s=_seconds(n, fs), msi_percent=msi, _owned=True)
     t5 = time.perf_counter()
 
-    if timings is not None:
-        timings["transmit_s"] = (t1 - t0) + (t4 - t3)  # head spectra, then their inverse FFTs
-        timings["rc_s"] = t2 - t1
-        timings["ms_s"] = t3 - t2
-        timings["svc_s"] = t5 - t4
-        timings["total_s"] = t5 - t0
+    if timings is not None:  # transmit_s: the head spectra, then their inverse FFTs
+        timings.update(transmit_s=(t1 - t0) + (t4 - t3), rc_s=t2 - t1, ms_s=t3 - t2,
+                       svc_s=t5 - t4, total_s=t5 - t0)
 
     return ComfortReport(
         model_id=bundle.model_id,

@@ -272,21 +272,21 @@ def compare(
     NHM is not among the requested models.  Requesting a model twice yields
     two identical rows.  The seat is transformed once (`trace` may be given as
     its `seat_spectra`), and each model runs `full_assessment` on a copy of
-    the spectra, but the last model takes the spectra themselves over.  Each
-    model's report, MSI series included, is dropped once its row is built,
-    before the next model runs.  Every model's bundle is resolved before any
-    FFT, so an unknown id costs none.
+    the spectra, but the last model takes the spectra themselves over, and no
+    name here keeps them.  Each model's report, MSI series included, is
+    dropped once its row is built, before the next model runs.  Every model's
+    bundle is resolved before any FFT, so an unknown id costs none.
     """
     model_ids = compared_models(model_ids)
     # NHM first: the baseline.
     bundles = {m: builtin_bundle(m) for m in dict.fromkeys(["NHM", *model_ids])}
 
-    spectra = _spectra_of(trace)
+    shared, trace = [_spectra_of(trace)], None  # the last model pops them: no name here keeps them
     rows: dict[str, ComparisonRow] = {}
     for k, (model_id, bundle) in enumerate(bundles.items()):
         last = k == len(bundles) - 1  # no name holds a copy: it goes when its run returns
         rep = full_assessment(
-            spectra if last else spectra._replace(bins=spectra.bins.copy()), bundle,
+            shared.pop() if last else shared[0]._replace(bins=shared[0].bins.copy()), bundle,
             rc=rc, ms=ms, svc_params=svc_params, registry=registry,
         )
         nhm = rows.get("NHM")  # None while NHM itself runs: its ratios are to itself

@@ -30,8 +30,8 @@ loop on the calling thread.  Each block runs every stage in model order; the
 nine filter recurrences carry their state from each block to the next
 (`zi` in, `zf` out), and so does the running maximum.  Every other step
 works sample by sample, so the bits do not depend on the block size.
-`run_svc` holds only the MSI, the time column and one block of each stage;
-`svc_states` writes every block into its 13 full-length arrays.
+`run_svc` holds the MSI and one block of each stage, then makes the time
+column; `svc_states` writes every block into its 13 full-length arrays.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .errors import DataError, NumericError
 from .frf import _frozen_array, _is_real
 from .traceio import MotionTrace
 
-_BLOCK_SAMPLES = 65536  # samples per block of the streamed model
+_BLOCK_SAMPLES = 16384  # samples per block of the streamed model
 
 
 @dataclass(frozen=True)
@@ -229,12 +229,19 @@ def svc_states(head: MotionTrace, params: SvcParams | None = None) -> Mapping[st
     return states
 
 
-def run_svc(head: MotionTrace, params: SvcParams | None = None) -> MsiSeries:
-    """Run the model over a head trace and return the incidence time series.
-
-    Keeps only the incidence, the time column and one block of each stage.
-    """
+def _incidence(head: MotionTrace, params: SvcParams | None) -> np.ndarray:
+    """`run_svc`'s incidence, a fresh array; each block's stages go before the next block."""
     msi = np.empty(head.n_samples)
     for block, stages in _blocks(head, params):
         msi[block] = stages["msi_percent"]
+        del stages
+    return msi
+
+
+def run_svc(head: MotionTrace, params: SvcParams | None = None) -> MsiSeries:
+    """Run the model over a head trace and return the incidence time series.
+
+    Keeps the incidence and one block of each stage, then makes the time column.
+    """
+    msi = _incidence(head, params)
     return MsiSeries(time_s=head.time_s, msi_percent=msi, _owned=True)

@@ -34,7 +34,7 @@ from .spectral import _pocketfft, bin_frequencies
 TRACE_HEADER = "t_s,ax,ay,az,aroll,apitch,ayaw"  # time, then the AXES in order
 
 UNIFORMITY_TOL = 1e-6  # max relative deviation of the time step
-_BLOCK_ROWS = 65536  # rows per formatted chunk; bounds the temporary argument tuple
+_BLOCK_ROWS = 65536  # rows per formatted chunk, gap-closing move and rate-check block
 _MIN_WORKER_ROWS = 4 * _BLOCK_ROWS  # fewest rows format_rows gives a worker process
 _MIN_CHUNK_BYTES = 16 << 20  # smallest range load_trace gives a worker process
 _READ_BYTES = 2 << 20  # a trace parse reads its range in pieces of about this many bytes
@@ -464,14 +464,14 @@ def load_trace(path) -> MotionTrace:
     if not np.all(np.isfinite(t)):  # the channels are checked by MotionTrace
         raise DataError(f"{path}: time column contains non-finite values")
 
-    steps = np.diff(t)  # the rate check works in place: one temporary of the trace's length
-    if np.any(steps <= 0.0):
-        raise DataError(f"{path}: time column is not strictly increasing")
-    dt = (t[-1] - t[0]) / (n - 1)
-    steps -= dt
-    if np.max(np.abs(steps, out=steps)) > UNIFORMITY_TOL * dt:
+    dt, worst = (t[-1] - t[0]) / (n - 1), 0.0
+    for lo in range(0, n - 1, _BLOCK_ROWS):  # the rate check in blocks, each worked in place
+        steps = np.diff(t[lo : lo + _BLOCK_ROWS + 1])
+        if np.any(steps <= 0.0):
+            raise DataError(f"{path}: time column is not strictly increasing")
+        worst = max(worst, np.max(np.abs(np.subtract(steps, dt, out=steps), out=steps)))
+    if worst > UNIFORMITY_TOL * dt:
         raise DataError(f"{path}: non-uniform sampling (time step varies by more than 1 ppm)")
-    del steps
     fs = 1.0 / dt
     near, up, down = [fs], fs, fs
     for _ in range(4):

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -431,13 +432,14 @@ def test_peak_memory_stays_a_small_multiple_of_the_trace(monkeypatch):
     # and six transforms' temporaries), and at 2.0x in the forward FFTs and the head spectra
     # build (over the seat spectra, in blocks of at most 1/64 of the bins).  Building them in
     # fresh rows gave 2.65x, and blocks of 65,536 bins over the seat spectra 2.57x.  run_svc
-    # peaks at about 5 arrays of the trace's length (0.88x); with all three sensed axes alive
-    # at once it took 1.2x.  compare adds the shared seat spectra and a copy of them for each
-    # model but the last: it peaks at 2.57-2.65x over 9 runs, in a copy's SVC (2.57x) or in
-    # its RC and MS read-offs (2.48-2.55x), whose six tasks each hold one bin-length array
-    # and chunks of 65,536 bins.  With three bin-length temporaries a task the read-offs set
-    # it at 2.67-3.09x, varying with thread timing.  Fresh rows for every model gave 3.31x,
-    # and blocks of 65,536 bins over a copy of the seat spectra for every model 3.69x.
+    # peaks at 0.33x, its MSI and then the time column made after it (0.48x with the time
+    # column made first, 0.88x with whole-length stage arrays).  compare adds the shared seat
+    # spectra and a copy of them for each model but the last: it peaks at 2.47-2.63x over 4
+    # runs, in a copy's RC and MS read-offs, whose six tasks each hold one bin-length array
+    # and chunks of 65,536 bins (2.57-2.68x when a copy's SVC also held the bin frequencies
+    # and the time column).  With three bin-length temporaries a task the read-offs set it at
+    # 2.67-3.09x, varying with thread timing.  Fresh rows for every model gave 3.31x, and
+    # blocks of 65,536 bins over a copy of the seat spectra for every model 3.69x.
     monkeypatch.setattr(runtime, "usable_cpus", lambda: 8)
     seat = random_trace(7, n=2**20)
     bundle = builtin_bundle("EXP")
@@ -473,10 +475,12 @@ def test_in_place_inverse_ffts_and_streamed_svc_hold_little(monkeypatch, cpus):
     # 2^20 samples.  Each inverse FFT writes its signal into its own row with no numpy
     # temporary: head_trace holds 0.02x the seat's bytes (its finiteness masks) on every CPU
     # count, where a signal-sized temporary per thread took 0.17x, 0.33x and 1.00x on 1, 2
-    # and 8 CPUs.  run_svc holds the MSI, the time column and one block of each stage:
-    # 0.47x, where the stage generator with whole-length arrays took 0.84-0.88x.  On 1 and
-    # 2 CPUs these set full_assessment's peak, 1.55x (1.93x before), and compare's, 2.55x
-    # (2.93x before); on 8 the forward FFTs' temporaries set them.
+    # and 8 CPUs.  run_svc holds the MSI and one block of each stage, then the MSI and the
+    # time column: 0.33x, where the time column made first took 0.48x and the stage generator
+    # with whole-length arrays 0.84-0.88x.  On 1 and 2 CPUs full_assessment peaks at 1.23x
+    # and 1.33x, and compare at 2.23x and 2.30x: the next test bounds them at 1.40x and 2.40x.
+    # Before, SVC set both at 1.57x and 2.57x (1.93x and 2.93x with the inverse FFTs'
+    # temporaries).  On 8 CPUs the forward FFTs' temporaries set them.
     monkeypatch.setattr(runtime, "usable_cpus", lambda: cpus)
     seat, bundle = random_trace(7, n=2**20), builtin_bundle("EXP")
     trace_bytes = sum(channel.nbytes for channel in seat.channels.values())
@@ -486,10 +490,74 @@ def test_in_place_inverse_ffts_and_streamed_svc_hold_little(monkeypatch, cpus):
         0.05 * trace_bytes
     )
     assert _traced_peak_bytes(lambda: run_svc(seat)) < 0.5 * trace_bytes
-    if cpus < 8:
-        assert _traced_peak_bytes(lambda: full_assessment(seat, bundle)) < 1.65 * trace_bytes
-        models = ["EXP", "AHM", "EHM", "NHM"]
-        assert _traced_peak_bytes(lambda: compare(seat, models)) < 2.65 * trace_bytes
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_svc_runs_beside_the_head_signals_alone(monkeypatch, cpus):
+    # 2^20 samples.  The read-offs' bin frequencies go before the inverse FFTs, and SVC runs
+    # beside the head signals, its MSI and one 16,384-sample block of each stage; the head
+    # signals go before the time column is made.  Measured: full_assessment 1.23x the seat's
+    # bytes on 1 CPU and 1.33x on 2, compare 2.23x and 2.30x, run_svc 0.33x.  While SVC also
+    # held the bin frequencies, a time column and two 65,536-sample blocks: 1.57x, 2.57x and
+    # 0.48x.  Before Python 3.11 a caller holds a call's arguments until it returns; run so,
+    # compare read 2.34x.
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: cpus)
+    seat, bundle = random_trace(7, n=2**20), builtin_bundle("EXP")
+    trace_bytes = sum(channel.nbytes for channel in seat.channels.values())
+    assert _traced_peak_bytes(lambda: full_assessment(seat, bundle)) < 1.40 * trace_bytes
+    assert _traced_peak_bytes(lambda: run_svc(seat)) < 0.40 * trace_bytes
+    models = ["EXP", "AHM", "EHM", "NHM"]
+    assert _traced_peak_bytes(lambda: compare(seat, models)) < 2.40 * trace_bytes
+
+
+def test_svc_starts_without_the_bin_frequencies_and_the_time_column_follows_the_head(monkeypatch):
+    # Weak references to the read-offs' bin frequencies and to the array that holds each
+    # run's head signals (their spectra's bins): the first is gone when SVC starts, the second
+    # when the MSI's time column is made, in full_assessment on a trace or on its spectra, and
+    # in compare (NHM, EXP, AHM) for the models on a copy and for the last, which takes the
+    # spectra over.
+    seat, bundle = random_trace(49, n=5000), builtin_bundle("EXP")
+    refs, seen = {}, []
+    bin_frequencies, incidence = spectral.bin_frequencies, metrics._incidence
+    seconds = metrics._seconds
+
+    def frequencies(n, fs):
+        freqs = bin_frequencies(n, fs)
+        refs["freqs"] = weakref.ref(freqs)
+        return freqs
+
+    def svc_incidence(head, params):
+        refs["head"] = weakref.ref(head.channels["x"].base)
+        seen.append(("freqs at SVC", refs["freqs"]() is not None))
+        return incidence(head, params)
+
+    def time_column(n, rate):
+        seen.append(("head at the time column", refs["head"]() is not None))
+        return seconds(n, rate)
+
+    monkeypatch.setattr(spectral, "bin_frequencies", frequencies)
+    monkeypatch.setattr(metrics, "_incidence", svc_incidence)
+    monkeypatch.setattr(metrics, "_seconds", time_column)
+    full_assessment(seat, bundle)
+    runs = 1
+    if sys.version_info >= (3, 11):  # before, a caller holds a call's arguments until it returns
+        full_assessment(seat_spectra(seat), bundle)
+        compare(seat, ["EXP", "AHM"])
+        compare(seat_spectra(seat), ["EXP", "AHM"])
+        runs = 8
+    assert seen == [("freqs at SVC", False), ("head at the time column", False)] * runs
+
+
+# 68,300 takes the prime-factor split; at 2 blocks + 1 sample SVC's last block is 1 sample.
+@pytest.mark.parametrize("n", [100 * 683, 2 * svc._BLOCK_SAMPLES + 1])
+def test_the_assessment_msi_is_run_svc_on_the_transmitted_head(monkeypatch, n):
+    seat, bundle = random_trace(48, n=n), builtin_bundle("EXP")
+    want = run_svc(transmit(seat, bundle)[0])
+    for block in (svc._BLOCK_SAMPLES, 5000):
+        monkeypatch.setattr(svc, "_BLOCK_SAMPLES", block)
+        for got in (full_assessment(seat, bundle).msi, run_svc(transmit(seat, bundle)[0])):
+            assert got.time_s.tobytes() == want.time_s.tobytes()
+            assert got.msi_percent.tobytes() == want.msi_percent.tobytes()
 
 
 def _assert_same_report(got, want):

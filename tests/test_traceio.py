@@ -72,6 +72,45 @@ def test_jittered_timestamps_rejected(tmp_path):
         load_trace(path)
 
 
+def _time_column_outcome(path, t: np.ndarray) -> str:
+    rows = "".join(f"{v!r},0,0,0,0,0,0\n" for v in t.tolist())
+    path.write_text(traceio.TRACE_HEADER + "\n" + rows)
+    try:
+        return str(load_trace(path).sample_rate_hz)
+    except DataError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("block", [_BLOCK_ROWS, 7])
+def test_the_rate_check_in_blocks_keeps_its_errors_their_order_and_its_maximum(
+    tmp_path, monkeypatch, block
+):
+    # The time steps are checked in blocks of _BLOCK_ROWS.  A non-increasing step is reported
+    # before a non-uniform one wherever each lies, and the largest step deviation decides as
+    # the whole column's does: shifts of one row within a few ulp of 1 ppm of the step.
+    monkeypatch.setattr(traceio, "_BLOCK_ROWS", block)
+    path = tmp_path / "t.csv"
+    t = np.arange(_BLOCK_ROWS + 100) / 100.0
+    late = _BLOCK_ROWS  # at the default size, the step into the second block
+    early_jitter_late_repeat = t.copy()
+    early_jitter_late_repeat[10] += 1e-6
+    early_jitter_late_repeat[late] = early_jitter_late_repeat[late - 1]
+    assert _time_column_outcome(path, early_jitter_late_repeat).endswith(
+        "time column is not strictly increasing"
+    )
+    t = t[:60]
+    dt = (t[-1] - t[0]) / (len(t) - 1)
+    outcomes = set()
+    for shift in 1e-8 + np.spacing(t[40]) * np.arange(-4, 5):
+        u = t.copy()
+        u[40] += shift
+        over = np.max(np.abs(np.diff(u) - dt)) > traceio.UNIFORMITY_TOL * dt
+        got = _time_column_outcome(path, u)
+        assert got.endswith("time step varies by more than 1 ppm)") if over else got == "100.0"
+        outcomes.add(over)
+    assert outcomes == {False, True}
+
+
 def test_round_trip_bit_exact(tmp_path):
     trace = random_trace(20, n=257, fs=100.0)
     path = tmp_path / "trace.csv"

@@ -276,13 +276,13 @@ def test_compare_full_assessment_and_transmit_agree(n, seed):
 def test_read_offs_leave_the_head_spectra_for_the_head_trace_untouched(monkeypatch, model, n):
     seat, bundle = random_trace(25, n=n), builtin_bundle(model)
     heads = []
-    run_svc = metrics.run_svc
+    incidence = metrics._incidence
 
     def spied(head, params):
         heads.append(head)
-        return run_svc(head, params)
+        return incidence(head, params)
 
-    monkeypatch.setattr(metrics, "run_svc", spied)
+    monkeypatch.setattr(metrics, "_incidence", spied)
     full_assessment(seat, bundle)
     want, _ = transmit(seat, bundle)
     assert len(heads) == 1
