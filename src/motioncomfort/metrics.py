@@ -203,14 +203,13 @@ def full_assessment(
         per_axis = np.empty(len(AXES))
 
         def read_off(i: int) -> None:  # w * w * |H|^2 in one array; an overflow reaches combine
-            with np.errstate(over="ignore", invalid="ignore"):
-                weighted, row = curves[AXES[i]].at(freqs), rows.view(np.complex128)[i]
-                for lo in range(0, len(weighted), _READ_OFF_BINS):
-                    part = weighted[lo : lo + _READ_OFF_BINS]
-                    np.multiply(part, part, out=part)
-                    power = np.abs(row[lo : lo + _READ_OFF_BINS])
-                    np.multiply(part, np.square(power, out=power), out=part)
-                per_axis[i] = np.sqrt(spectral.spectrum_mean_square(weighted, n))
+            weighted, row = curves[AXES[i]].at(freqs), rows.view(np.complex128)[i]
+            for lo in range(0, len(weighted), _READ_OFF_BINS):
+                part = weighted[lo : lo + _READ_OFF_BINS]
+                np.multiply(part, part, out=part)
+                power = np.abs(row[lo : lo + _READ_OFF_BINS])
+                np.multiply(part, np.square(power, out=power), out=part)
+            per_axis[i] = np.sqrt(spectral.spectrum_mean_square(weighted, n))
 
         runtime.on_every_cpu(read_off, len(AXES))
         return _regime_result(regime, dict(zip(AXES, per_axis.tolist())))

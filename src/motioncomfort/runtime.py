@@ -17,6 +17,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 from types import ModuleType
 from typing import Callable, Iterator
 
+import numpy as np
 import scipy
 
 _SCIPY_FILE = f"{scipy.__path__[0]}/%s{EXTENSION_SUFFIXES[0]}"  # a compiled module's file
@@ -54,16 +55,17 @@ def on_every_cpu(task: Callable[[int], None], count: int) -> None:
     The calling thread takes i = 0, k, 2k, ... and each of the k - 1 helper
     threads the indices after it; a count of 0 runs nothing.  Every thread is
     joined before this returns, and the first exception raised by any task is
-    raised here.  numpy's error state is per thread: a task that relies on one
-    opens its own `np.errstate`.
+    raised here.  Each thread runs its tasks with numpy's overflow and invalid
+    results ignored; the stage that reads their output checks it for inf and NaN.
     """
     k = max(1, min(usable_cpus(), count))
     errors: list[BaseException] = []
 
     def run(first: int) -> None:
         try:
-            for i in range(first, count, k):
-                task(i)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(first, count, k):
+                    task(i)
         except BaseException as exc:  # re-raised on the calling thread
             errors.append(exc)
 

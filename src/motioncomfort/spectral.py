@@ -17,13 +17,13 @@ are the same on every run and thread.  A split transform holds one complex
 bits of scipy's `rfft2` or `irfft2`.  `rfft` at every other length, and
 `apply_response` (the time-domain oracle's path), run pocketfft as scipy.fft
 does; `irfft` there runs the same pocketfft pass in place, as scipy.fftpack
-does, with scipy.fft's bits, so that a row given as `out=` takes the signal
-with no signal-sized numpy temporary.  pocketfft is loaded from its file
-(`runtime.scipy_kernel`; importing `scipy.fft` costs 0.2 s a process) and
-called as scipy.fft and scipy.fftpack call it.  The index tables of the last
-split length (9 bytes a sample) are kept on purpose after the run that built
-them, so that `report.compare`'s models and the contribution breakdown reuse
-them.
+does, with scipy.fft's bits.  Every transform, split or not, that is given a
+row as `out=` writes its result straight into it.  pocketfft is loaded from
+its file (`runtime.scipy_kernel`; importing `scipy.fft` costs 0.2 s a process)
+and called as scipy.fft and scipy.fftpack call it.  The index tables of the
+last split length (9 bytes a sample) are kept on purpose after the run that
+built them, so that `report.compare`'s models and the contribution breakdown
+reuse them.
 """
 
 from __future__ import annotations
@@ -164,20 +164,17 @@ def _plan_of(a: int, p: int) -> _Plan:
 def rfft(signal: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The n // 2 + 1 bins of the real FFT of `signal`, as scipy.fft.rfft gives them.
 
-    They are written to the complex row `out` if one is given.  A split length
-    runs FFTPACK's real pass in place over its plane's rows, block by block,
-    then an FFT along p, and gathers the bins into `out` in chunks of
-    `_GATHER_BINS`, with no spectrum-sized temporary.  `out` may be the signal's
-    own memory (its row, with room for the bins): the signal is read whole,
-    into a split length's plane or by pocketfft, before any bin is written.
+    They are written to the complex row `out` if one is given, by pocketfft itself at a
+    length that is not split.  A split length runs FFTPACK's real pass in place over its
+    plane's rows, block by block, then an FFT along p, and gathers the bins into `out` in
+    chunks of `_GATHER_BINS`, with no spectrum-sized temporary.  `out` may be the signal's
+    own memory (its row, with room for the bins): the signal is read whole, into a split
+    length's plane or pocketfft's line buffer, before any bin is written.
     """
     x = np.asarray(signal, np.float64)
     split = _split(n := len(x))
     if split is None:
-        if out is None:
-            return _pocketfft.r2c(x, (-1,), True, 0, None, 1)
-        out[:] = _pocketfft.r2c(x, (-1,), True, 0, None, 1)
-        return out
+        return _pocketfft.r2c(x, (-1,), True, 0, out, 1)
     plan = _plan_of(*split)
     a, step = plan.a, max(1, _ROW_SAMPLES // plan.a)
     plane = np.empty((plan.p, a // 2 + 1), np.complex128)

@@ -51,8 +51,8 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import runtime, spectral, traceio
-from .errors import DataError
-from .frf import AXES, CHANNEL_IDS, FrfBundle, FrfChannelId, FrfCurve, evaluate_grid
+from .errors import DataError, NumericError
+from .frf import AXES, CHANNEL_IDS, FrfBundle, FrfChannelId, FrfCurve, _naming, evaluate_grid
 from .traceio import MotionTrace
 
 logger = logging.getLogger(__name__)
@@ -274,7 +274,8 @@ def head_trace(spectra: SeatSpectra, rows: np.ndarray) -> MotionTrace:
     keeps those rows (now read-only) without copying.
     """
     signals = _inverted_rows(rows, spectra.n_samples)
-    return MotionTrace(spectra.sample_rate_hz, dict(zip(AXES, signals)), "head", _owned=True)
+    with _naming("head trace", NumericError):  # a finite seat whose head overflows
+        return MotionTrace(spectra.sample_rate_hz, dict(zip(AXES, signals)), "head", _owned=True)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from motioncomfort import cli, metrics, traceio
+from motioncomfort import cli, metrics, runtime, traceio
 from motioncomfort.cli import main
 from motioncomfort import AXES, MotionTrace, load_trace, save_trace
 from motioncomfort.traceio import TRACE_HEADER
@@ -155,6 +155,29 @@ def test_overflowing_trace_is_single_line_numeric_error(tmp_path, capsys, extra)
         assert len(err.splitlines()) == 1
         assert err.startswith("error[numeric]:")
         assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "verb", [["transmit"], ["assess"], ["compare", "--models", "EXP,NHM"]],
+    ids=["transmit", "assess", "compare"],
+)
+def test_a_finite_seat_whose_head_overflows_is_one_numeric_error_on_every_verb(
+    tmp_path, capsys, monkeypatch, verb, cpus
+):
+    # Finite samples near the largest float: the channel products overflow to inf and NaN on
+    # the product build's threads, which must not print numpy's warning.
+    trace = tmp_path / "overflow.csv"
+    trace.write_text(
+        "t_s,ax,ay,az,aroll,apitch,ayaw\n0,1,2,3,4,5,6\n0.01,1e308,2,3,4,5,6\n"
+        "0.02,-1e308,2,3,4,5,6\n0.03,1e308,1,1,1,1,1\n"
+    )
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: cpus)
+    out = tmp_path / "out"
+    assert main([*verb, "--trace", str(trace), "--out", str(out)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[numeric]:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -75,6 +75,26 @@ def test_only_runtime_starts_threads_or_processes():
     assert starters == {"runtime"}  # spectral's plan lock is allowed
 
 
+def test_no_task_run_on_every_cpu_sets_its_own_numpy_error_state():
+    # runtime.on_every_cpu runs every task under one np.errstate: a task's own would be a
+    # second copy of that rule.
+    tasks = {}
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names = {
+            getattr(call.args[0], "id", None)
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and getattr(call.func, "attr", "") == "on_every_cpu"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                tasks[f"{path.stem}.{node.name}"] = {
+                    n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                }
+    assert {"metrics.read_off", "transmission.build", "transmission.invert"} <= set(tasks)
+    assert [task for task, attrs in tasks.items() if "errstate" in attrs] == []
+
+
 # The scipy modules that the compiled kernels' from-file loads keep out of a run.
 PUBLIC_SCIPY = ("scipy.fft", "scipy.special", "scipy.io", "scipy.sparse", "scipy.signal",
                 "scipy.stats")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,27 @@ def test_rfft_over_the_signals_own_padded_row_gives_the_bits_of_a_fresh_output(n
     assert spectral.rfft(floats[1, :n], out=row) is row
     assert row.tobytes() == want.tobytes()
     assert np.isnan(rows[[0, 2]]).all()  # nothing written outside the row
+
+
+@pytest.mark.parametrize("n", [2**17, 60_000])
+def test_an_unsplit_rfft_writes_into_its_own_row_and_allocates_no_spectrum(n):
+    # pocketfft reads the signal into its own line buffer, then writes the bins into `out`.
+    assert spectral._split(n) is None
+    m = n // 2 + 1
+    x = np.random.default_rng(n).standard_normal(n)
+    want = spectral.rfft(x)
+    floats = np.empty(2 * m)
+    floats[:n] = x
+    row = floats.view(np.complex128)
+    tracemalloc.start()
+    try:
+        got = spectral.rfft(floats[:n], out=row)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is row
+    assert row.tobytes() == want.tobytes()
+    assert peak < 0.1 * row.nbytes
 
 
 @settings(max_examples=60, deadline=None)

@@ -977,6 +977,28 @@ def test_on_every_cpu_runs_each_task_once_and_no_task_as_a_no_op(monkeypatch, cp
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_on_every_cpu_runs_every_task_with_overflow_and_invalid_results_ignored(
+    monkeypatch, cpus
+):
+    # An overflow or invalid result on any thread is left for the next stage's check: no
+    # task raises or prints numpy's RuntimeWarning, and the caller's error state is kept.
+    monkeypatch.setattr(runtime, "usable_cpus", lambda: cpus)
+    states = []
+
+    def task(i: int) -> None:
+        big = np.multiply(np.full(4, 1e308), 10.0)  # inf
+        np.subtract(big, big)  # NaN
+        state = np.geterr()
+        states.append((threading.get_ident() == caller, state["over"], state["invalid"]))
+
+    caller, before = threading.get_ident(), np.geterr()
+    runtime.on_every_cpu(task, 3)
+    assert np.geterr() == before
+    assert [state[1:] for state in states] == [("ignore", "ignore")] * 3
+    assert sum(not state[0] for state in states) == cpus - 1  # tasks that ran on helper threads
+
+
 def _replace_line(at: int, *new: str):
     return lambda lines: lines.__setitem__(slice(at - 1, at), list(new))
 
