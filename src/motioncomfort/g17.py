@@ -29,7 +29,7 @@ import numpy as np
 
 _U = np.uint64
 _WORDS = np.dtype("<u8")  # a cell's words, little-endian on every host
-_CHUNK = 8192  # values per kernel pass: each temporary array is 64 kB
+_CHUNK = 8192  # values per kernel pass: each temporary is 64 kB, cache-sized (not runtime.BLOCK)
 
 
 def _least_double_at_least(power: int) -> float:

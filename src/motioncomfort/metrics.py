@@ -33,10 +33,6 @@ from .weighting import (
     ride_comfort_regime,
 )
 
-# A read-off squares weights and spectrum in chunks of this many bins: a multiple of 64, so each
-# chunk keeps the row's memory alignment for numpy's vector loops.
-_READ_OFF_BINS = 65536
-
 
 def rms(signal) -> float:
     """Root mean square, sqrt(mean(s^2)), of a non-empty finite signal.
@@ -204,10 +200,10 @@ def full_assessment(
 
         def read_off(i: int) -> None:  # w * w * |H|^2 in one array; an overflow reaches combine
             weighted, row = curves[AXES[i]].at(freqs), rows.view(np.complex128)[i]
-            for lo in range(0, len(weighted), _READ_OFF_BINS):
-                part = weighted[lo : lo + _READ_OFF_BINS]
+            for lo in range(0, len(weighted), runtime.BLOCK):
+                part = weighted[lo : lo + runtime.BLOCK]
                 np.multiply(part, part, out=part)
-                power = np.abs(row[lo : lo + _READ_OFF_BINS])
+                power = np.abs(row[lo : lo + runtime.BLOCK])
                 np.multiply(part, np.square(power, out=power), out=part)
             per_axis[i] = np.sqrt(spectral.spectrum_mean_square(weighted, n))
 

@@ -10,6 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import runtime
 from .errors import ConfigError
 from .frf import AXES, builtin_bundle, known_model_id
 from .metrics import ComfortReport, full_assessment
@@ -21,7 +22,6 @@ from .weighting import MetricRegime, WeightingCurve
 REPORT_SCHEMA = 1
 SVG_WIDTH = 900  # report.svg size in pixels
 SVG_HEIGHT = 520
-_SVG_CHUNK = 65536  # the MSI curve is thinned for the SVG this many samples at a time
 
 
 def report_to_dict(report: ComfortReport, msi_filename: str | None) -> dict:
@@ -48,19 +48,19 @@ def _pixel_extremes(x_of, y_of, n: int, columns: int) -> np.ndarray:
     """Indices of the points to draw, in order: all n up to ``2 * columns``, else the first,
     the last and the first lowest and highest `y` of each run of samples in one pixel column.
     ``x_of(part)`` and ``y_of(part)`` give `x` and `y` at a slice of the samples, about
-    `_SVG_CHUNK` at a time; `x` (non-decreasing, in [0, `columns`]) gives the column
+    `runtime.BLOCK` at a time; `x` (non-decreasing, in [0, `columns`]) gives the column
     ``min(floor(x), columns - 1)``."""
     if n <= 2 * columns:
         return np.arange(n)
     starts, previous = [], -1
-    for lo in range(0, n, _SVG_CHUNK):
-        column = np.minimum(x_of(slice(lo, lo + _SVG_CHUNK)).astype(np.intp), columns - 1)
+    for lo in range(0, n, runtime.BLOCK):
+        column = np.minimum(x_of(slice(lo, lo + runtime.BLOCK)).astype(np.intp), columns - 1)
         starts.append(np.flatnonzero(np.diff(column, prepend=previous)) + lo)
         previous = column[-1]
     edges = np.append(np.concatenate(starts), n)  # each run's first index, then n
     keep, first = [np.array([0, n - 1])], 0
-    while first < len(edges) - 1:  # whole runs, about `_SVG_CHUNK` samples in all at a time
-        last = max(first + 1, np.searchsorted(edges, edges[first] + _SVG_CHUNK, "right") - 1)
+    while first < len(edges) - 1:  # whole runs, about `runtime.BLOCK` samples in all at a time
+        last = max(first + 1, np.searchsorted(edges, edges[first] + runtime.BLOCK, "right") - 1)
         lo = edges[first]
         y, runs = y_of(slice(lo, edges[last])), edges[first:last] - lo
         for reduce in (np.minimum, np.maximum):

@@ -4,7 +4,7 @@ loader of the compiled scipy modules they call.
 `on_every_cpu` runs tasks on one thread per usable CPU (`usable_cpus`), and
 `fork_map` runs them in forked processes; `scipy_kernel` loads a module.  This
 module imports nothing from the package, so every layer may call it, and a
-test patches ``usable_cpus`` or ``_SCIPY_FILE`` here alone.
+test patches ``usable_cpus``, ``BLOCK`` or ``_SCIPY_FILE`` here alone.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ import numpy as np
 import scipy
 
 _SCIPY_FILE = f"{scipy.__path__[0]}/%s{EXTENSION_SUFFIXES[0]}"  # a compiled module's file
+# Elements per block of every streamed loop, read as ``runtime.BLOCK`` at call time: a multiple of
+# 64, so a block keeps a row's alignment for numpy's vector loops.  No output depends on it (>= 2).
+BLOCK = 65536
 
 
 def usable_cpus() -> int:

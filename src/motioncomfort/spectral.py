@@ -39,8 +39,6 @@ from .errors import DataError
 
 _MIN_SPLIT_LENGTH = 65536  # shorter transforms gain too little to pay for the index tables
 _MIN_SPLIT_PRIME = 300  # below it the split's inverse is slower at some lengths near 2e6
-_GATHER_BINS = 65536  # a split rfft gathers its bins from the plane in chunks of this many
-_ROW_SAMPLES = 65536  # a split transform's row passes take blocks of about this many samples
 
 
 def _transforms_exactly(fft) -> bool:
@@ -164,19 +162,19 @@ def _plan_of(a: int, p: int) -> _Plan:
 def rfft(signal: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The n // 2 + 1 bins of the real FFT of `signal`, as scipy.fft.rfft gives them.
 
-    They are written to the complex row `out` if one is given, by pocketfft itself at a
-    length that is not split.  A split length runs FFTPACK's real pass in place over its
-    plane's rows, block by block, then an FFT along p, and gathers the bins into `out` in
-    chunks of `_GATHER_BINS`, with no spectrum-sized temporary.  `out` may be the signal's
-    own memory (its row, with room for the bins): the signal is read whole, into a split
-    length's plane or pocketfft's line buffer, before any bin is written.
+    They are written to the complex row `out` if one is given, by pocketfft itself at a length
+    that is not split.  A split length runs FFTPACK's real pass in place over its plane's rows,
+    about `runtime.BLOCK` samples at a time, then an FFT along p, and gathers the bins into
+    `out` in chunks of `runtime.BLOCK`, with no spectrum-sized temporary.  `out` may be the
+    signal's own memory (its row, with room for the bins): the signal is read whole, into a
+    split length's plane or pocketfft's line buffer, before any bin is written.
     """
     x = np.asarray(signal, np.float64)
     split = _split(n := len(x))
     if split is None:
         return _pocketfft.r2c(x, (-1,), True, 0, out, 1)
     plan = _plan_of(*split)
-    a, step = plan.a, max(1, _ROW_SAMPLES // plan.a)
+    a, step = plan.a, max(1, runtime.BLOCK // plan.a)
     plane = np.empty((plan.p, a // 2 + 1), np.complex128)
     # Rows start one float in: FFTPACK's Re 0, Re 1, Im 1, ... is then complex layout but Re 0.
     for lo in range(0, plan.p, step):
@@ -187,8 +185,8 @@ def rfft(signal: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         block[:, 1 : a + 2 : a] = 0.0  # Im 0 and, for even a, Im a / 2 (odd a ends at Im 0)
     flat = _pocketfft.c2c(plane, (0,), True, 0, plane, 1).ravel()
     out = np.empty(n // 2 + 1, np.complex128) if out is None else out
-    for lo in range(0, len(out), _GATHER_BINS):
-        chunk = slice(lo, lo + _GATHER_BINS)
+    for lo in range(0, len(out), runtime.BLOCK):
+        chunk = slice(lo, lo + runtime.BLOCK)
         part = out[chunk]
         part[:] = flat[plan.bins[chunk]]
         np.negative(part.imag, out=part.imag, where=plan.bins_conj[chunk])
@@ -206,7 +204,7 @@ def irfft(spectrum: np.ndarray, n: int, out: np.ndarray | None = None) -> np.nda
     Re 1, Im 1, ...), and runs pocketfft's backward pass over them in place,
     the pass that scipy.fft.irfft runs on a copy.  A split length runs an
     inverse FFT along p over its plane in place, then scatters the real inverse
-    of each block of rows straight into the row.
+    of each block of rows (about `runtime.BLOCK` samples) straight into the row.
     """
     spectrum = spectrum if len(spectrum) else np.zeros(1)  # scipy.fft pads an empty one too
     split = _split(n) if len(spectrum) == n // 2 + 1 else None
@@ -227,7 +225,7 @@ def irfft(spectrum: np.ndarray, n: int, out: np.ndarray | None = None) -> np.nda
     _pocketfft.c2c(plane, (0,), False, 0, plane, 1)  # scipy.fft.ifft's norm="forward"
     out = np.empty(n) if out is None else out
     scale = float(1 / np.longdouble(n))  # irfft2's factor: pocketfft takes 1 / n in long double
-    step = max(1, _ROW_SAMPLES // plan.a)
+    step = max(1, runtime.BLOCK // plan.a)
     for lo in range(0, plan.p, step):
         values = _pocketfft.c2r(plane[lo : lo + step], (1,), plan.a, False, 0, None, 1)
         out[plan.samples[lo : lo + step]] = values * scale

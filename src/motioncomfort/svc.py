@@ -46,7 +46,7 @@ from .errors import DataError, NumericError
 from .frf import _frozen_array, _is_real
 from .traceio import MotionTrace
 
-_BLOCK_SAMPLES = 16384  # samples per block of the streamed model
+_BLOCK_SAMPLES = 16384  # samples per block of the streamed model: its own size, for SVC's peak
 
 
 @dataclass(frozen=True)

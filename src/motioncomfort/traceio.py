@@ -34,8 +34,7 @@ from .spectral import _pocketfft, bin_frequencies
 TRACE_HEADER = "t_s,ax,ay,az,aroll,apitch,ayaw"  # time, then the AXES in order
 
 UNIFORMITY_TOL = 1e-6  # max relative deviation of the time step
-_BLOCK_ROWS = 65536  # rows per formatted chunk, gap-closing move and rate-check block
-_MIN_WORKER_ROWS = 4 * _BLOCK_ROWS  # fewest rows format_rows gives a worker process
+_MIN_WORKER_ROWS = 4 * runtime.BLOCK  # fewest rows format_rows forks a worker for; tests patch it
 _MIN_CHUNK_BYTES = 16 << 20  # smallest range load_trace gives a worker process
 _READ_BYTES = 2 << 20  # a trace parse reads its range in pieces of about this many bytes
 MAX_SYNTH_SAMPLES = 50_000_000  # about 139 h at 100 Hz, 400 MB per float64 channel
@@ -124,13 +123,13 @@ def _format_block(*columns: np.ndarray) -> str:
 def format_rows(columns: Sequence[np.ndarray], header: str = "") -> Iterator[str]:
     """Yield `header`, then the rows of equal-length float columns as text in row blocks:
     each value as ``'%.17g' % value`` writes it, split by commas, each row ended by LF
-    (`g17.rows`).  With two or more usable CPUs and at least two workers' worth of rows
-    (`_MIN_WORKER_ROWS` each), forked workers format the blocks, yielded in order;
-    otherwise they are formatted inline.  The text is the same either way.
+    (`g17.rows`), `runtime.BLOCK` rows a block.  With two or more usable CPUs and two workers'
+    worth of rows (`_MIN_WORKER_ROWS` each), forked workers format the blocks, yielded in
+    order; otherwise they are formatted inline.  The text is the same either way.
     """
     yield header
     n = len(columns[0])
-    blocks = [tuple(c[s : s + _BLOCK_ROWS] for c in columns) for s in range(0, n, _BLOCK_ROWS)]
+    blocks = [tuple(c[s : s + runtime.BLOCK] for c in columns) for s in range(0, n, runtime.BLOCK)]
     workers = min(runtime.usable_cpus(), n // _MIN_WORKER_ROWS)
     yield from runtime.fork_map(workers, _format_block, blocks)
 
@@ -396,8 +395,8 @@ def _parse_chunks(path, bounds: list[int], header_line: int) -> tuple[np.ndarray
     n = 0
     for at, (rows, _) in zip(slots, results):
         # Ascending blocks: a block's source lies past what the blocks before it wrote.
-        for lo in range(0, rows if at > n else 0, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, rows)
+        for lo in range(0, rows if at > n else 0, runtime.BLOCK):
+            hi = min(lo + runtime.BLOCK, rows)
             t[n + lo : n + hi] = t[at + lo : at + hi]
             channels[:, n + lo : n + hi] = channels[:, at + lo : at + hi]
         n += rows
@@ -465,8 +464,8 @@ def load_trace(path) -> MotionTrace:
         raise DataError(f"{path}: time column contains non-finite values")
 
     dt, worst = (t[-1] - t[0]) / (n - 1), 0.0
-    for lo in range(0, n - 1, _BLOCK_ROWS):  # the rate check in blocks, each worked in place
-        steps = np.diff(t[lo : lo + _BLOCK_ROWS + 1])
+    for lo in range(0, n - 1, runtime.BLOCK):  # the rate check in blocks, each worked in place
+        steps = np.diff(t[lo : lo + runtime.BLOCK + 1])
         if np.any(steps <= 0.0):
             raise DataError(f"{path}: time column is not strictly increasing")
         worst = max(worst, np.max(np.abs(np.subtract(steps, dt, out=steps), out=steps)))

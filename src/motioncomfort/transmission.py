@@ -57,8 +57,7 @@ from .traceio import MotionTrace
 
 logger = logging.getLogger(__name__)
 
-_BLOCK_BINS = 65536  # the block size of the channel-product build is at most this
-_MIN_BLOCK_BINS = 4096  # and at least this, unless _BLOCK_BINS is less
+_MIN_BLOCK_BINS = 4096  # a floor on the product build's blocks (for speed), not a block size
 
 
 def _warn_if_undersampled(sample_rate_hz: float, max_tabulated_hz: float, what: str) -> None:
@@ -195,7 +194,7 @@ def _summed_products(
     breakdown passes rows of its own.  The bins are cut into equal blocks of
     `size` to 2 * `size` (or one block of all), built on every usable CPU, where
     `size` is the bins over 16 * cpus, held within [`_MIN_BLOCK_BINS`,
-    `_BLOCK_BINS`]: the live temporaries of all threads together are at most
+    `runtime.BLOCK`]: the live temporaries of all threads together are at most
     1/8 of `out` on any CPU count, or 2 * `_MIN_BLOCK_BINS` bins a thread where
     the floor holds.  Each step works bin by bin, so the bits do not depend on
     the blocks as long as each holds at least 2 bins (numpy's in-place complex
@@ -209,7 +208,7 @@ def _summed_products(
     freqs = spectral.bin_frequencies(n, spectra.sample_rate_hz)
     curves = [bundle.channels[cid] for cid in CHANNEL_IDS]
     bands = [_held_band(curve, freqs) for curve in curves]
-    size = min(_BLOCK_BINS, max(_MIN_BLOCK_BINS, m // (16 * runtime.usable_cpus())))
+    size = min(runtime.BLOCK, max(_MIN_BLOCK_BINS, m // (16 * runtime.usable_cpus())))
     count = max(1, m // size)
 
     def build(i: int) -> None:

@@ -179,7 +179,7 @@ def test_read_offs_in_chunks_give_the_bits_of_whole_rows(n, chunk, seed):
     freqs = spectral.bin_frequencies(n, seat.sample_rate_hz)
     curves = builtin_weightings()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics, "_READ_OFF_BINS", chunk)
+        mp.setattr(runtime, "BLOCK", chunk)
         report = full_assessment(seat, bundle, include_svc=False)
     regimes = ((report.rc, ride_comfort_regime()), (report.ms, motion_sickness_regime()))
     for result, regime in regimes:
@@ -194,7 +194,7 @@ def test_assessment_is_bit_equal_with_more_threads_than_cores_and_fast_switching
     monkeypatch.setattr(runtime, "usable_cpus", lambda: 1)
     want = full_assessment(seat, bundle)
     monkeypatch.setattr(runtime, "usable_cpus", lambda: 6)
-    monkeypatch.setattr(transmission, "_BLOCK_BINS", 16)
+    monkeypatch.setattr(runtime, "BLOCK", 16)
     monkeypatch.setattr(svc, "_BLOCK_SAMPLES", 16)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

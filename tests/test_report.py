@@ -18,7 +18,7 @@ from motioncomfort import (
     identity_bundle,
 )
 from motioncomfort import report as report_module
-from motioncomfort import spectral
+from motioncomfort import runtime, spectral
 from motioncomfort.errors import ConfigError
 from motioncomfort.report import render_report_svg
 from motioncomfort.svc import MsiSeries
@@ -197,7 +197,7 @@ def _msi_series(kind: str, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 @pytest.mark.parametrize("kind", ["random", "ties", "gap", "monotone"])
 @pytest.mark.parametrize("chunk", [65536, 1000, 7])
 def test_svg_draws_the_points_of_the_whole_series_drawing(monkeypatch, report, kind, chunk):
-    monkeypatch.setattr(report_module, "_SVG_CHUNK", chunk)
+    monkeypatch.setattr(runtime, "BLOCK", chunk)
     for n, seed in ((int(2 * PLOT_W) + 1, 0), (200_003, 1), (70_000, 2)):
         series = _with_msi(report, *_msi_series(kind, n, seed))
         svg = render_report_svg(series)

@@ -176,7 +176,7 @@ def test_rfft_into_a_row_gives_the_bits_of_one_whole_gather(monkeypatch, n):
     want = scipy_fft.rfft(x) if spectral._split(n) is None else _rfft2_split(x)
     assert spectral.rfft(x).tobytes() == want.tobytes()
     for chunk in (65536, 1000, 7):
-        monkeypatch.setattr(spectral, "_GATHER_BINS", chunk)
+        monkeypatch.setattr(runtime, "BLOCK", chunk)
         rows = np.full((3, n // 2 + 1), np.nan, np.complex128)
         row = rows[1]
         assert spectral.rfft(x, out=row) is row

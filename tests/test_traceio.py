@@ -35,7 +35,7 @@ from motioncomfort import (
 from motioncomfort import g17, runtime, traceio
 from motioncomfort.report import save_msi_csv
 from motioncomfort.svc import MsiSeries
-from motioncomfort.traceio import _BLOCK_ROWS, atomic_write_text, format_rows
+from motioncomfort.traceio import atomic_write_text, format_rows
 from conftest import fuzzed_body, random_trace
 
 # Values whose text form is easy to get wrong: signed zero, the smallest
@@ -81,17 +81,17 @@ def _time_column_outcome(path, t: np.ndarray) -> str:
         return str(exc)
 
 
-@pytest.mark.parametrize("block", [_BLOCK_ROWS, 7])
+@pytest.mark.parametrize("block", [runtime.BLOCK, 7])
 def test_the_rate_check_in_blocks_keeps_its_errors_their_order_and_its_maximum(
     tmp_path, monkeypatch, block
 ):
-    # The time steps are checked in blocks of _BLOCK_ROWS.  A non-increasing step is reported
+    # The time steps are checked in blocks of runtime.BLOCK.  A non-increasing step is reported
     # before a non-uniform one wherever each lies, and the largest step deviation decides as
     # the whole column's does: shifts of one row within a few ulp of 1 ppm of the step.
-    monkeypatch.setattr(traceio, "_BLOCK_ROWS", block)
     path = tmp_path / "t.csv"
-    t = np.arange(_BLOCK_ROWS + 100) / 100.0
-    late = _BLOCK_ROWS  # at the default size, the step into the second block
+    t = np.arange(runtime.BLOCK + 100) / 100.0
+    late = runtime.BLOCK  # at the default size, the step into the second block
+    monkeypatch.setattr(runtime, "BLOCK", block)
     early_jitter_late_repeat = t.copy()
     early_jitter_late_repeat[10] += 1e-6
     early_jitter_late_repeat[late] = early_jitter_late_repeat[late - 1]
@@ -229,7 +229,7 @@ def test_dict_components_accepted():
 
 
 @pytest.mark.parametrize(
-    "n_rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
+    "n_rows", [0, 1, runtime.BLOCK - 1, runtime.BLOCK, runtime.BLOCK + 1]
 )
 def test_format_rows_matches_fstring_oracle(n_rows):
     a = np.resize(AWKWARD, n_rows)
@@ -259,7 +259,7 @@ def test_exponent_estimate_is_exact_over_the_fast_domain():
 
 
 def test_save_trace_matches_fstring_oracle(tmp_path):
-    n = _BLOCK_ROWS + 3
+    n = runtime.BLOCK + 3
     channels = {axis: np.resize(np.roll(AWKWARD, i), n) for i, axis in enumerate(AXES)}
     trace = MotionTrace(sample_rate_hz=100.0, channels=channels)
     body = np.column_stack([trace.time_s] + [trace.channels[a] for a in AXES])
@@ -803,7 +803,7 @@ def _forking_formatter(cpus: int = 3, block: int = _TINY_BLOCK):
             super().__init__(max_workers, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(traceio, "_BLOCK_ROWS", block)
+        mp.setattr(runtime, "BLOCK", block)
         mp.setattr(traceio, "_MIN_WORKER_ROWS", 3 * block)
         mp.setattr(runtime, "usable_cpus", lambda: cpus)
         mp.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)

@@ -454,7 +454,7 @@ def test_block_core_is_bit_equal_to_one_full_length_build(
     want_parts = dict(_reference_products(seat, bundle, spectra))
     threads = threading.active_count()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transmission, "_BLOCK_BINS", block)
+        mp.setattr(runtime, "BLOCK", block)
         mp.setattr(runtime, "usable_cpus", lambda: cpus)
         row_of = [AXES.index(cid.output_axis) for cid in CHANNEL_IDS]
         stacked = SeatSpectra(np.array([spectra[axis] for axis in AXES]), n, seat.sample_rate_hz)
@@ -530,7 +530,7 @@ def test_held_band_fill_is_bit_equal_to_one_full_length_build(case):
     want_sums = _reference_sums(seat, bundle, spectra)
     want_parts = [part for _, part in _reference_products(seat, bundle, spectra)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transmission, "_BLOCK_BINS", case["block"])
+        mp.setattr(runtime, "BLOCK", case["block"])
         mp.setattr(runtime, "usable_cpus", lambda: case["cpus"])
         row_of = [AXES.index(cid.output_axis) for cid in CHANNEL_IDS]
         stacked = SeatSpectra(
@@ -585,7 +585,7 @@ def test_error_in_a_helper_block_reaches_the_caller_and_leaves_no_thread(monkeyp
         return evaluate(curve, freqs)
 
     monkeypatch.setattr(transmission, "evaluate_grid", fails_off_the_calling_thread)
-    monkeypatch.setattr(transmission, "_BLOCK_BINS", 16)
+    monkeypatch.setattr(runtime, "BLOCK", 16)
     monkeypatch.setattr(runtime, "usable_cpus", lambda: 2)
     threads = threading.active_count()
     with pytest.raises(_RowFailure, match="helper block"):
@@ -615,7 +615,7 @@ def test_transmission_and_metrics_are_linear_across_blocks(n, a, b, model, seed)
         )
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transmission, "_BLOCK_BINS", 8)
+        mp.setattr(runtime, "BLOCK", 8)
         mp.setattr(runtime, "usable_cpus", lambda: 2)
         mixed, head_x, head_y = (transmit(seat, bundle)[0] for seat in (scaled(a, b), x, y))
         reports = [full_assessment(seat, bundle) for seat in (x, scaled(a, 0.0))]
