@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import platform
-import time
 from dataclasses import asdict, dataclass
 
+from . import runtime
 from .frf import FrfBundle
 from .metrics import full_assessment
 from .traceio import DEMO_COMPONENTS, synth_trace
@@ -53,19 +53,19 @@ def benchmark(
     is simulated duration divided by wall time.
     """
     trace = synth_trace(DEMO_COMPONENTS, trace_length_s, sample_rate_hz)
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    full_assessment(trace, bundle, include_svc=include_svc, timings=timings)
-    total = time.perf_counter() - t0
+    runtime.SECONDS.clear()
+    with runtime.stage("assessment"):
+        full_assessment(trace, bundle, include_svc=include_svc)
+    seconds, total = runtime.SECONDS, runtime.SECONDS["assessment"]
     return BenchmarkResult(
         model_id=bundle.model_id,
         duration_s=trace.duration_s,
         sample_rate_hz=trace.sample_rate_hz,
         n_samples=trace.n_samples,
-        transmit_s=timings["transmit_s"],
-        rc_s=timings["rc_s"],
-        ms_s=timings["ms_s"],
-        svc_s=timings["svc_s"],
+        transmit_s=seconds["head spectra"] + seconds.get("inverse FFTs", 0.0),
+        rc_s=seconds["RC"],
+        ms_s=seconds["MS"],
+        svc_s=seconds.get("SVC", 0.0),
         total_s=total,
         realtime_factor=trace.duration_s / total if total > 0.0 else float("inf"),
         machine=platform.machine() or "unknown",

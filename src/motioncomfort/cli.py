@@ -33,7 +33,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config with overrides")
     common.add_argument("--out", metavar="DIR", default=None, help="output directory")
-    common.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
+    common.add_argument("-v", "--verbose", action="store_true", help="log each stage's seconds")
     return common
 
 
@@ -83,12 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> RunConfig:
-    if args.config:
-        return load_run_config(args.config)
-    return RunConfig()
-
-
 def _trace_path(args, cfg: RunConfig):
     path = args.trace or cfg.trace_path
     if path is None:
@@ -98,7 +92,7 @@ def _trace_path(args, cfg: RunConfig):
 
 def _run(args) -> list[str]:
     """Run one verb; return the summary lines for stdout, printed once every output is written."""
-    cfg = _load_config(args)
+    cfg = load_run_config(args.config) if args.config else RunConfig()
     out_dir = Path(args.out) if args.out else (cfg.out_dir or Path("."))
 
     # No name holds a seat trace past the call that needs it: assess and compare get its

@@ -67,9 +67,10 @@ def load_run_config(path) -> RunConfig:
 
     base = path.parent
 
-    def resolve(p) -> Path:
-        p = Path(str(p))
-        return p if p.is_absolute() else base / p
+    def resolve(key: str, p) -> Path:  # an absolute path stays as it is
+        if not isinstance(p, str):
+            raise ConfigError(f"{path}: {key} must be a path string, not {p!r}")
+        return base / p
 
     k_factors = {**DEFAULT_K_FACTORS, **raw.get("k_factors", {})}
     with _naming(path, ConfigError):
@@ -80,13 +81,13 @@ def load_run_config(path) -> RunConfig:
     for name, ref in raw.get("weighting_files", {}).items():
         if name not in registry:  # a config cannot map an axis to a new name: no regime uses it
             raise ConfigError(f"{path}: weighting_files name {name!r} not in {sorted(registry)}")
-        registry[name] = load_weighting_csv(resolve(ref), name=name)
+        registry[name] = load_weighting_csv(resolve(f"weighting_files.{name}", ref), name=name)
     manifest = raw.get("bundle_manifest")
 
     return RunConfig(
-        trace_path=resolve(raw["trace"]) if "trace" in raw else None,
-        out_dir=resolve(raw["out"]) if "out" in raw else None,
-        bundle=None if manifest is None else load_frf_bundle(resolve(manifest)),
+        trace_path=None if raw.get("trace") is None else resolve("trace", raw["trace"]),
+        out_dir=None if raw.get("out") is None else resolve("out", raw["out"]),
+        bundle=None if manifest is None else load_frf_bundle(resolve("bundle_manifest", manifest)),
         rc=rc,
         ms=ms,
         svc_params=svc_params,

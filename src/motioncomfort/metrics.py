@@ -11,7 +11,6 @@ no name for the trace frees the trace after its forward FFTs.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -162,7 +161,6 @@ def full_assessment(
     svc_params: SvcParams | None = None,
     registry: Mapping[str, WeightingCurve] | None = None,
     include_svc: bool = True,
-    timings: dict | None = None,
 ) -> ComfortReport:
     """Transmit seat motion to the head, then assess both regimes plus MSI.
 
@@ -179,7 +177,6 @@ def full_assessment(
     read-only.  A trace is only read.  `report.compare` runs this once per
     model, each but the last on a copy of the seat spectra.  SVC runs beside
     the head signals alone: they go before the MSI's time column is made.
-    Pass a dict as `timings` to collect per-stage wall times in seconds.
     """
     rc = rc if rc is not None else ride_comfort_regime()
     ms = ms if ms is not None else motion_sickness_regime()
@@ -187,15 +184,13 @@ def full_assessment(
     rc_curves = _resolve_curves(rc, registry)
     ms_curves = _resolve_curves(ms, registry)
 
-    t0 = time.perf_counter()
-    spectra = _spectra_of(seat)  # here, to count in transmit_s
-    fs, n = spectra.sample_rate_hz, spectra.n_samples
-    rows = head_spectra(spectra, bundle)
-    t1 = time.perf_counter()
-
+    with runtime.stage("head spectra"):
+        spectra = _spectra_of(seat)
+        fs, n = spectra.sample_rate_hz, spectra.n_samples
+        rows = head_spectra(spectra, bundle)
     freqs = spectral.bin_frequencies(n, fs)
 
-    def spectral_assess(regime: MetricRegime, curves) -> RegimeResult:
+    def spectral_assess(name: str, regime: MetricRegime, curves) -> RegimeResult:
         per_axis = np.empty(len(AXES))
 
         def read_off(i: int) -> None:  # w * w * |H|^2 in one array; an overflow reaches combine
@@ -207,30 +202,24 @@ def full_assessment(
                 np.multiply(part, np.square(power, out=power), out=part)
             per_axis[i] = np.sqrt(spectral.spectrum_mean_square(weighted, n))
 
-        runtime.on_every_cpu(read_off, len(AXES))
+        with runtime.stage(name):
+            runtime.on_every_cpu(read_off, len(AXES))
         return _regime_result(regime, dict(zip(AXES, per_axis.tolist())))
 
     # Both read-offs run on the head spectra before head_trace overwrites them with the signals.
-    rc_result = spectral_assess(rc, rc_curves)
-    t2 = time.perf_counter()
-    ms_result = spectral_assess(ms, ms_curves)
-    t3 = time.perf_counter()
+    rc_result = spectral_assess("RC", rc, rc_curves)
+    ms_result = spectral_assess("MS", ms, ms_curves)
     del freqs  # the read-offs' bin frequencies, before the inverse FFTs
     if include_svc:  # only SVC reads the head trace
-        head = head_trace(spectra, rows)  # it leaves the rows read-only
+        with runtime.stage("inverse FFTs"):
+            head = head_trace(spectra, rows)  # it leaves the rows read-only
+        with runtime.stage("SVC"):  # every name for the head signals goes before the time column
+            msi = _incidence(head, svc_params)
+            del seat, spectra, rows, head
+            msi = MsiSeries(time_s=_seconds(n, fs), msi_percent=msi, _owned=True)
     else:
         rows.base.flags.writeable = False  # spent: they hold the head spectra
-    t4 = time.perf_counter()
-
-    msi = _incidence(head, svc_params) if include_svc else None
-    if include_svc:  # every name for the head signals goes before the time column is made
-        del seat, spectra, rows, head
-        msi = MsiSeries(time_s=_seconds(n, fs), msi_percent=msi, _owned=True)
-    t5 = time.perf_counter()
-
-    if timings is not None:  # transmit_s: the head spectra, then their inverse FFTs
-        timings.update(transmit_s=(t1 - t0) + (t4 - t3), rc_s=t2 - t1, ms_s=t3 - t2,
-                       svc_s=t5 - t4, total_s=t5 - t0)
+        msi = None
 
     return ComfortReport(
         model_id=bundle.model_id,

@@ -1,18 +1,22 @@
 """The CPU runners that the spectral core, the RC/MS read-offs and trace I/O share, and the
 loader of the compiled scipy modules they call.
 
-`on_every_cpu` runs tasks on one thread per usable CPU (`usable_cpus`), and
-`fork_map` runs them in forked processes; `scipy_kernel` loads a module.  This
-module imports nothing from the package, so every layer may call it, and a
-test patches ``usable_cpus``, ``BLOCK`` or ``_SCIPY_FILE`` here alone.
+`on_every_cpu` runs tasks on one thread per usable CPU (`usable_cpus`), `fork_map` runs them
+in forked processes, `scipy_kernel` loads a module and `stage` times a block.  This module
+imports nothing from the package, so every layer may call it, and a test patches
+``usable_cpus``, ``BLOCK`` or ``_SCIPY_FILE`` here alone.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import logging
 import os
 import sys
 import threading
+import time
+from contextlib import contextmanager
 from importlib.machinery import EXTENSION_SUFFIXES
 from types import ModuleType
 from typing import Callable, Iterator
@@ -24,12 +28,25 @@ _SCIPY_FILE = f"{scipy.__path__[0]}/%s{EXTENSION_SUFFIXES[0]}"  # a compiled mod
 # Elements per block of every streamed loop, read as ``runtime.BLOCK`` at call time: a multiple of
 # 64, so a block keeps a row's alignment for numpy's vector loops.  No output depends on it (>= 2).
 BLOCK = 65536
+SECONDS: dict[str, float] = {}  # wall seconds per `stage` name, summed until a caller clears it
 
 
 def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@contextmanager
+def stage(name: str) -> Iterator[None]:
+    """Add the block's wall time to ``SECONDS[name]`` and log ``{"stage": name, "s": seconds}`` at
+    INFO.  It times the calling thread, so the threads and forks the block starts count inside
+    it.  A block that raises records and logs nothing."""
+    start = time.perf_counter()
+    yield
+    seconds = time.perf_counter() - start
+    SECONDS[name] = SECONDS.get(name, 0.0) + seconds
+    logging.getLogger(__name__).info(json.dumps({"stage": name, "s": seconds}))
 
 
 def scipy_kernel(name: str, path: str, check: Callable[[ModuleType], bool]) -> ModuleType:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
-from motioncomfort import benchmark, builtin_bundle, identity_bundle
+import pytest
+
+from motioncomfort import benchmark, builtin_bundle, identity_bundle, runtime
 
 
 def test_short_trace_completes_with_positive_factor():
@@ -29,4 +32,16 @@ def test_wall_time_scales_no_worse_than_n_log_n():
 def test_summary_mentions_realtime_factor():
     result = benchmark(30.0, 50.0, identity_bundle(), include_svc=False)
     assert "x realtime" in result.summary()
-    assert result.svc_s < 0.01  # stage skipped, only timer overhead remains
+    assert result.svc_s < 0.01  # no SVC stage ran
+
+
+def test_a_stage_sums_its_blocks_and_one_that_raises_records_nothing(monkeypatch):
+    ticks = iter([0.0, 1.0, 5.0, 7.0, 10.0])
+    monkeypatch.setattr(runtime, "time", SimpleNamespace(perf_counter=ticks.__next__))
+    monkeypatch.setattr(runtime, "SECONDS", {})
+    for _ in range(2):
+        with runtime.stage("twice"):
+            pass
+    with pytest.raises(ZeroDivisionError), runtime.stage("raised"):
+        1 / 0
+    assert runtime.SECONDS == {"twice": 3.0}

@@ -339,6 +339,31 @@ def test_trace_and_out_from_config(tmp_path, capsys):
     assert (out2 / "report.json").exists()
 
 
+@pytest.mark.parametrize("value", [3, ["a"]], ids=["number", "list"])
+@pytest.mark.parametrize("key", ["trace", "out", "bundle_manifest", "weighting_files.Wk"])
+def test_a_config_path_that_is_not_a_string_is_a_config_error_naming_its_key(
+    tmp_path, capsys, key, value
+):
+    trace, cfg = _synth(tmp_path), tmp_path / "cfg.json"
+    outer, _, inner = key.partition(".")
+    cfg.write_text(json.dumps({outer: {inner: value}} if inner else {key: value}))
+    argv = ["assess", "--trace", str(trace), "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error[config]: {cfg}: {key} must be a path string, not {value!r}"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_null_trace_or_out_in_a_config_is_unset(tmp_path, capsys, monkeypatch):
+    trace, cfg = _synth(tmp_path), tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trace": None, "out": None}))
+    assert main(["assess", "--config", str(cfg)]) == 2
+    assert "no input trace" in capsys.readouterr().err
+    monkeypatch.chdir(tmp_path)
+    assert main(["assess", "--trace", str(trace), "--config", str(cfg)]) == 0
+    assert (tmp_path / "report.json").exists() and not (tmp_path / "None").exists()
+
+
 def test_missing_trace_everywhere_is_config_error(tmp_path, capsys):
     rc = main(["assess", "--out", str(tmp_path)])
     assert rc == 2
@@ -651,6 +676,27 @@ def test_cli_assess_exits_0_with_strict_json_or_prints_one_error_line(body, svc,
         else:
             assert rc in (2, 3, 4)
             _assert_one_error_line_last(err)
+
+
+def test_verbose_logs_one_json_object_per_finished_stage(tmp_path):
+    trace, cfg = _synth(tmp_path), tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({"svc": {"b": 1.0, "n": 1e300}}))  # SVC overflows: exit 4
+    for config, code, stages in (
+        ([], 0, ["head spectra", "RC", "MS", "inverse FFTs", "SVC"]),
+        (["--config", str(cfg)], 4, ["head spectra", "RC", "MS", "inverse FFTs"]),
+    ):
+        args = ["assess", "--trace", str(trace), "--out", str(tmp_path / "out"), *config]
+        quiet_rc, quiet = _run_cli(args)
+        rc, err = _run_cli([*args, "-v"])
+        assert rc == quiet_rc == code
+        infos = [line for line in err if line.startswith("INFO ")]
+        assert [line for line in err if line not in infos] == quiet
+        logged = [json.loads(line.split(": ", 1)[1]) for line in infos]
+        assert [entry["stage"] for entry in logged] == stages
+        assert all(entry["s"] >= 0.0 for entry in logged)
+        if code:
+            assert err[-1].startswith("error[numeric]: ")
+            assert all(line.startswith(("WARNING ", "INFO ")) for line in err[:-1])
 
 
 def _assert_one_error_line_last(err: list[str]) -> None:

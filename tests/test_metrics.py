@@ -618,16 +618,17 @@ def test_assessment_without_svc_builds_no_head_trace(monkeypatch, n):
     built = []
     head_trace = metrics.head_trace
     monkeypatch.setattr(metrics, "head_trace", lambda *a: built.append(a) or head_trace(*a))
-    timings = {}
-    got = full_assessment(seat, bundle, include_svc=False, timings=timings)
+    monkeypatch.setattr(runtime, "SECONDS", {})
+    got = full_assessment(seat, bundle, include_svc=False)
     assert built == [] and got.msi is None
-    assert set(timings) == {"transmit_s", "rc_s", "ms_s", "svc_s", "total_s"}
+    assert set(runtime.SECONDS) == {"head spectra", "RC", "MS"}
     for regime in ("rc", "ms"):
         got_result, want_result = getattr(got, regime), getattr(want, regime)
         assert [got_result.per_axis[a] for a in AXES] == [want_result.per_axis[a] for a in AXES]
         assert got_result.total == want_result.total
-    full_assessment(seat, bundle, timings=timings)
+    full_assessment(seat, bundle)
     assert len(built) == 1
+    assert set(runtime.SECONDS) == {"head spectra", "RC", "MS", "inverse FFTs", "SVC"}
 
 
 def test_compare_rows_do_not_depend_on_the_model_order():
