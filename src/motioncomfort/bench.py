@@ -54,7 +54,7 @@ def benchmark(
     """
     trace = synth_trace(DEMO_COMPONENTS, trace_length_s, sample_rate_hz)
     runtime.SECONDS.clear()
-    with runtime.stage("assessment"):
+    with runtime.stage("assessment", model=bundle.model_id):
         full_assessment(trace, bundle, include_svc=include_svc)
     seconds, total = runtime.SECONDS, runtime.SECONDS["assessment"]
     return BenchmarkResult(

@@ -68,7 +68,7 @@ def load_run_config(path) -> RunConfig:
     base = path.parent
 
     def resolve(key: str, p) -> Path:  # an absolute path stays as it is
-        if not isinstance(p, str):
+        if not isinstance(p, str) or "\0" in p:
             raise ConfigError(f"{path}: {key} must be a path string, not {p!r}")
         return base / p
 

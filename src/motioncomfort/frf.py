@@ -84,8 +84,12 @@ def _frozen_array(values, owned: bool = False) -> np.ndarray:
 
 
 def _is_real(value) -> bool:
-    """True for a real number (int, float, numpy's too), False for a bool or anything else."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """True for a finite real number (int, float, numpy's too) that a float holds, False for a
+    bool, an infinity, a NaN, an int too large for a float or anything else."""
+    try:
+        return isinstance(value, numbers.Real) and type(value) is not bool and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _checked_grid(values, what: str) -> np.ndarray:
@@ -295,13 +299,14 @@ def identity_bundle() -> FrfBundle:
 @contextmanager
 def _input_file(path, what: str, error: type[ComfortError]):
     """`path` open as UTF-8 text, read in the block.  A file that cannot be read is a
-    ConfigError; text that is not UTF-8, or JSON that does not parse, is `error`."""
+    ConfigError; text that is not UTF-8, JSON that does not parse or nests deeper than the
+    parser goes (RFC 8259 §9 lets it limit depth), or a row that `csv` rejects, is `error`."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             yield fh
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, csv.Error) as exc:
         raise error(f"malformed {what} {path}: {exc}") from exc
 
 
@@ -385,6 +390,8 @@ def load_frf_bundle(manifest_path) -> FrfBundle:
                 raise TypeError(f"set {set_id!r} is not an integer")
             cid = FrfChannelId(input_axis=entry["in"], output_axis=entry["out"], set_id=set_id)
             file_ref = entry["file"]
+            if not isinstance(file_ref, str) or "\0" in file_ref:
+                raise TypeError(f"file {file_ref!r} is not a path string")
             units = (entry["in_unit"], entry["out_unit"])
         except (KeyError, TypeError, ValueError, DataError) as exc:
             raise DataError(f"{manifest_path}: malformed channel entry {entry!r}") from exc

@@ -184,7 +184,8 @@ def full_assessment(
     rc_curves = _resolve_curves(rc, registry)
     ms_curves = _resolve_curves(ms, registry)
 
-    with runtime.stage("head spectra"):
+    model = bundle.model_id  # named in each stage's log line
+    with runtime.stage("head spectra", model=model):
         spectra = _spectra_of(seat)
         fs, n = spectra.sample_rate_hz, spectra.n_samples
         rows = head_spectra(spectra, bundle)
@@ -202,7 +203,7 @@ def full_assessment(
                 np.multiply(part, np.square(power, out=power), out=part)
             per_axis[i] = np.sqrt(spectral.spectrum_mean_square(weighted, n))
 
-        with runtime.stage(name):
+        with runtime.stage(name, model=model):
             runtime.on_every_cpu(read_off, len(AXES))
         return _regime_result(regime, dict(zip(AXES, per_axis.tolist())))
 
@@ -211,9 +212,9 @@ def full_assessment(
     ms_result = spectral_assess("MS", ms, ms_curves)
     del freqs  # the read-offs' bin frequencies, before the inverse FFTs
     if include_svc:  # only SVC reads the head trace
-        with runtime.stage("inverse FFTs"):
+        with runtime.stage("inverse FFTs", model=model):
             head = head_trace(spectra, rows)  # it leaves the rows read-only
-        with runtime.stage("SVC"):  # every name for the head signals goes before the time column
+        with runtime.stage("SVC", model=model):  # all head signal names go before the time column
             msi = _incidence(head, svc_params)
             del seat, spectra, rows, head
             msi = MsiSeries(time_s=_seconds(n, fs), msi_percent=msi, _owned=True)

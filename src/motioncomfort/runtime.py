@@ -38,15 +38,15 @@ def usable_cpus() -> int:
 
 
 @contextmanager
-def stage(name: str) -> Iterator[None]:
-    """Add the block's wall time to ``SECONDS[name]`` and log ``{"stage": name, "s": seconds}`` at
-    INFO.  It times the calling thread, so the threads and forks the block starts count inside
-    it.  A block that raises records and logs nothing."""
+def stage(name: str, **about) -> Iterator[None]:
+    """Add the block's wall time to ``SECONDS[name]`` and log ``{"stage": name, **about, "s":
+    seconds}`` at INFO.  It times the calling thread, so the threads and forks the block starts
+    count inside it.  A block that raises records and logs nothing."""
     start = time.perf_counter()
     yield
     seconds = time.perf_counter() - start
     SECONDS[name] = SECONDS.get(name, 0.0) + seconds
-    logging.getLogger(__name__).info(json.dumps({"stage": name, "s": seconds}))
+    logging.getLogger(__name__).info(json.dumps({"stage": name, **about, "s": seconds}))
 
 
 def scipy_kernel(name: str, path: str, check: Callable[[ModuleType], bool]) -> ModuleType:

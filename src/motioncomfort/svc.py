@@ -71,7 +71,7 @@ class SvcParams:
     def __post_init__(self):
         for name in ("tau_s", "b", "n", "mu_s", "g", "orientation_leak_s"):
             value = getattr(self, name)
-            if not _is_real(value) or not 0.0 < value < np.inf:
+            if not _is_real(value) or value <= 0.0:
                 raise DataError(f"SVC parameter {name} must be finite and > 0, got {value!r}")
             object.__setattr__(self, name, float(value))
         if self.n < 1.0:

@@ -160,7 +160,7 @@ def atomic_write_text(path, text: str | Iterable[str]) -> None:
 
 
 class _BadLine(NamedTuple):
-    """The first line of a chunk that is not 7 numbers: its 0-based index there, and why."""
+    """The first line of a piece that is not 7 numbers: its 0-based index there, and why."""
 
     index: int
     reason: str
@@ -308,9 +308,9 @@ def _line_start(fh, pos: int) -> int:
     return at
 
 
-def _pieces(fh, start: int, stop: int) -> Iterator[bytes]:
-    """Bytes [start, stop) of the binary file `fh`, both line starts (`_line_start`), in pieces
-    of about `_READ_BYTES` that end at line starts, with every line end made one LF."""
+def _pieces(fh, start: int, stop: int) -> Iterator[tuple[int, bytes]]:
+    """Bytes [start, stop) of the binary file `fh`, both line starts (`_line_start`), as
+    (offset, piece) pairs of about `_READ_BYTES` ending at line starts, each line end one LF."""
     while start < stop:
         end = stop if stop - start <= _READ_BYTES else _line_start(fh, start + _READ_BYTES)
         fh.seek(start)
@@ -319,7 +319,7 @@ def _pieces(fh, start: int, stop: int) -> Iterator[bytes]:
             return
         if b"\r" in piece:
             piece = piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        yield piece
+        yield start, piece
         start = end
 
 
@@ -327,32 +327,31 @@ def _line_ends(path, start: int, stop: int) -> int:
     """The lines in bytes [start, stop) of a trace file, both line starts: a bound on its rows."""
     ends, last = 0, b"\n"
     with open(path, "rb") as fh:
-        for piece in _pieces(fh, start, stop):
+        for _, piece in _pieces(fh, start, stop):
             ends, last = ends + piece.count(b"\n"), piece[-1:]
     return ends + (last != b"\n")
 
 
-def _parse_chunk(key: int, path, start: int, stop: int, at: int) -> tuple[int, int] | _BadLine:
-    """Parse bytes [start, stop) of a trace file, which begin and end at line starts, into
-    the destination ``_DESTINATIONS[key]`` from column `at` on; return (rows, lines), or the
-    first line that is not 7 numbers.  Each piece (`_pieces`) is read strictly if it can be
-    (`_strict_piece`, one line a row), else with numpy (`_loose_parse`)."""
+def _parse_chunk(key: int, path, start: int, stop: int, at: int, header_line: int) -> int:
+    """Parse bytes [start, stop) of a trace file, line starts that follow `at` lines after the
+    `header_line`, into the destination ``_DESTINATIONS[key]`` from column `at` on; return its
+    rows.  Each piece (`_pieces`) is read strictly if it can be (`_strict_piece`, one line a
+    row), else with numpy (`_loose_parse`).  A line that is not 7 numbers is a DataError naming
+    its 1-based line; only then are the lines before its piece counted (`_line_ends`)."""
     t, channels = _DESTINATIONS[key]
-    end, lines = at, 0
+    end = at
     with open(path, "rb") as fh:
-        for piece in _pieces(fh, start, stop):
+        for offset, piece in _pieces(fh, start, stop):
             values = _strict_piece(piece)
-            if values is not None:
-                lines += values.shape[1]
-            else:
+            if values is None:
                 values = _loose_parse(piece)
-                if isinstance(values, _BadLine):
-                    return values._replace(index=values.index + lines)
-                lines += len(piece.splitlines())
+            if isinstance(values, _BadLine):
+                line = header_line + at + _line_ends(path, start, offset) + values.index + 1
+                raise DataError(f"{path}: line {line}: {values.reason}")
             lo, end = end, end + values.shape[1]
             t[lo:end], channels[:, lo:end] = values[0], values[1:]
             del values  # before the next piece is read
-    return end - at, lines
+    return end - at
 
 
 def _shared_floats(count: int) -> np.ndarray:
@@ -369,9 +368,9 @@ def _parse_chunks(path, bounds: list[int], header_line: int) -> tuple[np.ndarray
     Each worker first counts its range's lines (`_line_ends`), a bound on its rows.  Then
     the time column and the channel rows are mapped (`_shared_floats`), each range gets the
     columns its bound allows from where the ranges before it end, and each worker writes its
-    rows there (`_parse_chunk`), handing back only its row and line counts.  Last, the gaps
-    that blank and comment lines leave are closed in place.  A row that is not 7 numbers is a
-    DataError naming its 1-based line, counted from the `header_line`.
+    rows there (`_parse_chunk`), handing back only its row count.  Last, the gaps that blank
+    and comment lines leave are closed in place.  A row that is not 7 numbers is a DataError
+    that its worker raises, naming its 1-based line, counted from the `header_line`.
     """
     _compiled_reader()  # imported for _strict_piece before any fork
     ranges = list(zip(bounds[:-1], bounds[1:]))
@@ -383,17 +382,12 @@ def _parse_chunks(path, bounds: list[int], header_line: int) -> tuple[np.ndarray
         _shared_floats(slots[-1]), _shared_floats(len(AXES) * room).reshape(len(AXES), room)
     )
     try:
-        tasks = [(key, path, lo, hi, at) for (lo, hi), at in zip(ranges, slots)]
+        tasks = [(key, path, lo, hi, at, header_line) for (lo, hi), at in zip(ranges, slots)]
         results = list(runtime.fork_map(len(ranges), _parse_chunk, tasks))
     finally:
         del _DESTINATIONS[key]
-    line = header_line
-    for result in results:
-        if isinstance(result, _BadLine):
-            raise DataError(f"{path}: line {line + result.index + 1}: {result.reason}")
-        line += result[1]
     n = 0
-    for at, (rows, _) in zip(slots, results):
+    for at, rows in zip(slots, results):
         # Ascending blocks: a block's source lies past what the blocks before it wrote.
         for lo in range(0, rows if at > n else 0, runtime.BLOCK):
             hi = min(lo + runtime.BLOCK, rows)
@@ -425,7 +419,7 @@ def load_trace(path) -> MotionTrace:
     forked worker processes parse the ranges in parallel; otherwise, and where
     the platform cannot fork, one range is parsed inline.  Workers (or the
     inline parse) write the values straight into the trace's rows, which live
-    in anonymous shared memory; only row and line counts come back
+    in anonymous shared memory; only row counts come back
     (`_parse_chunks`).  A range is read in pieces of about 2 MiB of whole
     lines, each line ended by one LF (`_pieces`).  A piece whose rows are all
     seven plain decimals split by commas, as `save_trace` writes them, is read
@@ -519,7 +513,7 @@ class SynthComponent:
             v = getattr(self, name)
             if name == "f1" and v is None:
                 continue
-            if not _is_real(v) or not 0.0 <= v < np.inf:
+            if not _is_real(v) or v < 0.0:
                 raise DataError(f"{name} must be finite and >= 0, got {v!r}")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
@@ -587,8 +581,9 @@ def synth_trace(
         raise DataError("duration too short for the sample rate")
     t = np.arange(n) / fs
     channels = {axis: np.zeros(n) for axis in AXES}
-    for comp in map(_component, components):
-        channels[comp.axis] = channels[comp.axis] + _component_signal(comp, t, fs)
+    with np.errstate(over="ignore", invalid="ignore"):  # MotionTrace rejects what overflowed
+        for comp in map(_component, components):
+            channels[comp.axis] = channels[comp.axis] + _component_signal(comp, t, fs)
     return MotionTrace(fs, channels, frame_label, _owned=True)
 
 

@@ -131,7 +131,7 @@ class MetricRegime:
         if set(factors) != set(AXES):
             raise ConfigError(f"k_factors must give exactly the axes {AXES}, got {list(factors)}")
         for axis, k in factors.items():
-            if not _is_real(k) or not 0.0 <= k < np.inf:
+            if not _is_real(k) or k < 0.0:
                 raise ConfigError(f"k factor for {axis} must be finite and >= 0, got {k!r}")
             factors[axis] = float(k)
         object.__setattr__(self, "axis_weighting", MappingProxyType(weighting))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import logging
 import math
 from types import SimpleNamespace
 
@@ -45,3 +47,27 @@ def test_a_stage_sums_its_blocks_and_one_that_raises_records_nothing(monkeypatch
     with pytest.raises(ZeroDivisionError), runtime.stage("raised"):
         1 / 0
     assert runtime.SECONDS == {"twice": 3.0}
+
+
+def _stage_messages(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.name == "motioncomfort.runtime"]
+
+
+def test_a_stage_names_its_model_and_sums_by_name_alone(monkeypatch, caplog):
+    with caplog.at_level(logging.INFO, logger="motioncomfort.runtime"):
+        benchmark(2.0, 50.0, builtin_bundle("EXP"), include_svc=False)
+        logged = [json.loads(message) for message in _stage_messages(caplog)]
+        assert [(e["stage"], e["model"]) for e in logged] == [
+            ("head spectra", "EXP"), ("RC", "EXP"), ("MS", "EXP"), ("assessment", "EXP")
+        ]
+        caplog.clear()
+        ticks = iter([0.0, 1.0, 5.0, 7.0])
+        monkeypatch.setattr(runtime, "time", SimpleNamespace(perf_counter=ticks.__next__))
+        monkeypatch.setattr(runtime, "SECONDS", {})
+        for model in ("NHM", "EXP"):
+            with runtime.stage("RC", model=model):
+                pass
+    assert runtime.SECONDS == {"RC": 3.0}  # bench sums by name: its keys stay as they are
+    assert [json.loads(message) for message in _stage_messages(caplog)] == [
+        {"stage": "RC", "model": "NHM", "s": 1.0}, {"stage": "RC", "model": "EXP", "s": 2.0}
+    ]

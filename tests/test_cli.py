@@ -223,22 +223,27 @@ def test_compare_model_ids_are_checked_before_the_trace_is_read(
     assert not (tmp_path / "comparison.csv").exists()
 
 
+def _console(args: list[str], **run) -> subprocess.CompletedProcess:
+    """The console script run with `args` in a fresh process (Python's own warning filters)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    command = [sys.executable, "-m", "motioncomfort.cli", *args]
+    return subprocess.run(command, env=env, timeout=120, **run)
+
+
 @pytest.mark.parametrize("verb", ["assess", "compare"])
 def test_a_closed_stdout_exits_0_with_every_output_written_and_no_traceback(tmp_path, verb):
     # The pipe's read end is closed before the run starts, as in `motioncomfort assess ... |
     # true`: the summary cannot be printed, but the files are written first.
     trace = _synth(tmp_path)
     args = ["--model", "EXP"] if verb == "assess" else ["--models", "EXP,NHM"]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "motioncomfort.cli", verb, "--trace", str(trace), *args,
-             "--out", str(tmp_path / "out")],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        proc = _console(
+            [verb, "--trace", str(trace), *args, "--out", str(tmp_path / "out")],
+            stdout=write_end, stderr=subprocess.PIPE,
         )
     finally:
         os.close(write_end)
@@ -364,6 +369,16 @@ def test_a_null_trace_or_out_in_a_config_is_unset(tmp_path, capsys, monkeypatch)
     assert (tmp_path / "report.json").exists() and not (tmp_path / "None").exists()
 
 
+@pytest.mark.parametrize("key", ["trace", "out"])
+def test_a_config_path_with_a_nul_is_a_config_error_naming_its_key(tmp_path, key):
+    trace, cfg = _synth(tmp_path), tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trace": str(trace), "out": str(tmp_path / "o"), key: "a\0b"}))
+    rc, err = _run_cli(["assess", "--config", str(cfg)])
+    assert rc == 2
+    assert err == [f"error[config]: {cfg}: {key} must be a path string, not 'a\\x00b'"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_trace_everywhere_is_config_error(tmp_path, capsys):
     rc = main(["assess", "--out", str(tmp_path)])
     assert rc == 2
@@ -387,6 +402,8 @@ def test_synth_spec_file(tmp_path):
 
 _SINE = {"axis": "z", "kind": "sine", "amplitude": 1.0, "f0": 1.0}
 _NOISE = {"axis": "x", "kind": "noise", "amplitude": 1.0, "f0": 0.1, "f1": 2.0}
+_HUGE = 10**400  # a JSON integer that no float holds
+_DEEP = "[" * 100_000 + "]" * 100_000  # nested deeper than the JSON parser goes (RFC 8259 §9)
 
 
 @pytest.mark.parametrize(
@@ -400,6 +417,10 @@ _NOISE = {"axis": "x", "kind": "noise", "amplitude": 1.0, "f0": 0.1, "f1": 2.0}
         ({"svc": {"tau": 5}}, None, "1", "config", 2),
         ({"svc": {"tau_s": "5"}}, None, "1", "config", 2),
         ({"svc": {"b": 1e200}}, None, "1", "config", 2),
+        ({"svc": {"tau_s": _HUGE}}, None, "1", "config", 2),
+        ({"k_factors": {"z": _HUGE}}, None, "1", "config", 2),
+        (_DEEP.encode(), None, "1", "config", 2),
+        (None, _DEEP.encode(), "1", "config", 2),
         (b'{"svc": {"\xff": 1}}', None, "1", "config", 2),
         (None, b'[{"axis": "\xff"}]', "1", "config", 2),
         (None, [5], "1", "config", 2),
@@ -407,6 +428,7 @@ _NOISE = {"axis": "x", "kind": "noise", "amplitude": 1.0, "f0": 0.1, "f1": 2.0}
         (None, [{"axis": "z", "kind": "sine"}], "1", "config", 2),
         (None, [dict(_NOISE, f1="abc")], "1", "data", 3),
         (None, [dict(_SINE, amplitude="1.5")], "1", "data", 3),
+        (None, [dict(_SINE, amplitude=_HUGE)], "1", "data", 3),
         (None, [dict(_NOISE, seed=-1)], "1", "data", 3),
         (None, [dict(_NOISE, seed=1.5)], "1", "data", 3),
         (None, None, "nan", "data", 3),
@@ -414,10 +436,11 @@ _NOISE = {"axis": "x", "kind": "noise", "amplitude": 1.0, "f0": 0.1, "f1": 2.0}
         (None, None, "1e12", "data", 3),
     ],
     ids=["k_factors", "svc", "weighting_files", "k_negative", "k_unknown_axis",
-         "svc_unknown", "svc_string", "svc_hill_overflow", "config_not_utf8",
+         "svc_unknown", "svc_string", "svc_hill_overflow", "svc_huge_int", "k_huge_int",
+         "config_too_deep", "spec_too_deep", "config_not_utf8",
          "spec_not_utf8", "entry", "unknown_key", "missing_key",
-         "f1", "amplitude", "seed", "seed_float", "duration_nan", "duration_inf",
-         "duration_too_long"],
+         "f1", "amplitude", "amplitude_huge_int", "seed", "seed_float", "duration_nan",
+         "duration_inf", "duration_too_long"],
 )
 def test_malformed_config_or_synth_input_is_one_line_error(
     tmp_path, capsys, config, spec, duration, kind, code
@@ -432,6 +455,23 @@ def test_malformed_config_or_synth_input_is_one_line_error(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error[{kind}]:")
     assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [[dict(_NOISE, amplitude=1e308)], [dict(_SINE, axis="x", amplitude=1e308)] * 2],
+    ids=["noise", "two_sines"],
+)
+def test_a_synth_spec_that_overflows_prints_its_error_line_alone(tmp_path, spec):
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    proc = _console(
+        ["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "out")],
+        capture_output=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.decode().splitlines() == [
+        "error[data]: channel x contains non-finite samples"
+    ]
 
 
 def _exp_manifest(first_file=None) -> dict:
@@ -455,13 +495,16 @@ def _bad_input(tmp_path, case: str) -> list[str]:
     table.mkdir()
     if case == "weighting_dir":
         config = {"weighting_files": {"Wk": "tables"}}
-    elif case == "weighting_not_utf8":
-        (table / "wk.csv").write_bytes(b"freq_hz,magnitude\n0,1\n# \xff\n1,1\n")
+    elif case in ("weighting_not_utf8", "weighting_field_too_long"):
+        cell = b"# \xff" if case == "weighting_not_utf8" else b"1" * 200_000  # > csv's limit
+        (table / "wk.csv").write_bytes(b"freq_hz,magnitude\n0,1\n" + cell + b"\n1,1\n")
         config = {"weighting_files": {"Wk": "tables/wk.csv"}}
-    elif case in ("manifest_channel_dir", "manifest_not_utf8"):
+    elif case in ("manifest_channel_dir", "manifest_not_utf8", "manifest_too_deep"):
         manifest = tmp_path / "manifest.json"
         if case == "manifest_channel_dir":
             manifest.write_text(json.dumps(_exp_manifest(first_file=table)))
+        elif case == "manifest_too_deep":
+            manifest.write_text(_DEEP)
         else:
             manifest.write_bytes(b'{"model_id": "\xff"}')
         config = {"bundle_manifest": str(manifest)}
@@ -477,8 +520,10 @@ def _bad_input(tmp_path, case: str) -> list[str]:
     [
         ("weighting_dir", "config", 2),
         ("weighting_not_utf8", "data", 3),
+        ("weighting_field_too_long", "data", 3),
         ("manifest_channel_dir", "config", 2),
         ("manifest_not_utf8", "data", 3),
+        ("manifest_too_deep", "data", 3),
         ("svc_tau_negative", "config", 2),
     ],
 )
@@ -579,6 +624,20 @@ def test_manifest_set_that_is_not_a_json_integer_is_a_malformed_entry(tmp_path, 
     save_trace(random_trace(7, n=400), trace)
     argv = ["assess", "--trace", str(trace), "--config", str(tmp_path / "cfg.json")]
     rc, err = _run_cli([*argv, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    entry = manifest["channels"][0]
+    assert err == [f"error[data]: {tmp_path / 'manifest.json'}: malformed channel entry {entry!r}"]
+
+
+@pytest.mark.parametrize(
+    "file", [3, None, [], {}, "a\0b"], ids=["number", "null", "list", "object", "nul"]
+)
+def test_manifest_file_that_is_not_a_path_string_is_a_malformed_entry(tmp_path, file):
+    manifest = _exp_manifest()
+    manifest["channels"][0]["file"] = file
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "cfg.json").write_text(json.dumps({"bundle_manifest": "manifest.json"}))
+    rc, err = _run_cli(["synth", "--duration", "1", "--config", str(tmp_path / "cfg.json")])
     assert rc == 3
     entry = manifest["channels"][0]
     assert err == [f"error[data]: {tmp_path / 'manifest.json'}: malformed channel entry {entry!r}"]
@@ -693,10 +752,23 @@ def test_verbose_logs_one_json_object_per_finished_stage(tmp_path):
         assert [line for line in err if line not in infos] == quiet
         logged = [json.loads(line.split(": ", 1)[1]) for line in infos]
         assert [entry["stage"] for entry in logged] == stages
-        assert all(entry["s"] >= 0.0 for entry in logged)
+        assert all(entry["model"] == "NHM" and entry["s"] >= 0.0 for entry in logged)
         if code:
             assert err[-1].startswith("error[numeric]: ")
             assert all(line.startswith(("WARNING ", "INFO ")) for line in err[:-1])
+
+
+def test_compare_verbose_names_the_model_in_each_stage_line(tmp_path):
+    trace = _synth(tmp_path)
+    args = ["compare", "-v", "--trace", str(trace), "--models", "EXP,NHM"]
+    rc, err = _run_cli([*args, "--out", str(tmp_path / "out")])
+    assert rc == 0
+    logged = [json.loads(line.split(": ", 1)[1]) for line in err if line.startswith("INFO ")]
+    stages = ["head spectra", "RC", "MS", "inverse FFTs", "SVC"]
+    assert [(e["model"], e["stage"]) for e in logged] == [
+        (model, stage) for model in ("NHM", "EXP") for stage in stages  # the baseline first
+    ]
+    assert all(list(e) == ["stage", "model", "s"] for e in logged)
 
 
 def _assert_one_error_line_last(err: list[str]) -> None:
@@ -793,3 +865,71 @@ def test_cli_config_and_output_edges_exit_0_with_strict_json_or_print_one_error_
             _assert_one_error_line_last(err)
         assert (tmp / "afile").read_text() == "kept\n"
         assert not [p for p in tmp.rglob("*.tmp")]
+
+
+# What the input property puts in place of one value: wrong types, integers that no float holds,
+# NaN and the infinities, a NUL, and nesting deeper than the JSON parser goes.
+_MUTANTS = ["text", True, None, [], {}, -3, _HUGE, -_HUGE, float("nan"), float("inf"),
+            float("-inf"), "a\0b", _DEEP]
+
+
+def _mutated(data, doc, value):
+    """`doc` with one value drawn from `data` (or the whole of it) replaced by `value`."""
+    if not isinstance(doc, (dict, list)) or not doc or data.draw(st.integers(0, 3)) == 0:
+        return value
+    key = data.draw(st.sampled_from(list(doc) if isinstance(doc, dict) else range(len(doc))))
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[key] = _mutated(data, doc[key], value)
+    return copy
+
+
+def _json_text(doc) -> str:
+    """`doc` as JSON, NaN and the infinities as Python writes them, and `_DEEP` unquoted."""
+    return json.dumps(doc).replace(json.dumps(_DEEP), _DEEP)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    target=st.sampled_from(["config", "manifest", "weighting table", "synth spec"]),
+    value=st.sampled_from(_MUTANTS),
+    verbose=st.booleans(),
+    data=st.data(),
+)
+def test_every_mutated_input_file_exits_0_or_prints_one_error_line_last(
+    target, value, verbose, data
+):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        tmp = Path(tmp)
+        mp.chdir(tmp)  # where a config whose `out` is null writes
+        save_trace(random_trace(11, n=300), tmp / "t.csv")
+        docs = {
+            "config": {"trace": "t.csv", "out": "out", "bundle_manifest": "manifest.json",
+                       "weighting_files": {"Wk": "w.csv"}, "k_factors": {"z": 1.0},
+                       "svc": {"tau_s": 4.0}},
+            "manifest": _exp_manifest(),
+            "synth spec": [_SINE, _NOISE],
+        }
+        rows = [["freq_hz", "magnitude"], ["0.5", "1.0"], ["50", "0.5"]]
+        if target == "weighting table":
+            row, column = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 1))
+            rows[row][column] = value if isinstance(value, str) else _json_text(value)
+        else:
+            docs[target] = _mutated(data, docs[target], value)
+        (tmp / "w.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+        for name, doc in zip(("cfg", "manifest", "spec"), docs.values()):
+            (tmp / f"{name}.json").write_text(_json_text(doc))
+        if target == "synth spec":
+            args = ["synth", "--spec", str(tmp / "spec.json"), "--duration", "2", "--rate", "20",
+                    "--out", str(tmp / "out")]
+        else:
+            args = ["assess", "--config", str(tmp / "cfg.json")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, err = _run_cli([*args, "-v"] if verbose else args)
+        event(f"{target} exit {rc}")
+        assert rc in (0, 2, 3, 4)
+        assert not any("Traceback" in line for line in err)
+        assert all(line.startswith(("WARNING ", "INFO ")) for line in err[:-1])
+        assert (rc == 0) == (not err or not err[-1].startswith("error["))
+        if rc == 0:
+            assert all(line.startswith(("WARNING ", "INFO ")) for line in err)

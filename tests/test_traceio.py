@@ -723,6 +723,34 @@ def test_a_bad_row_in_the_second_chunk_is_exit_3_naming_its_file_line(tmp_path, 
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("read_bytes", [64, traceio._READ_BYTES])
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_only_the_first_of_two_bad_rows_in_later_ranges_is_named(
+    tmp_path, newline, cpus, read_bytes
+):
+    # A worker numbers its own bad row: the lines before its range (the count round's), the
+    # lines before its piece, then the row's place in the piece.
+    text = _decorate(_decorate(_trace_text(random_trace(30, n=80), tmp_path), 4, ""), 5, "  # x")
+    lines = ["# exported", "", *text.splitlines()]
+    first, second = 5 * len(lines) // 8, 7 * len(lines) // 8  # in the third and fourth ranges
+    lines[first - 1], lines[second - 1] = "0.5,1,2", "0.5,1,2,3,x,5,6"
+    path = tmp_path / "t.csv"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    bounds = []
+    parse_chunks = traceio._parse_chunks
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(DataError) as err:
+        mp.setattr(traceio, "_MIN_CHUNK_BYTES", 1)
+        mp.setattr(traceio, "_READ_BYTES", read_bytes)
+        mp.setattr(runtime, "usable_cpus", lambda: cpus)
+        mp.setattr(traceio, "_parse_chunks", lambda *a: bounds.append(a[1]) or parse_chunks(*a))
+        load_trace(path)
+    assert str(err.value) == f"{path}: line {first}: expected 7 columns, got 3"
+    if cpus == 4:
+        offsets = [len(newline.join(lines[: i - 1]) + newline) for i in (first, second)]
+        assert bounds[0][2] <= offsets[0] < bounds[0][3] <= offsets[1] < bounds[0][4]
+
+
 def test_a_line_start_follows_a_whole_line_end(tmp_path):
     # Lines of up to two read blocks (4,096 bytes), so that for some offsets the CR of a CRLF
     # is the last byte of a block: the line start at or after every offset is the next one
